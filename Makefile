@@ -4,7 +4,7 @@
 # --instrument-with bisect_ppx, so regular builds and tests never see
 # it. CI's coverage job installs it on top of the test switch.
 
-.PHONY: all build test lint bench coverage check-coverage clean
+.PHONY: all build test lint bench profile coverage check-coverage clean
 
 all: build
 
@@ -45,6 +45,24 @@ check-coverage: coverage
 	  exit 1; \
 	fi
 
+# CPU profile of one benchmark workload (`make profile
+# W=fattree-k16-1e5`): gprofng samples one untraced repetition of
+# bench/perf/perf.exe and prints the 30 functions with the most
+# exclusive CPU time. gprofng ships with GNU binutils >= 2.39; like
+# bisect_ppx it is not a build dependency.
+W ?= paper-figures
+
+profile:
+	@command -v gprofng >/dev/null 2>&1 || { \
+	  echo "gprofng is not installed; it ships with GNU binutils >= 2.39"; \
+	  exit 1; }
+	dune build bench/perf/perf.exe
+	@mkdir -p _profile
+	rm -rf _profile/$(W).er
+	gprofng collect app -o _profile/$(W).er \
+	  ./_build/default/bench/perf/perf.exe --workload $(W) --trace 0 --seconds 1
+	gprofng display text -limit 30 -functions _profile/$(W).er
+
 clean:
 	dune clean
-	rm -rf _coverage
+	rm -rf _coverage _profile

@@ -7,53 +7,19 @@ type t = {
   agents : Edge.t Net.Flowtable.t;
   cores : Core.t list;
   core_links : Net.Link.t list;
-  is_core : bool array;  (* link id -> policed by a core *)
   drops_by_flow : Net.Flowtable.Count.t;
-  (* The feedback control plane reads [agents] and [delays] through the
-     per-core [send_feedback] closures, so flows added after wiring
-     (churn) become reachable by mutating these two tables; [params] and
-     [rng] are kept to build mid-run agents the same way [build] does. *)
-  delays : (int * int, float) Hashtbl.t;
+  (* The feedback control plane reads [agents] through the per-core
+     [send_feedback] closures, so flows added after wiring (churn)
+     become reachable by mutating that table; [params] and [rng] are
+     kept to build mid-run agents the same way [build] does. *)
   params : Params.t;
   rng : Sim.Rng.t;
 }
-
-let core_membership core_links =
-  let top = List.fold_left (fun acc l -> Stdlib.max acc l.Net.Link.id) (-1) core_links in
-  let is_core = Array.make (top + 1) false in
-  List.iter (fun l -> is_core.(l.Net.Link.id) <- true) core_links;
-  is_core
-
-(* Feedback latency per (core link, flow): one walk down the flow's own
-   path accumulates upstream delay — O(path length), not
-   O(core links), which is what keeps churn affordable on generated
-   topologies with tens of thousands of policed links. *)
-let register_delays ~topology ~is_core ~delays flow =
-  let acc = ref 0. in
-  List.iter
-    (fun link ->
-      let lid = link.Net.Link.id in
-      if lid < Array.length is_core && is_core.(lid) then
-        Hashtbl.replace delays (lid, flow.Net.Flow.id) !acc;
-      acc := !acc +. link.Net.Link.delay)
-    (Net.Flow.links flow topology)
-
-let unregister_delays ~topology ~is_core ~delays flow =
-  List.iter
-    (fun link ->
-      let lid = link.Net.Link.id in
-      if lid < Array.length is_core && is_core.(lid) then
-        Hashtbl.remove delays (lid, flow.Net.Flow.id))
-    (Net.Flow.links flow topology)
 
 (* Wire core-router logic for a set of pre-built agents: feedback
    selected at a core link travels back to the generating edge with the
    reverse-path propagation delay, then lands in the flow's agent. *)
 let of_table ?fault ~params ~rng ~topology ~agents ~core_links () =
-  let is_core = core_membership core_links in
-  let delays : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  Net.Flowtable.iter agents (fun _ agent ->
-      register_delays ~topology ~is_core ~delays (Edge.flow agent));
   let engine = Net.Topology.engine topology in
   (* Corelite edges do not react to losses (feedback markers carry the
      signal), but per-flow loss accounting is an evaluation metric. *)
@@ -84,10 +50,7 @@ let of_table ?fault ~params ~rng ~topology ~agents ~core_links () =
             match Net.Flowtable.find agents flow_id with
             | None -> ()
             | Some agent ->
-              let delay =
-                Option.value ~default:0.
-                  (Hashtbl.find_opt delays (link.Net.Link.id, flow_id))
-              in
+              let delay = Edge.feedback_delay agent ~link_id:link.Net.Link.id in
               ignore
                 (Sim.Engine.schedule engine ~delay (fun () ->
                      Edge.receive_feedback agent ~link_id:link.Net.Link.id marker))
@@ -95,7 +58,7 @@ let of_table ?fault ~params ~rng ~topology ~agents ~core_links () =
         Core.attach ~params ~rng:(Sim.Rng.split rng) ~send_feedback link)
       core_links
   in
-  { topology; agents; cores; core_links; is_core; drops_by_flow; delays; params; rng }
+  { topology; agents; cores; core_links; drops_by_flow; params; rng }
 
 let of_agents ?fault ~params ~rng ~topology ~agents ~core_links () =
   let table = Net.Flowtable.create () in
@@ -155,7 +118,6 @@ let add_flow t ?(floor = 0.) ?(size = 0) flow =
   let epoch_offset = Sim.Rng.float t.rng epoch in
   let agent = Edge.create ~params:t.params ~topology:t.topology ~flow ~floor ~epoch_offset () in
   Net.Flowtable.add t.agents id agent;
-  register_delays ~topology:t.topology ~is_core:t.is_core ~delays:t.delays flow;
   Sim.Invariant.note_flow_created ();
   let engine = Net.Topology.engine t.topology in
   let trace = Sim.Engine.trace engine in
@@ -176,8 +138,6 @@ let add_flow t ?(floor = 0.) ?(size = 0) flow =
 let retire t id agent ~kind ~idle =
   Edge.stop agent;
   Net.Flowtable.remove t.agents id;
-  unregister_delays ~topology:t.topology ~is_core:t.is_core ~delays:t.delays
-    (Edge.flow agent);
   let engine = Net.Topology.engine t.topology in
   let trace = Sim.Engine.trace engine in
   match kind with

@@ -21,6 +21,7 @@ type t = {
      stamped into every emitted packet; -1 on per-flow-routed paths,
      where packets keep using the route/sink tables. *)
   dst_host : int;
+  delays : Net.Flow.delays;  (* feedback latency from each path link *)
   marker_spacing : int;
   feedback_by_link : (int, int) Hashtbl.t;  (* core link id -> markers this epoch *)
   mutable data_since_marker : int;
@@ -57,6 +58,8 @@ let last_activity t = t.activity.at
 let markers_attached t = t.markers_attached
 
 let feedback_received t = t.feedback_received
+
+let feedback_delay t ~link_id = Net.Flow.delay_to t.delays ~link_id
 
 (* The bottleneck link dominates: react to the max feedback count from
    any single core link, then clear the epoch's counters. *)
@@ -119,6 +122,7 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) ?supply
       deliver;
       source = None;
       dst_host = (Net.Flow.egress flow).Net.Node.host;
+      delays = Net.Flow.delays flow topology;
       marker_spacing = Params.marker_spacing params ~weight:flow.Net.Flow.weight;
       feedback_by_link = Hashtbl.create 4;
       data_since_marker = 0;

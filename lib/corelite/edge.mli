@@ -89,3 +89,8 @@ val last_activity : t -> float
 val markers_attached : t -> int
 
 val feedback_received : t -> int
+
+(** Control-plane latency of feedback selected at core link [link_id]:
+    the flow's upstream propagation delay to that link
+    ({!Net.Flow.delay_to}), [0.] off the path. *)
+val feedback_delay : t -> link_id:int -> float

@@ -7,42 +7,14 @@ type t = {
   agents : Edge.t Net.Flowtable.t;
   cores : Core.t list;
   core_links : Net.Link.t list;
-  is_core : bool array;  (* link id -> policed *)
   drops_by_flow : Net.Flowtable.Count.t;
-  (* The per-link [on_drop] closures read [agents] and [delays], so
-     flows added after wiring (churn) become reachable by mutating
-     these tables; [params] and [rng] build mid-run agents the same way
-     [build] does (mirrors Corelite.Deployment). *)
-  delays : (int * int, float) Hashtbl.t;
+  (* The per-link [on_drop] closures read [agents], so flows added
+     after wiring (churn) become reachable by mutating that table;
+     [params] and [rng] build mid-run agents the same way [build] does
+     (mirrors Corelite.Deployment). *)
   params : Params.t;
   rng : Sim.Rng.t;
 }
-
-let core_membership core_links =
-  let top = List.fold_left (fun acc l -> Stdlib.max acc l.Net.Link.id) (-1) core_links in
-  let is_core = Array.make (top + 1) false in
-  List.iter (fun l -> is_core.(l.Net.Link.id) <- true) core_links;
-  is_core
-
-(* One walk down the flow's own path — O(path length), not
-   O(core links); see Corelite.Deployment. *)
-let register_delays ~topology ~is_core ~delays flow =
-  let acc = ref 0. in
-  List.iter
-    (fun link ->
-      let lid = link.Net.Link.id in
-      if lid < Array.length is_core && is_core.(lid) then
-        Hashtbl.replace delays (lid, flow.Net.Flow.id) !acc;
-      acc := !acc +. link.Net.Link.delay)
-    (Net.Flow.links flow topology)
-
-let unregister_delays ~topology ~is_core ~delays flow =
-  List.iter
-    (fun link ->
-      let lid = link.Net.Link.id in
-      if lid < Array.length is_core && is_core.(lid) then
-        Hashtbl.remove delays (lid, flow.Net.Flow.id))
-    (Net.Flow.links flow topology)
 
 let build ?(attach_cores = true) ~params ~rng ~topology ~flows ~core_links () =
   let agents = Net.Flowtable.create () in
@@ -56,11 +28,6 @@ let build ?(attach_cores = true) ~params ~rng ~topology ~flows ~core_links () =
       let epoch_offset = Sim.Rng.float rng epoch in
       Net.Flowtable.add agents id
         (Edge.create ~params ~topology ~flow ~floor ~epoch_offset ()))
-    flows;
-  let is_core = core_membership core_links in
-  let delays : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun { flow; _ } -> register_delays ~topology ~is_core ~delays flow)
     flows;
   let engine = Net.Topology.engine topology in
   let drops_by_flow = Net.Flowtable.Count.create () in
@@ -90,16 +57,13 @@ let build ?(attach_cores = true) ~params ~rng ~topology ~flows ~core_links () =
               match Net.Flowtable.find agents flow with
               | None -> ()
               | Some agent ->
-                let delay =
-                  Option.value ~default:0.
-                    (Hashtbl.find_opt delays (link.Net.Link.id, flow))
-                in
+                let delay = Edge.loss_delay agent ~link_id:link.Net.Link.id in
                 ignore
                   (Sim.Engine.schedule engine ~delay (fun () -> Edge.note_loss agent)));
         core)
       core_links
   in
-  { topology; agents; cores; core_links; is_core; drops_by_flow; delays; params; rng }
+  { topology; agents; cores; core_links; drops_by_flow; params; rng }
 
 let agent t id =
   match Net.Flowtable.find t.agents id with
@@ -134,7 +98,6 @@ let add_flow t ?(floor = 0.) ?(size = 0) flow =
   let epoch_offset = Sim.Rng.float t.rng epoch in
   let agent = Edge.create ~params:t.params ~topology:t.topology ~flow ~floor ~epoch_offset () in
   Net.Flowtable.add t.agents id agent;
-  register_delays ~topology:t.topology ~is_core:t.is_core ~delays:t.delays flow;
   Sim.Invariant.note_flow_created ();
   let engine = Net.Topology.engine t.topology in
   let trace = Sim.Engine.trace engine in
@@ -149,8 +112,6 @@ let add_flow t ?(floor = 0.) ?(size = 0) flow =
 let retire t id agent ~kind ~idle =
   Edge.stop agent;
   Net.Flowtable.remove t.agents id;
-  unregister_delays ~topology:t.topology ~is_core:t.is_core ~delays:t.delays
-    (Edge.flow agent);
   let engine = Net.Topology.engine t.topology in
   let trace = Sim.Engine.trace engine in
   match kind with

@@ -10,6 +10,7 @@ type t = {
   (* Destination host index on FIB-routed (generated) topologies; -1 on
      per-flow-routed paths (mirrors Corelite.Edge). *)
   dst_host : int;
+  delays : Net.Flow.delays;  (* loss-report latency from each path link *)
   estimator : Rate_estimator.t;
   mutable pending_losses : int;
   mutable next_packet_id : int;
@@ -44,6 +45,8 @@ let losses t = t.losses
 
 let current_label t = t.current_label
 
+let loss_delay t ~link_id = Net.Flow.delay_to t.delays ~link_id
+
 let collect_losses t () =
   let m = t.pending_losses in
   t.pending_losses <- 0;
@@ -72,6 +75,7 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) () =
       trace = Sim.Engine.trace engine;
       source = None;
       dst_host = (Net.Flow.egress flow).Net.Node.host;
+      delays = Net.Flow.delays flow topology;
       estimator = Rate_estimator.create ~k:params.Params.k_flow;
       pending_losses = 0;
       next_packet_id = 0;

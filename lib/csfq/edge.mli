@@ -56,3 +56,8 @@ val losses : t -> int
 
 (** Last label stamped on an outgoing packet (normalized pkt/s). *)
 val current_label : t -> float
+
+(** Latency of a loss report from link [link_id] back to this edge: the
+    flow's upstream propagation delay to that link
+    ({!Net.Flow.delay_to}), [0.] off the path. *)
+val loss_delay : t -> link_id:int -> float

@@ -22,3 +22,23 @@ let upstream_delay t topology link =
     | [] -> None
   in
   walk 0. (links t topology)
+
+type delays = { ids : int array; upstream : float array }
+
+let delays t topology =
+  let path = Array.of_list (links t topology) in
+  let upstream = Array.make (Array.length path) 0. in
+  (* Summed in path order, so each entry is bit-identical to what
+     [upstream_delay] returns for that link. *)
+  for i = 1 to Array.length path - 1 do
+    upstream.(i) <- upstream.(i - 1) +. path.(i - 1).Link.delay
+  done;
+  { ids = Array.map (fun l -> l.Link.id) path; upstream }
+
+(* Top-level, so a lookup builds no closure. *)
+let rec scan d link_id i =
+  if i < 0 then 0.
+  else if d.ids.(i) = link_id then d.upstream.(i)
+  else scan d link_id (i - 1)
+
+let delay_to d ~link_id = scan d link_id (Array.length d.ids - 1)

@@ -23,3 +23,14 @@ val links : t -> Topology.t -> Link.t list
     path links upstream of [link]. [None] if the flow does not traverse
     [link]. Used to time control-plane feedback and loss indications. *)
 val upstream_delay : t -> Topology.t -> Link.t -> float option
+
+(** The flow's path flattened for the control plane: each path link's
+    id beside its {!upstream_delay}, built once per flow so that timing
+    a feedback or loss indication scans at most path-length ints. *)
+type delays
+
+val delays : t -> Topology.t -> delays
+
+(** [delay_to d ~link_id] is the {!upstream_delay} of link [link_id],
+    bit for bit, or [0.] when the path does not cross it. *)
+val delay_to : delays -> link_id:int -> float

@@ -49,7 +49,10 @@ let[@corelite.hot] receive t pkt =
   if dst >= 0 then
     if dst = t.host then t.host_sink pkt
     else begin
-      match t.fib.(dst) with
+      (* Bounds-checked: a hand-built node's FIB is empty, and a
+         stamped packet reaching it must fail with this message, not a
+         bare index error. *)
+      match if dst < Array.length t.fib then t.fib.(dst) else None with
       | Some link -> Link.send link pkt
       | None ->
         failwith

@@ -7,9 +7,17 @@
     Two access styles coexist: the boxed {!pop}/{!peek_key} return
     options (convenient in tests and cold paths), while the unboxed
     {!next_time}/{!pop_exn} pair serves the engine's hot loop without
-    allocating — internally the heap stores keys in a flat [float
-    array] alongside parallel seq/payload arrays, so neither style
-    allocates per entry beyond the payload itself. *)
+    allocating.
+
+    The heap sifts only unboxed data: keys in a flat [float array],
+    seqs and payload slot numbers in [int array]s. Payloads sit in a
+    separate slab indexed by slot and never move, so a sift stores no
+    pointer. This matters under OCaml 5, where every pointer store
+    ([caml_modify]) made while the major GC is marking darkens the
+    value it overwrites. Freed slots are reused last in, first out.
+    Popped payloads are not blanked: at most [capacity - length] free
+    slots keep a stale payload reachable until an {!add} reuses the
+    slot or {!clear} drops the storage. *)
 
 type 'a t
 

@@ -185,12 +185,15 @@ let of_topo ~engine ?(bandwidth = default_bandwidth) ?(delay = default_delay)
           ~bandwidth ~delay ~qdisc:(core_qdisc ()))
   in
   let dispatch = Net.Topology.sink_dispatcher topology in
+  (* One shared [Some link] per link: a fresh option in every
+     (node, host) entry would cost two words each across all tables. *)
+  let hop = Array.map Option.some links in
   Array.iteri
     (fun v node ->
       let table =
         Array.init n_hosts (fun h ->
             let l = Topo.Fib.next_hop fib ~node:v ~host:h in
-            if l < 0 then None else Some links.(l))
+            if l < 0 then None else hop.(l))
       in
       let host = Topo.Graph.host_of_node graph v in
       Net.Node.set_fib node ~host ~fib:table

@@ -517,6 +517,18 @@ let test_node_unknown_flow_fails () =
   Alcotest.check_raises "no route" (Failure "Node A: no route or sink for flow 9")
     (fun () -> Net.Node.receive a (mk_packet ~flow:9 ()))
 
+(* A host-stamped packet reaching a node whose FIB lacks that host — a
+   hand-built node's FIB is empty, a generated one may be shorter —
+   fails with the node's own message, not a bare index error. *)
+let test_node_fib_out_of_range_fails () =
+  let _, _, a, _, link = simple_net () in
+  let stamped dst = Net.Packet.make ~id:1 ~flow:1 ~dst ~created:0. () in
+  Alcotest.check_raises "empty fib" (Failure "Node A: no FIB entry for host 3")
+    (fun () -> Net.Node.receive a (stamped 3));
+  Net.Node.set_fib a ~host:(-1) ~fib:[| Some link |] ~host_sink:None;
+  Alcotest.check_raises "short fib" (Failure "Node A: no FIB entry for host 1")
+    (fun () -> Net.Node.receive a (stamped 1))
+
 let test_topology_duplicate_node () =
   let engine = Sim.Engine.create () in
   let topology = Net.Topology.create engine in
@@ -581,7 +593,18 @@ let test_flow_upstream_delay () =
       ~qdisc:(Net.Qdisc.droptail ~capacity:10)
   in
   Alcotest.(check bool) "not on path" true
-    (Net.Flow.upstream_delay flow topology other = None)
+    (Net.Flow.upstream_delay flow topology other = None);
+  (* The flat table edge agents time feedback with agrees with the
+     path walk bit for bit, and reads 0 off the path. *)
+  let delays = Net.Flow.delays flow topology in
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) "table = walk" true
+        (Some (Net.Flow.delay_to delays ~link_id:l.Net.Link.id)
+        = Net.Flow.upstream_delay flow topology l))
+    [ l1; l2 ];
+  check_float "table off path" 0.
+    (Net.Flow.delay_to delays ~link_id:other.Net.Link.id)
 
 (* ------------------------------------------------------------------ *)
 (* Qdisc: DRR *)
@@ -1157,6 +1180,8 @@ let () =
         [
           Alcotest.test_case "route and sink" `Quick test_node_routes_and_sinks;
           Alcotest.test_case "unknown flow" `Quick test_node_unknown_flow_fails;
+          Alcotest.test_case "fib index out of range" `Quick
+            test_node_fib_out_of_range_fails;
           Alcotest.test_case "duplicate node" `Quick test_topology_duplicate_node;
           Alcotest.test_case "duplicate link" `Quick test_topology_duplicate_link;
           Alcotest.test_case "path helpers" `Quick test_topology_path_helpers;

@@ -209,6 +209,77 @@ let prop_queue_unboxed_agrees_with_boxed =
       in
       boxed = unboxed)
 
+(* Payload slots are recycled through a free stack, so a long
+   interleaving of adds, pops and clears must keep handing back the
+   right payload: each payload is its own (key, seq), and every pop is
+   checked against the head of the sorted model. Adds outnumber pops
+   two to one, so a case grows through several capacity doublings
+   before a rare clear drops the storage and growth starts over. *)
+type queue_op = Add of int | Pop | Clear
+
+module Entries = Set.Make (struct
+  type t = float * int
+
+  let compare = by_key_seq
+end)
+
+let prop_queue_slab_recycling =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (1000, map (fun k -> Add k) (int_bound 20)); (500, return Pop); (3, return Clear) ])
+  in
+  QCheck.Test.make ~name:"add/pop_exn/clear across doublings pop the sorted model"
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 1500) op))
+    (fun ops ->
+      let q = Sim.Event_queue.create () in
+      let model = ref Entries.empty in
+      let seq = ref 0 in
+      let step = function
+        | Add k ->
+          incr seq;
+          let entry = (float_of_int k, !seq) in
+          Sim.Event_queue.add q ~key:(fst entry) ~seq:!seq entry;
+          model := Entries.add entry !model;
+          true
+        | Pop -> (
+          match Entries.min_elt_opt !model with
+          | None -> Sim.Event_queue.is_empty q
+          | Some e ->
+            model := Entries.remove e !model;
+            Sim.Event_queue.peek_key q = Some e && Sim.Event_queue.pop_exn q = e)
+        | Clear ->
+          Sim.Event_queue.clear q;
+          model := Entries.empty;
+          true
+      in
+      List.for_all step ops
+      && Sim.Event_queue.length q = Entries.cardinal !model
+      && List.for_all (fun e -> Sim.Event_queue.pop_exn q = e) (Entries.elements !model)
+      && Sim.Event_queue.is_empty q)
+
+(* Steady state at a fixed capacity: once the slab has grown, an
+   add/pop_exn pair stores ints and one payload and allocates nothing.
+   The keys are literal constants, which are preallocated: a computed
+   float passed to [add] across a module boundary is boxed by the
+   caller's calling convention, which is not the queue's cost. *)
+let key_of i = match i land 3 with 0 -> 1. | 1 -> 2. | 2 -> 3. | _ -> 4.
+
+let test_queue_steady_state_allocates_nothing () =
+  let q = Sim.Event_queue.create () in
+  let noop () = () in
+  for i = 0 to 999 do
+    Sim.Event_queue.add q ~key:(key_of i) ~seq:i noop
+  done;
+  let before = Gc.minor_words () in
+  for i = 1000 to 100_999 do
+    let f = Sim.Event_queue.pop_exn q in
+    Sim.Event_queue.add q ~key:(key_of i) ~seq:i f
+  done;
+  check_float "minor words over 10^5 pairs" 0. (Gc.minor_words () -. before);
+  Alcotest.(check int) "length kept" 1000 (Sim.Event_queue.length q)
+
 (* ------------------------------------------------------------------ *)
 (* Ring *)
 
@@ -493,6 +564,38 @@ let test_engine_reset_matches_fresh () =
   Alcotest.(check (list (pair int (float 1e-9)))) "reused run vs fresh" fresh second;
   Alcotest.(check int) "executed counts events of one run" 4
     (Sim.Engine.executed reused)
+
+(* A run that grows the event heap through several doublings, recycles
+   payload slots and fires many simultaneous events. Event ids count
+   schedule calls, so they equal the engine's seq numbers, and the
+   log is the popped (time, seq) sequence. *)
+let engine_replay e =
+  let log = ref [] and scheduled = ref 0 in
+  let rec schedule delay =
+    incr scheduled;
+    let id = !scheduled in
+    Sim.Engine.schedule_unit e ~delay (fun () ->
+        log := (Sim.Engine.now e, id) :: !log;
+        if id < 3000 then begin
+          schedule (float_of_int (id mod 3));
+          if id mod 4 = 0 then schedule (float_of_int (id mod 5))
+        end)
+  in
+  for i = 0 to 299 do
+    schedule (float_of_int (i mod 7))
+  done;
+  Sim.Engine.run e;
+  Alcotest.(check int) "ids are seq numbers" !scheduled (Sim.Engine.events_scheduled e);
+  List.rev !log
+
+let test_engine_reset_replays_pop_sequence () =
+  let e = Sim.Engine.create () in
+  let first = engine_replay e in
+  Alcotest.(check bool) "pops in (time, seq) order" true (List.sort compare first = first);
+  Sim.Engine.reset e;
+  let second = engine_replay e in
+  Alcotest.(check bool) "reset engine pops the same (time, seq) sequence" true
+    (first = second)
 
 let test_engine_reset_clears_queue () =
   let e = Sim.Engine.create () in
@@ -1167,6 +1270,9 @@ let () =
           qt prop_queue_length_tracks_model;
           Alcotest.test_case "unboxed api" `Quick test_queue_unboxed_api;
           qt prop_queue_unboxed_agrees_with_boxed;
+          qt prop_queue_slab_recycling;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_queue_steady_state_allocates_nothing;
         ] );
       ( "ring",
         [
@@ -1192,6 +1298,8 @@ let () =
           Alcotest.test_case "simultaneous fifo" `Quick test_engine_simultaneous_fifo;
           Alcotest.test_case "reset matches fresh engine" `Quick
             test_engine_reset_matches_fresh;
+          Alcotest.test_case "reset replays the pop sequence" `Quick
+            test_engine_reset_replays_pop_sequence;
           Alcotest.test_case "reset clears pending events" `Quick
             test_engine_reset_clears_queue;
         ] );
