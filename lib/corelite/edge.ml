@@ -143,19 +143,24 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) ?supply
          ~emit:(fun ~now ~rate -> emit t ~now ~rate)
          ~collect:(collect_max t) ());
   let m = Sim.Engine.metrics engine in
-  let pfx = Printf.sprintf "corelite.flow.%d." flow.Net.Flow.id in
-  Sim.Metrics.probe m (pfx ^ "sent") ~help:"packets injected at the ingress"
-    (fun () -> float_of_int t.sent);
-  Sim.Metrics.probe m (pfx ^ "delivered") ~help:"packets that reached the sink"
-    (fun () -> float_of_int t.delivered);
-  Sim.Metrics.probe m (pfx ^ "markers_attached")
-    ~help:"packets carrying a marker, one per marker_spacing"
-    (fun () -> float_of_int t.markers_attached);
-  Sim.Metrics.probe m (pfx ^ "feedback_received")
-    ~help:"feedback markers returned to this edge"
-    (fun () -> float_of_int t.feedback_received);
-  Sim.Metrics.probe m (pfx ^ "rate") ~help:"current allowed rate bg, pkt/s"
-    (fun () -> rate t);
+  (* [Metrics.probe] drops probes while auto-probes are off (large
+     generated topologies turn them off), so build no name or closure
+     for them then. *)
+  if Sim.Metrics.auto_probes m then begin
+    let pfx = Printf.sprintf "corelite.flow.%d." flow.Net.Flow.id in
+    Sim.Metrics.probe m (pfx ^ "sent") ~help:"packets injected at the ingress"
+      (fun () -> float_of_int t.sent);
+    Sim.Metrics.probe m (pfx ^ "delivered") ~help:"packets that reached the sink"
+      (fun () -> float_of_int t.delivered);
+    Sim.Metrics.probe m (pfx ^ "markers_attached")
+      ~help:"packets carrying a marker, one per marker_spacing"
+      (fun () -> float_of_int t.markers_attached);
+    Sim.Metrics.probe m (pfx ^ "feedback_received")
+      ~help:"feedback markers returned to this edge"
+      (fun () -> float_of_int t.feedback_received);
+    Sim.Metrics.probe m (pfx ^ "rate") ~help:"current allowed rate bg, pkt/s"
+      (fun () -> rate t)
+  end;
   t
 
 let start t =

@@ -95,15 +95,20 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) () =
          ~emit:(fun ~now ~rate -> emit t ~now ~rate)
          ~collect:(collect_losses t) ());
   let m = Sim.Engine.metrics engine in
-  let pfx = Printf.sprintf "csfq.flow.%d." flow.Net.Flow.id in
-  Sim.Metrics.probe m (pfx ^ "sent") ~help:"packets injected at the ingress"
-    (fun () -> float_of_int t.sent);
-  Sim.Metrics.probe m (pfx ^ "delivered") ~help:"packets that reached the sink"
-    (fun () -> float_of_int t.delivered);
-  Sim.Metrics.probe m (pfx ^ "losses") ~help:"loss signals, the CSFQ feedback"
-    (fun () -> float_of_int t.losses);
-  Sim.Metrics.probe m (pfx ^ "rate") ~help:"current allowed rate bg, pkt/s"
-    (fun () -> rate t);
+  (* [Metrics.probe] drops probes while auto-probes are off (large
+     generated topologies turn them off), so build no name or closure
+     for them then. *)
+  if Sim.Metrics.auto_probes m then begin
+    let pfx = Printf.sprintf "csfq.flow.%d." flow.Net.Flow.id in
+    Sim.Metrics.probe m (pfx ^ "sent") ~help:"packets injected at the ingress"
+      (fun () -> float_of_int t.sent);
+    Sim.Metrics.probe m (pfx ^ "delivered") ~help:"packets that reached the sink"
+      (fun () -> float_of_int t.delivered);
+    Sim.Metrics.probe m (pfx ^ "losses") ~help:"loss signals, the CSFQ feedback"
+      (fun () -> float_of_int t.losses);
+    Sim.Metrics.probe m (pfx ^ "rate") ~help:"current allowed rate bg, pkt/s"
+      (fun () -> rate t)
+  end;
   t
 
 let start t =

@@ -70,6 +70,13 @@ let[@inline] [@corelite.hot] push t ~time action =
   t.seq <- t.seq + 1;
   Event_queue.add t.queue ~key:time ~seq:t.seq action
 
+(* An event [delay] after now joins the queue's FIFO lane of [delay]:
+   the clock never goes back, so the lane receives its events in
+   (time, seq) order and only its head occupies the heap. *)
+let[@inline] [@corelite.hot] push_after t ~delay action =
+  t.seq <- t.seq + 1;
+  Event_queue.add_delayed t.queue ~delay ~key:(t.clock.time +. delay) ~seq:t.seq action
+
 let schedule_at t ~time action =
   check_time "Engine.schedule_at" time;
   if time < t.clock.time then invalid_arg "Engine.schedule_at: time in the past";
@@ -80,34 +87,36 @@ let schedule_at t ~time action =
 let schedule t ~delay action =
   check_time "Engine.schedule" delay;
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.clock.time +. delay) action
+  check_time "Engine.schedule" (t.clock.time +. delay);
+  let handle = { cancelled = false } in
+  push_after t ~delay (fun () -> if not handle.cancelled then action ());
+  handle
 
 let[@inline] [@corelite.hot] schedule_unit t ~delay action =
   check_time "Engine.schedule_unit" delay;
   if delay < 0. then invalid_arg "Engine.schedule_unit: negative delay";
-  push t ~time:(t.clock.time +. delay) action
+  push_after t ~delay action
 
 let every t ?start ~period action =
   check_time "Engine.every" period;
   if period <= 0. then invalid_arg "Engine.every: period must be positive";
-  let start =
-    match start with
-    | None -> t.clock.time +. period
-    | Some s ->
-      check_time "Engine.every" s;
-      if s < t.clock.time then invalid_arg "Engine.every: start in the past";
-      s
-  in
   let handle = { cancelled = false } in
   (* One closure for the whole recurrence: re-pushing [fire] allocates
      nothing, so a periodic sampler costs zero heap per period. *)
   let rec fire () =
     if not handle.cancelled then begin
       action ();
-      if not handle.cancelled then push t ~time:(t.clock.time +. period) fire
+      if not handle.cancelled then push_after t ~delay:period fire
     end
   in
-  push t ~time:start fire;
+  (* A first firing at an explicit [start] is not [period] after now,
+     so it goes to the heap; every later one joins the period's lane. *)
+  (match start with
+  | None -> push_after t ~delay:period fire
+  | Some s ->
+    check_time "Engine.every" s;
+    if s < t.clock.time then invalid_arg "Engine.every: start in the past";
+    push t ~time:s fire);
   handle
 
 let cancel handle = handle.cancelled <- true
@@ -140,5 +149,6 @@ let[@corelite.hot] rec drain_until t limit =
   if Event_queue.next_time t.queue <= limit && step t then drain_until t limit
 
 let[@corelite.hot] run_until t limit =
+  if Float.is_nan limit then invalid_arg "Engine.run_until: limit is NaN";
   drain_until t limit;
   if limit > t.clock.time then t.clock.time <- limit

@@ -9,8 +9,15 @@
     {!schedule}/{!schedule_at}/{!every} return a {!handle} (costing a
     handle record plus a guard closure per call), while
     {!schedule_unit} pushes the caller's closure straight onto the
-    event heap with no allocation at all — the contract the per-packet
-    hot path ({!Net.Link}) is built on. *)
+    event queue with no allocation at all — the contract the per-packet
+    hot path ({!Net.Link}) is built on.
+
+    Events scheduled a delay after now ({!schedule}, {!schedule_unit},
+    every re-arm of {!every}) join the {!Event_queue} lane of their
+    delay, behind which they cost O(1); only each lane's head sits in
+    the binary heap. Absolute times ({!schedule_at}, the first firing
+    of [every ~start]) go to the heap. The firing order is the same
+    either way. *)
 
 type t
 
@@ -65,16 +72,19 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 
 (** [schedule_unit t ~delay f] fires [f] at [now t +. delay] with no
     cancellation handle and {e no heap allocation} (the closure is
-    pushed directly onto the event heap). Use it with a persistent,
-    reused closure for events that are never cancelled — per-packet
-    transmission completions and deliveries.
+    appended directly to the lane of [delay]: O(1) when the lane is
+    busy, one heap sift-up when it was empty). Use it with a
+    persistent, reused closure for events that are never cancelled —
+    per-packet transmission completions and deliveries.
     @raise Invalid_argument if [delay] is negative or not finite. *)
 val schedule_unit : t -> delay:float -> (unit -> unit) -> unit
 
 (** [every t ~start ~period f] fires [f] at [start], [start +. period],
     [start +. 2 *. period], ... until the handle is cancelled. [start]
     defaults to [now t +. period]. After the first firing, the
-    recurrence allocates nothing per period (one closure is re-pushed).
+    recurrence allocates nothing per period: one closure is re-pushed
+    onto the lane of [period], so a population of same-period timers
+    holds one heap entry, not one each.
     @raise Invalid_argument if [period <= 0.] or not finite, or if
     [start] is in the past or not finite. *)
 val every : t -> ?start:float -> period:float -> (unit -> unit) -> handle
@@ -93,5 +103,7 @@ val run : t -> unit
 
 (** [run_until t limit] executes every event with time [<= limit], then
     advances the clock to [limit]. Recurring events keep the queue
-    non-empty, so simulations normally terminate through [run_until]. *)
+    non-empty, so simulations normally terminate through [run_until].
+    [run_until t infinity] runs until the queue drains.
+    @raise Invalid_argument if [limit] is NaN. *)
 val run_until : t -> float -> unit

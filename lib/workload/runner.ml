@@ -114,6 +114,8 @@ let csfq_driver ?attach_cores params ~rng ~network ~floors =
 let run ~scheme ~network ?(seed = 42) ?rng ?fault ?trace ?(metrics = false)
     ?(sample_period = 1.) ?(floors = []) ?(bursty = [])
     ?(burst_distribution = Net.Onoff.Exponential) ~schedule ~duration () =
+  if not (Float.is_finite duration && duration > 0.) then
+    invalid_arg "Runner.run: duration must be positive and finite";
   let engine = network.Network.engine in
   (* Arm observability before the deployment is built so construction-
      time events (initial rate updates at the first Start) are caught.

@@ -66,9 +66,10 @@ type result = {
     draws only from the plan's own substreams, so the chaos run is a
     pure function of [(seed or rng, plan)] — and a passive plan leaves
     the run byte-identical to a fault-free one.
-    @raise Invalid_argument if the plan carries router resets and the
-    scheme is not [Corelite], names an unknown link/flow, or schedules
-    faults in the simulated past.
+    @raise Invalid_argument if [duration] is not positive and finite,
+    or if the plan carries router resets and the scheme is not
+    [Corelite], names an unknown link/flow, or schedules faults in the
+    simulated past.
 
     [trace] arms the network engine's {!Sim.Trace} with the given spec
     before the deployment is built; [metrics] enables the engine's

@@ -59,7 +59,8 @@ let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
     ?(reference = false) ?(csv = false) ?(source_params = default_source)
     ?trace () =
   if n_flows < 1 then invalid_arg "Scale.run: need at least one flow";
-  if duration <= 0. then invalid_arg "Scale.run: duration must be positive";
+  if not (Float.is_finite duration && duration > 0.) then
+    invalid_arg "Scale.run: duration must be positive and finite";
   let measure_from =
     match measure_from with Some t -> t | None -> duration /. 2.
   in

@@ -69,7 +69,8 @@ val default_source : Net.Source.params
     below. [delay] defaults to 2 ms (datacenter-scale propagation).
     [trace] arms the engine tracer before the deployment is built, so
     [Flow_start] events of the initial population are recorded.
-    @raise Invalid_argument on a non-positive [duration] or [n_flows],
+    @raise Invalid_argument on a non-positive or non-finite [duration],
+    a non-positive [n_flows],
     [measure_from] outside the run, [end_fraction] outside [[0, 1)],
     or [end_at >= measure_from] when flows are retired early. *)
 val run :

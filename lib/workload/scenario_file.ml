@@ -26,10 +26,13 @@ exception Syntax of string
 
 let fail fmt = Printf.ksprintf (fun message -> raise (Syntax message)) fmt
 
+(* [float_of_string] also reads "nan" and "inf", which no field of a
+   scenario can take: an infinite duration never returns and a NaN one
+   runs nothing. *)
 let float_of token label =
   match float_of_string_opt token with
-  | Some v -> v
-  | None -> fail "%s: expected a number, got %S" label token
+  | Some v when Float.is_finite v -> v
+  | Some _ | None -> fail "%s: expected a number, got %S" label token
 
 let int_of token label =
   match int_of_string_opt token with
@@ -133,6 +136,7 @@ let parse text =
     let duration =
       match b.duration with Some d -> d | None -> fail "missing 'duration'"
     in
+    if duration <= 0. then fail "duration must be positive";
     let cores, bandwidth, delay, queue_capacity = Option.get b.topology in
     Ok
       {

@@ -22,8 +22,9 @@
 
     Flows not mentioned in any [start] directive never run. The
     [topology] directive and at least one flow and one start are
-    required; [duration] is required; [scheme] defaults to corelite,
-    [seed] to 42. *)
+    required; [duration] is required and positive; [scheme] defaults to
+    corelite, [seed] to 42. Every number must be finite: [nan] and
+    [inf] are syntax errors. *)
 
 type t = {
   scheme : Runner.scheme;

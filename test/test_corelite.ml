@@ -347,8 +347,10 @@ let test_stateless_reset_clears_state () =
 (* Edge agent *)
 
 (* Two-hop network E -> C1 -> C2 -> D for one flow. *)
-let edge_fixture ?(weight = 2.) ?(params = Corelite.Params.default) () =
+let edge_fixture ?(weight = 2.) ?(params = Corelite.Params.default) ?(auto_probes = true)
+    () =
   let engine = Sim.Engine.create () in
+  Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) auto_probes;
   let topology = Net.Topology.create engine in
   let n kind name = Net.Topology.add_node topology ~kind name in
   let e = n Net.Node.Edge "E" and c1 = n Net.Node.Core "C1" in
@@ -363,6 +365,33 @@ let edge_fixture ?(weight = 2.) ?(params = Corelite.Params.default) () =
   let flow = Net.Flow.make ~id:1 ~weight ~path:[ e; c1; c2; d ] in
   let agent = Corelite.Edge.create ~params ~topology ~flow () in
   (engine, topology, agent, (l1, l2, l3))
+
+(* Per-flow probes: name, help and value of each corelite.flow.* row. *)
+let flow_probe_rows engine =
+  List.filter_map
+    (fun r ->
+      if String.starts_with ~prefix:"corelite.flow." r.Sim.Metrics.name then
+        Some (r.Sim.Metrics.name, r.Sim.Metrics.help, r.Sim.Metrics.value)
+      else None)
+    (Sim.Metrics.rows (Sim.Engine.metrics engine))
+
+let test_edge_probes_follow_auto_probes () =
+  let engine, _, _, _ = edge_fixture ~auto_probes:false () in
+  Alcotest.(check int) "auto-probes off: no per-flow rows" 0
+    (List.length (flow_probe_rows engine));
+  let engine, _, agent, _ = edge_fixture () in
+  Alcotest.(check (list (triple string string (float 0.))))
+    "auto-probes on: the five per-flow rows"
+    [
+      ("corelite.flow.1.delivered", "packets that reached the sink", 0.);
+      ("corelite.flow.1.feedback_received", "feedback markers returned to this edge", 0.);
+      ( "corelite.flow.1.markers_attached",
+        "packets carrying a marker, one per marker_spacing",
+        0. );
+      ("corelite.flow.1.rate", "current allowed rate bg, pkt/s", Corelite.Edge.rate agent);
+      ("corelite.flow.1.sent", "packets injected at the ingress", 0.);
+    ]
+    (flow_probe_rows engine)
 
 let test_edge_marker_cadence () =
   let engine, _, agent, (l1, _, _) = edge_fixture ~weight:2. () in
@@ -794,6 +823,8 @@ let () =
       ( "edge",
         [
           Alcotest.test_case "marker cadence" `Quick test_edge_marker_cadence;
+          Alcotest.test_case "probes follow auto-probes" `Quick
+            test_edge_probes_follow_auto_probes;
           Alcotest.test_case "marker rn" `Quick test_edge_marker_rn_is_normalized_rate;
           Alcotest.test_case "max not sum" `Quick test_edge_reacts_to_max_not_sum;
           Alcotest.test_case "feedback when stopped" `Quick

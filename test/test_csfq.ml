@@ -190,8 +190,9 @@ let test_core_unlabelled_packets_pass () =
 (* ------------------------------------------------------------------ *)
 (* Edge agent *)
 
-let edge_fixture ?(weight = 2.) () =
+let edge_fixture ?(weight = 2.) ?(auto_probes = true) () =
   let engine = Sim.Engine.create () in
+  Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) auto_probes;
   let topology = Net.Topology.create engine in
   let n kind name = Net.Topology.add_node topology ~kind name in
   let e = n Net.Node.Edge "E" and c1 = n Net.Node.Core "C1" in
@@ -205,6 +206,30 @@ let edge_fixture ?(weight = 2.) () =
   let flow = Net.Flow.make ~id:1 ~weight ~path:[ e; c1; d ] in
   let agent = Csfq.Edge.create ~params:Csfq.Params.default ~topology ~flow () in
   (engine, agent, l1)
+
+(* Per-flow probes: name, help and value of each csfq.flow.* row. *)
+let flow_probe_rows engine =
+  List.filter_map
+    (fun r ->
+      if String.starts_with ~prefix:"csfq.flow." r.Sim.Metrics.name then
+        Some (r.Sim.Metrics.name, r.Sim.Metrics.help, r.Sim.Metrics.value)
+      else None)
+    (Sim.Metrics.rows (Sim.Engine.metrics engine))
+
+let test_edge_probes_follow_auto_probes () =
+  let engine, _, _ = edge_fixture ~auto_probes:false () in
+  Alcotest.(check int) "auto-probes off: no per-flow rows" 0
+    (List.length (flow_probe_rows engine));
+  let engine, agent, _ = edge_fixture () in
+  Alcotest.(check (list (triple string string (float 0.))))
+    "auto-probes on: the four per-flow rows"
+    [
+      ("csfq.flow.1.delivered", "packets that reached the sink", 0.);
+      ("csfq.flow.1.losses", "loss signals, the CSFQ feedback", 0.);
+      ("csfq.flow.1.rate", "current allowed rate bg, pkt/s", Csfq.Edge.rate agent);
+      ("csfq.flow.1.sent", "packets injected at the ingress", 0.);
+    ]
+    (flow_probe_rows engine)
 
 let test_edge_labels_with_normalized_rate () =
   let engine, agent, l1 = edge_fixture ~weight:2. () in
@@ -365,6 +390,8 @@ let () =
         [
           Alcotest.test_case "labels normalized rate" `Quick
             test_edge_labels_with_normalized_rate;
+          Alcotest.test_case "probes follow auto-probes" `Quick
+            test_edge_probes_follow_auto_probes;
           Alcotest.test_case "losses throttle" `Quick test_edge_losses_throttle;
           Alcotest.test_case "slow-start loss halves" `Quick
             test_edge_loss_in_slow_start_halves;

@@ -110,6 +110,18 @@ let test_flowtable_growth () =
   Net.Flowtable.clear t;
   Alcotest.(check int) "clear empties" 0 (Net.Flowtable.live t)
 
+(* A NaN duration used to slip past both checks (every comparison with
+   NaN is false) and run nothing. *)
+let test_rejects_bad_duration () =
+  List.iter
+    (fun duration ->
+      Alcotest.check_raises
+        (Printf.sprintf "duration %g" duration)
+        (Invalid_argument "Scale.run: duration must be positive and finite")
+        (fun () ->
+          ignore (quick_run ~engine:(Sim.Engine.create ()) ~label:"scale/bad" ~duration ())))
+    [ nan; infinity; 0. ]
+
 (* A retired slot must be reusable: churn recycles flow ids, and the
    dense table must treat expiry exactly like the Hashtbls did. *)
 let test_flow_id_reuse_after_expiry () =
@@ -175,6 +187,7 @@ let () =
           Alcotest.test_case "flow ledger balances" `Quick test_ledger_balances;
           Alcotest.test_case "flow id reuse after expire_idle" `Quick
             test_flow_id_reuse_after_expiry;
+          Alcotest.test_case "rejects bad duration" `Quick test_rejects_bad_duration;
         ] );
       ( "flowtable",
         [ Alcotest.test_case "growth past capacity" `Quick test_flowtable_growth ] );

@@ -130,6 +130,15 @@ let small_run ?(scheme = Workload.Runner.Corelite Corelite.Params.default) ?(see
   let schedule = List.init 3 (fun i -> (0., Workload.Runner.Start (i + 1))) in
   Workload.Runner.run ~scheme ~network ~seed ~schedule ~duration ()
 
+let test_runner_rejects_bad_duration () =
+  List.iter
+    (fun duration ->
+      Alcotest.check_raises
+        (Printf.sprintf "duration %g" duration)
+        (Invalid_argument "Runner.run: duration must be positive and finite")
+        (fun () -> ignore (small_run ~duration ())))
+    [ nan; infinity; 0.; -1. ]
+
 let test_runner_sampling_grid () =
   let result = small_run () in
   List.iter
@@ -451,6 +460,28 @@ start 1 at 0|};
   expect_parse_error "expected a number"
     {|topology chain cores=2
 duration abc
+flow 1 weight 1 from 1 to 2
+start 1 at 0|};
+  (* float_of_string reads "nan" and "inf": an infinite duration used to
+     run forever and a NaN one to run nothing and report jain=nan. *)
+  expect_parse_error "duration: expected a number, got \"nan\""
+    {|topology chain cores=2
+duration nan
+flow 1 weight 1 from 1 to 2
+start 1 at 0|};
+  expect_parse_error "duration: expected a number, got \"inf\""
+    {|topology chain cores=2
+duration inf
+flow 1 weight 1 from 1 to 2
+start 1 at 0|};
+  expect_parse_error "weight: expected a number, got \"nan\""
+    {|topology chain cores=2
+duration 1
+flow 1 weight nan from 1 to 2
+start 1 at 0|};
+  expect_parse_error "duration must be positive"
+    {|topology chain cores=2
+duration 0
 flow 1 weight 1 from 1 to 2
 start 1 at 0|}
 
@@ -802,6 +833,7 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "sampling grid" `Quick test_runner_sampling_grid;
+          Alcotest.test_case "rejects bad duration" `Quick test_runner_rejects_bad_duration;
           Alcotest.test_case "cumulative monotone" `Quick test_runner_cumulative_monotone;
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_runner_seed_changes_run;
