@@ -5,12 +5,7 @@
     at a core link travels back to the marker's generating edge with the
     reverse-path propagation delay, then lands in the flow's agent. *)
 
-type t
-
-(** A flow plus its contracted minimum rate (0 = no contract). *)
-type flow_spec = { flow : Net.Flow.t; floor : float }
-
-val spec : ?floor:float -> Net.Flow.t -> flow_spec
+include Net.Agents.S with type agent = Edge.t and type core = Core.t
 
 (** [build ~params ~rng ~topology ~flows ~core_links] constructs all
     agents and core logic. Flows are not started.
@@ -22,8 +17,7 @@ val spec : ?floor:float -> Net.Flow.t -> flow_spec
     packets, so the data-path loss models cannot reach it — this is the
     deterministic stand-in. Omitted (or with links the plan does not
     cover), feedback delivery is untouched and no draws are consumed.
-    @raise Invalid_argument on duplicate flow ids or a core link not on
-    any flow path when delay lookup is needed later. *)
+    @raise Invalid_argument on duplicate flow ids. *)
 val build :
   ?fault:Net.Fault.t ->
   params:Params.t ->
@@ -47,73 +41,8 @@ val of_agents :
   unit ->
   t
 
-val agent : t -> int -> Edge.t
-(** @raise Not_found for an unknown flow id. *)
-
-val agents : t -> (int * Edge.t) list
-(** Sorted by flow id. *)
-
-val cores : t -> Core.t list
-
-(** The topology the deployment was wired over. *)
-val topology : t -> Net.Topology.t
-
-val start_flow : t -> int -> unit
-
-val stop_flow : t -> int -> unit
-
-val start_all : t -> unit
-
-(** {1 Dynamic flow lifecycle (churn)}
-
-    Edges create per-flow soft state when a flow first appears and age
-    it out when the flow goes silent; cores hold no per-flow state, so
-    arrivals and departures need no core-side signalling. Each
-    transition is declared to the {!Sim.Invariant} flow ledger
-    ([note_flow_created] / [note_flow_retired] / [note_flow_expired])
-    and recorded as a [Flow_start] / [Flow_end] / [Flow_expire] trace
-    event, so churn oracles can prove the edge flow table never leaks:
-    created = retired + {!live_flows}. *)
-
-(** [add_flow t flow] creates and starts an agent for a flow arriving
-    mid-run: the per-(core link, flow) feedback delay entries are
-    registered and the agent becomes reachable by the already-wired
-    core feedback closures. [size] (packets; 0 = open-ended) only
-    annotates the [Flow_start] trace event.
-    @raise Invalid_argument on a duplicate live flow id. *)
-val add_flow : t -> ?floor:float -> ?size:int -> Net.Flow.t -> Edge.t
-
-(** [end_flow t id] retires a flow that completed: stops its source and
-    discards the edge's per-flow state. Routes stay installed so
-    in-flight packets still reach their sink; feedback already in
-    flight is dropped by the agent's [running] guard, so no feedback is
-    attributed to the flow after its [Flow_end] event.
-    @raise Invalid_argument for an unknown (or already retired) id. *)
-val end_flow : t -> int -> unit
-
-(** [expire_idle t ~timeout] sweeps the soft-state table: every agent
-    whose last packet emission is at least [timeout] seconds old is
-    retired as expired (ledger [note_flow_expired], trace
-    [Flow_expire], in flow-id order). Returns the number expired.
-    Schedule periodically for the paper's soft-state expiry semantics.
-    @raise Invalid_argument on a non-positive [timeout]. *)
-val expire_idle : t -> timeout:float -> int
-
-(** Whether a flow currently holds edge state. *)
-val has_flow : t -> int -> bool
-
-(** Number of flows currently holding edge state. *)
-val live_flows : t -> int
-
 (** Total feedback markers sent by all core links. *)
 val total_feedback : t -> int
-
-(** Total packets dropped on the core links (Corelite aims for zero). *)
-val total_drops : t -> int
-
-(** Core-link packet losses of one flow (an evaluation metric; the
-    Corelite agents themselves never react to losses). *)
-val drops_of_flow : t -> int -> int
 
 (** Schedule the plan's router resets on the simulation clock. Router
     resets are scheme state, so the deployment interprets them (the

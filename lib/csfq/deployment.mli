@@ -3,17 +3,14 @@
     indications travelling back to the source agent with the
     reverse-path propagation delay. *)
 
-type t
-
-type flow_spec = { flow : Net.Flow.t; floor : float }
-
-val spec : ?floor:float -> Net.Flow.t -> flow_spec
+include Net.Agents.S with type agent = Edge.t and type core = Core.t
 
 (** [attach_cores] (default true) controls whether the CSFQ per-link
     logic is installed. With [false] the deployment degenerates to
     plain loss-driven adaptive sources over whatever queue discipline
     the links carry — the DropTail/RED/FRED comparator of the
-    related-work ablation. *)
+    related-work ablation.
+    @raise Invalid_argument on duplicate flow ids. *)
 val build :
   ?attach_cores:bool ->
   params:Params.t ->
@@ -23,53 +20,3 @@ val build :
   core_links:Net.Link.t list ->
   unit ->
   t
-
-val agent : t -> int -> Edge.t
-(** @raise Not_found for an unknown flow id. *)
-
-val agents : t -> (int * Edge.t) list
-(** Sorted by flow id. *)
-
-val cores : t -> Core.t list
-
-val start_flow : t -> int -> unit
-
-val stop_flow : t -> int -> unit
-
-val start_all : t -> unit
-
-(** {1 Dynamic flow lifecycle (churn)}
-
-    Same contract as the Corelite deployment: per-flow edge state is
-    created on arrival and aged out when silent; each transition is
-    declared to the {!Sim.Invariant} flow ledger and recorded as a
-    [Flow_start] / [Flow_end] / [Flow_expire] trace event. *)
-
-(** Create and start an agent for a flow arriving mid-run. [size]
-    (packets; 0 = open-ended) only annotates the [Flow_start] event.
-    @raise Invalid_argument on a duplicate live flow id. *)
-val add_flow : t -> ?floor:float -> ?size:int -> Net.Flow.t -> Edge.t
-
-(** Retire a completed flow: stop its source, discard its edge state.
-    Loss notifications already in flight are dropped by the agent's
-    [running] guard.
-    @raise Invalid_argument for an unknown (or already retired) id. *)
-val end_flow : t -> int -> unit
-
-(** Age out every agent idle for at least [timeout] seconds (ledger
-    [note_flow_expired], trace [Flow_expire], flow-id order); returns
-    the number expired.
-    @raise Invalid_argument on a non-positive [timeout]. *)
-val expire_idle : t -> timeout:float -> int
-
-(** Whether a flow currently holds edge state. *)
-val has_flow : t -> int -> bool
-
-(** Number of flows currently holding edge state. *)
-val live_flows : t -> int
-
-(** Total packets lost on core links (early drops + overflows). *)
-val total_drops : t -> int
-
-(** Core-link packet losses of one flow. *)
-val drops_of_flow : t -> int -> int

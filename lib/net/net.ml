@@ -53,3 +53,7 @@ module Probe = Probe
 (** Dense flow-id-indexed tables: the flat-array replacement for
     per-flow Hashtbls on deployment control paths. *)
 module Flowtable = Flowtable
+
+(** A deployment's per-flow edge agents and their lifecycle (arrival,
+    end, soft-state expiry), shared by every scheme. *)
+module Agents = Agents

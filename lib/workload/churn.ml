@@ -7,9 +7,7 @@
    the same pipeline is the baseline the robustness gates normalize
    against. *)
 
-type scheme = Corelite | Csfq | Drr
-
-let scheme_name = function Corelite -> "corelite" | Csfq -> "csfq" | Drr -> "drr"
+type scheme = Scale.scheme = Corelite | Csfq | Drr
 
 type variant = Static | Dynamic | Adversarial | Faulty
 
@@ -70,7 +68,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   let from = duration /. 4. in
   let window = 4. in
   let label =
-    Printf.sprintf "churn/%s/%s%s" (scheme_name scheme) (variant_name variant)
+    Printf.sprintf "churn/%s/%s%s" (Scale.scheme_name scheme) (variant_name variant)
       (if quick then "/quick" else "")
   in
   let engine =
@@ -152,56 +150,17 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   let injector =
     Option.map (Net.Fault.apply ~topology:network.Network.topology) fault_plan
   in
-  (* Scheme-independent dynamic-lifecycle driver. *)
-  let deploy_rng = Sim.Rng.scenario ~seed ~id:(label ^ "/deploy") in
-  let module H = struct
-    type handle = {
-      h_sent : unit -> int;
-      h_delivered : unit -> int;
-      h_backlog : bool -> unit;
-    }
-  end in
-  let open H in
-  let add, finish, expire, has, live =
-    match scheme with
-    | Corelite ->
-      let d =
-        Corelite.Deployment.build ?fault:injector ~params:Chaos.recovery_params
-          ~rng:deploy_rng ~topology:network.Network.topology ~flows:[]
-          ~core_links:network.Network.core_links ()
-      in
-      ( (fun ~size flow ->
-          let a = Corelite.Deployment.add_flow d ~size flow in
-          {
-            h_sent = (fun () -> Corelite.Edge.sent a);
-            h_delivered = (fun () -> Corelite.Edge.delivered a);
-            h_backlog = Corelite.Edge.set_backlogged a;
-          }),
-        Corelite.Deployment.end_flow d,
-        (fun () -> Corelite.Deployment.expire_idle d ~timeout:expiry_timeout),
-        Corelite.Deployment.has_flow d,
-        fun () -> Corelite.Deployment.live_flows d )
-    | Csfq | Drr ->
-      let attach_cores = match scheme with Csfq -> true | _ -> false in
-      let d =
-        Csfq.Deployment.build ~attach_cores ~params:Csfq.Params.default
-          ~rng:deploy_rng ~topology:network.Network.topology ~flows:[]
-          ~core_links:network.Network.core_links ()
-      in
-      ( (fun ~size flow ->
-          let a = Csfq.Deployment.add_flow d ~size flow in
-          {
-            h_sent = (fun () -> Csfq.Edge.sent a);
-            h_delivered = (fun () -> Csfq.Edge.delivered a);
-            h_backlog = Csfq.Edge.set_backlogged a;
-          }),
-        Csfq.Deployment.end_flow d,
-        (fun () -> Csfq.Deployment.expire_idle d ~timeout:expiry_timeout),
-        Csfq.Deployment.has_flow d,
-        fun () -> Csfq.Deployment.live_flows d )
+  let driver =
+    Runner.deploy ~fault:injector
+      (match scheme with
+      | Corelite -> Runner.Corelite Chaos.recovery_params
+      | Csfq -> Runner.Csfq Csfq.Params.default
+      | Drr -> Runner.Plain Csfq.Params.default)
+      ~rng:(Sim.Rng.scenario ~seed ~id:(label ^ "/deploy"))
+      ~network ~flows:[]
   in
   (* Per-flow bookkeeping the lifecycle events maintain. *)
-  let handles : (int, handle) Hashtbl.t = Hashtbl.create 64 in
+  let handles : (int, Runner.agent) Hashtbl.t = Hashtbl.create 64 in
   let sizes : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let onoffs : (int, Net.Onoff.t) Hashtbl.t = Hashtbl.create 16 in
   let cumulative =
@@ -229,7 +188,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
       ignore
         (Sim.Engine.schedule_at engine ~time:f.Arrivals.arrival (fun () ->
              let flow = Network.flow network id in
-             let h = add ~size:f.Arrivals.size flow in
+             let h = driver.add_flow ~size:f.Arrivals.size flow in
              Hashtbl.replace handles id h;
              if f.Arrivals.size > 0 then Hashtbl.replace sizes id f.Arrivals.size;
              incr arrivals_seen;
@@ -241,7 +200,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
                in
                Hashtbl.replace onoffs id
                  (Net.Onoff.start ~engine ~rng ~distribution:(Net.Onoff.Pareto shape)
-                    ~on_mean ~off_mean h.h_backlog))))
+                    ~on_mean ~off_mean (Runner.set_backlogged h)))))
     honest;
   (* Completion poll: a sized flow ends when it has sent its size. The
      sweep runs in flow-id order so lifecycle trace events are ordered
@@ -250,10 +209,10 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
     let due =
       Hashtbl.fold
         (fun id size acc ->
-          if not (has id) then `Gone id :: acc
+          if not (driver.has_flow id) then `Gone id :: acc
           else
             match Hashtbl.find_opt handles id with
-            | Some h when h.h_sent () >= size -> `Done id :: acc
+            | Some h when Runner.sent h >= size -> `Done id :: acc
             | Some _ | None -> acc)
         sizes []
       |> List.sort (fun a b ->
@@ -264,7 +223,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
       (fun d ->
         match d with
         | `Done id ->
-          finish id;
+          driver.end_flow id;
           incr completed;
           stop_onoff id;
           Hashtbl.remove sizes id
@@ -278,7 +237,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   (* Soft-state expiry sweep: idle edge state ages out. *)
   ignore
     (Sim.Engine.every engine ~start:expiry_period ~period:expiry_period (fun () ->
-         expired := !expired + expire ()));
+         expired := !expired + driver.expire_idle ~timeout:expiry_timeout));
   (* Cumulative delivered samples feed the windowed fairness metrics.
      Handles outlive retirement, so an ended flow's series goes flat
      instead of vanishing. *)
@@ -304,7 +263,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
     List.iter
       (fun (id, _, ts) ->
         match Hashtbl.find_opt handles id with
-        | Some h -> Sim.Timeseries.add ts now (float_of_int (h.h_delivered ()))
+        | Some h -> Sim.Timeseries.add ts now (float_of_int (Runner.delivered h))
         | None -> ())
       cumulative;
     match adversary with
@@ -320,10 +279,10 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
      remains and the ledger oracle pins it to zero. *)
   Option.iter Adversary.stop adversary;
   List.iter
-    (fun (id, _, _) -> if has id then finish id)
+    (fun (id, _, _) -> if driver.has_flow id then driver.end_flow id)
     (List.sort (fun (a, _, _) (b, _, _) -> compare a b) cumulative);
   Hashtbl.iter (fun _ o -> Net.Onoff.stop o) onoffs;
-  let leaked = live () in
+  let leaked = driver.live_flows () in
   let span = duration -. from in
   let delivered_in_window ts =
     Option.value ~default:0. (Sim.Timeseries.value_at ts duration)
@@ -352,7 +311,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   in
   {
     label;
-    scheme = scheme_name scheme;
+    scheme = Scale.scheme_name scheme;
     variant = variant_name variant;
     arrivals = !arrivals_seen;
     completed = !completed;
@@ -371,7 +330,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
 
 let point_job ?seed ?quick ?fault_seed ~scheme ~variant () =
   let label =
-    Printf.sprintf "churn/%s/%s" (scheme_name scheme) (variant_name variant)
+    Printf.sprintf "churn/%s/%s" (Scale.scheme_name scheme) (variant_name variant)
   in
   Pool.job ~id:label (fun () -> run_point ?seed ?quick ?fault_seed ~scheme ~variant ())
 
@@ -382,7 +341,7 @@ let schemes = [ Corelite; Csfq; Drr ]
 let jobs ?seed ?quick ?fault_seed () =
   List.map
     (fun scheme ->
-      ( scheme_name scheme,
+      ( Scale.scheme_name scheme,
         List.map (fun variant -> point_job ?seed ?quick ?fault_seed ~scheme ~variant ()) variants
       ))
     schemes

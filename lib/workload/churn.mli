@@ -19,9 +19,7 @@
     byte-identical serial or pooled — the churn bench and the CI
     churn-smoke job assert exactly that. *)
 
-type scheme = Corelite | Csfq | Drr
-
-val scheme_name : scheme -> string
+type scheme = Scale.scheme = Corelite | Csfq | Drr
 
 type variant = Static | Dynamic | Adversarial | Faulty
 
