@@ -72,7 +72,8 @@ val default_source : Net.Source.params
     @raise Invalid_argument on a non-positive or non-finite [duration],
     a non-positive [n_flows],
     [measure_from] outside the run, [end_fraction] outside [[0, 1)],
-    or [end_at >= measure_from] when flows are retired early. *)
+    a NaN in any of the three, or [end_at >= measure_from] when flows
+    are retired early. *)
 val run :
   engine:Sim.Engine.t ->
   seed:int ->

@@ -120,7 +120,24 @@ let test_rejects_bad_duration () =
         (Invalid_argument "Scale.run: duration must be positive and finite")
         (fun () ->
           ignore (quick_run ~engine:(Sim.Engine.create ()) ~label:"scale/bad" ~duration ())))
-    [ nan; infinity; 0. ]
+    [ nan; infinity; 0. ];
+  (* The other time inputs: a NaN end_fraction retired no flow, and a
+     NaN measure_from or end_at failed later, in the engine. *)
+  let run ?measure_from ?end_fraction ?end_at () =
+    ignore
+      (Workload.Scale.run ~engine:(Sim.Engine.create ()) ~seed:42 ~label:"scale/bad"
+         ~graph:(Workload.Scale.Fattree 4) ~n_flows:16 ~scheme:Workload.Scale.Corelite
+         ~duration:4. ?measure_from ?end_fraction ?end_at ())
+  in
+  Alcotest.check_raises "measure_from nan"
+    (Invalid_argument "Scale.run: measure_from must fall inside the run")
+    (fun () -> run ~measure_from:nan ());
+  Alcotest.check_raises "end_fraction nan"
+    (Invalid_argument "Scale.run: end_fraction must be in [0, 1)")
+    (fun () -> run ~end_fraction:nan ());
+  Alcotest.check_raises "end_at nan"
+    (Invalid_argument "Scale.run: end_at must precede measure_from")
+    (fun () -> run ~end_fraction:0.5 ~end_at:nan ())
 
 (* A retired slot must be reusable: churn recycles flow ids, and the
    dense table must treat expiry exactly like the Hashtbls did. *)
