@@ -2,6 +2,7 @@ type t = { id : int; weight : float; path : Node.t list }
 
 let make ~id ~weight ~path =
   if weight <= 0. then invalid_arg "Flow.make: weight must be positive";
+  if not (Float.is_finite weight) then invalid_arg "Flow.make: weight must be finite";
   if List.length path < 2 then invalid_arg "Flow.make: path needs >= 2 nodes";
   { id; weight; path }
 

@@ -8,8 +8,8 @@
 type t = { id : int; weight : float; path : Node.t list }
 
 val make : id:int -> weight:float -> path:Node.t list -> t
-(** @raise Invalid_argument on a non-positive weight or a path shorter
-    than two nodes. *)
+(** @raise Invalid_argument on a non-positive or non-finite weight or a
+    path shorter than two nodes. *)
 
 val ingress : t -> Node.t
 

@@ -571,6 +571,18 @@ let test_flow_validation () =
   Alcotest.check_raises "short path" (Invalid_argument "Flow.make: path needs >= 2 nodes")
     (fun () -> ignore (Net.Flow.make ~id:1 ~weight:1. ~path:[ a ]))
 
+(* A NaN weight used to pass the sign check (every comparison with NaN
+   is false), and Corelite then put a marker on every packet. *)
+let test_flow_non_finite_weight () =
+  let _, _, a, b, _ = simple_net () in
+  List.iter
+    (fun weight ->
+      Alcotest.check_raises
+        (Printf.sprintf "weight %g" weight)
+        (Invalid_argument "Flow.make: weight must be finite")
+        (fun () -> ignore (Net.Flow.make ~id:1 ~weight ~path:[ a; b ])))
+    [ nan; infinity ]
+
 let test_flow_upstream_delay () =
   let engine = Sim.Engine.create () in
   let topology = Net.Topology.create engine in
@@ -1186,6 +1198,8 @@ let () =
           Alcotest.test_case "duplicate link" `Quick test_topology_duplicate_link;
           Alcotest.test_case "path helpers" `Quick test_topology_path_helpers;
           Alcotest.test_case "flow validation" `Quick test_flow_validation;
+          Alcotest.test_case "flow rejects a non-finite weight" `Quick
+            test_flow_non_finite_weight;
           Alcotest.test_case "upstream delay" `Quick test_flow_upstream_delay;
         ] );
       ( "drr",
