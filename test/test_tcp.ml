@@ -407,7 +407,14 @@ let test_tcp_direct_weighted_csfq () =
   Alcotest.(check bool)
     (Printf.sprintf "weighted jain %.3f" (Workload.Tcp_direct.jain tcp))
     true
-    (Workload.Tcp_direct.jain tcp > 0.95)
+    (Workload.Tcp_direct.jain tcp > 0.95);
+  (* Exact delivered-segment counts: any change to how TCP segments are
+     addressed or forwarded shows up here before it moves the bounds
+     above. *)
+  Alcotest.(check (list (pair int int)))
+    "pinned goodputs"
+    [ (1, 15884); (2, 28353); (3, 37825) ]
+    (Workload.Tcp_direct.goodputs tcp)
 
 let test_tcp_direct_droptail_no_differentiation () =
   let engine = Sim.Engine.create () in
@@ -427,7 +434,11 @@ let test_tcp_direct_droptail_no_differentiation () =
     (g 3 < 2. *. g 1);
   (* The link is well utilized regardless. *)
   let total = g 1 +. g 2 +. g 3 in
-  Alcotest.(check bool) "utilized" true (total /. 200. > 350.)
+  Alcotest.(check bool) "utilized" true (total /. 200. > 350.);
+  Alcotest.(check (list (pair int int)))
+    "pinned goodputs"
+    [ (1, 28675); (2, 28592); (3, 28241) ]
+    (Workload.Tcp_direct.goodputs tcp)
 
 (* Audit every runtime invariant (Sim.Invariant) in all suites. *)
 let () = Sim.Invariant.set_default true
