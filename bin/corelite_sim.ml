@@ -104,6 +104,34 @@ let sweep_cmd =
 (* ------------------------------------------------------------------ *)
 (* scenario *)
 
+(* Flows the schedule keeps running over all of [from, until]: started
+   by [from] and not stopped before [until]. A flow stopped inside or
+   before the window would enter the Jain index as a spurious low rate. *)
+let running_throughout schedule ~from ~until =
+  let by_time = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) schedule in
+  let runs id =
+    let at_from =
+      List.fold_left
+        (fun running (time, action) ->
+          match action with
+          | Workload.Runner.Start i when i = id && time <= from -> true
+          | Workload.Runner.Stop i when i = id && time <= from -> false
+          | Workload.Runner.Start _ | Workload.Runner.Stop _ -> running)
+        false by_time
+    in
+    at_from
+    && not
+         (List.exists
+            (fun (time, action) ->
+              action = Workload.Runner.Stop id && time > from && time < until)
+            by_time)
+  in
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (_, (Workload.Runner.Start id | Workload.Runner.Stop id)) ->
+         if runs id then Some id else None)
+       schedule)
+
 let run_scenario path out_dir =
   match Workload.Scenario_file.load path with
   | Error message ->
@@ -117,8 +145,11 @@ let run_scenario path out_dir =
     List.iter
       (fun (id, rate) -> Printf.printf "%4d  %9.1f\n" id rate)
       (Workload.Runner.mean_rates result ~from ~until);
+    let flows =
+      running_throughout scenario.Workload.Scenario_file.schedule ~from ~until
+    in
     Printf.printf "drops=%d jain=%.4f\n" result.Workload.Runner.core_drops
-      (Workload.Runner.jain result ~from ~until);
+      (Workload.Runner.jain ~flows result ~from ~until);
     (match out_dir with
     | Some dir ->
       Workload.Csv.write_result ~dir ~prefix:"scenario" result;

@@ -17,10 +17,10 @@ type t = {
   supply : (unit -> Net.Packet.t option) option;
   deliver : (Net.Packet.t -> unit) option;
   mutable source : Net.Source.t option;  (* set once in [create] *)
-  (* Destination host index on FIB-routed (generated) topologies,
-     stamped into every emitted packet; -1 on per-flow-routed paths,
-     where packets keep using the route/sink tables. *)
+  (* [emit] stamps the egress's host index into every packet, the
+     supplied ones included, and hands it to the path's first link. *)
   dst_host : int;
+  first_link : Net.Link.t;
   delays : Net.Flow.delays;  (* feedback latency from each path link *)
   marker_spacing : int;
   feedback_by_link : (int, int) Hashtbl.t;  (* core link id -> markers this epoch *)
@@ -81,12 +81,13 @@ let[@corelite.hot] emit t ~now ~rate =
       Some
         (Net.Packet.make ~id:t.next_packet_id ~flow:t.flow.Net.Flow.id
            (* lint: alloc-ok -- same finding, end-line anchor *)
-           ~dst:t.dst_host ~created:now ())
+           ~created:now ())
     | Some take -> take ()
   in
   match pkt with
   | None -> () (* application-limited aggregate: nothing to shape *)
   | Some pkt ->
+    pkt.Net.Packet.dst <- t.dst_host;
     let weight = t.flow.Net.Flow.weight in
     t.data_since_marker <- t.data_since_marker + 1;
     if t.data_since_marker >= t.marker_spacing then begin
@@ -105,7 +106,7 @@ let[@corelite.hot] emit t ~now ~rate =
     end;
     t.sent <- t.sent + 1;
     t.activity.at <- now;
-    Net.Node.receive (Net.Flow.ingress t.flow) pkt
+    Net.Link.send t.first_link pkt
 
 let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) ?supply
     ?deliver () =
@@ -122,6 +123,7 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) ?supply
       deliver;
       source = None;
       dst_host = (Net.Flow.egress flow).Net.Node.host;
+      first_link = Net.Flow.first_link flow topology;
       delays = Net.Flow.delays flow topology;
       marker_spacing = Params.marker_spacing params ~weight:flow.Net.Flow.weight;
       feedback_by_link = Hashtbl.create 4;
@@ -172,19 +174,13 @@ let start t =
     Sim.Stats.Quantile.add t.delay_p99 delay;
     match t.deliver with Some consume -> consume pkt | None -> ()
   in
-  (* FIB-routed topologies need no per-node route entries — only the
-     flow's delivery callback in the topology-wide sink table. *)
-  if t.dst_host >= 0 then
-    Net.Topology.set_flow_sink t.topology ~flow:t.flow.Net.Flow.id sink
-  else
-    Net.Topology.install_path t.topology ~flow:t.flow.Net.Flow.id
-      t.flow.Net.Flow.path ~sink;
+  Net.Topology.set_flow_sink t.topology ~flow:t.flow.Net.Flow.id sink;
   t.data_since_marker <- 0;
   Hashtbl.reset t.feedback_by_link;
   Net.Source.start (source t)
 
-(* Routes stay installed so that in-flight packets (and restarts) keep
-   working; only the source stops. *)
+(* The sink stays installed so that in-flight packets (and restarts)
+   keep working; only the source stops. *)
 let stop t = Net.Source.stop (source t)
 
 (* Edge-router reset: the bg(f) table, the per-link feedback counters

@@ -43,8 +43,8 @@ val params : t -> Params.t
     lifetime (slow-start again). *)
 val start : t -> unit
 
-(** Stop shaping. Routes stay installed so in-flight packets still
-    reach the sink and the agent can be restarted. *)
+(** Stop shaping. The sink stays installed so in-flight packets still
+    deliver and the agent can be restarted. *)
 val stop : t -> unit
 
 (** Edge-router reset: lose the soft state in edge RAM — the adapted

@@ -7,9 +7,10 @@ type t = {
   flow : Net.Flow.t;
   trace : Sim.Trace.t;
   mutable source : Net.Source.t option;  (* set once in [create] *)
-  (* Destination host index on FIB-routed (generated) topologies; -1 on
-     per-flow-routed paths (mirrors Corelite.Edge). *)
+  (* Stamped into every packet, which goes to the path's first link
+     (mirrors Corelite.Edge). *)
   dst_host : int;
+  first_link : Net.Link.t;
   delays : Net.Flow.delays;  (* loss-report latency from each path link *)
   estimator : Rate_estimator.t;
   mutable pending_losses : int;
@@ -57,13 +58,13 @@ let emit t ~now ~rate:_ =
   t.current_label <- estimated /. t.flow.Net.Flow.weight;
   t.next_packet_id <- t.next_packet_id + 1;
   let pkt =
-    Net.Packet.make ~id:t.next_packet_id ~flow:t.flow.Net.Flow.id ~dst:t.dst_host
-      ~created:now ()
+    Net.Packet.make ~id:t.next_packet_id ~flow:t.flow.Net.Flow.id ~created:now ()
   in
+  pkt.Net.Packet.dst <- t.dst_host;
   pkt.Net.Packet.label <- t.current_label;
   t.sent <- t.sent + 1;
   t.activity.at <- now;
-  Net.Node.receive (Net.Flow.ingress t.flow) pkt
+  Net.Link.send t.first_link pkt
 
 let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) () =
   let source_params = { params.Params.source with Net.Source.floor } in
@@ -75,6 +76,7 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) () =
       trace = Sim.Engine.trace engine;
       source = None;
       dst_host = (Net.Flow.egress flow).Net.Node.host;
+      first_link = Net.Flow.first_link flow topology;
       delays = Net.Flow.delays flow topology;
       estimator = Rate_estimator.create ~k:params.Params.k_flow;
       pending_losses = 0;
@@ -119,11 +121,7 @@ let start t =
     Sim.Stats.Welford.add t.delay delay;
     Sim.Stats.Quantile.add t.delay_p99 delay
   in
-  if t.dst_host >= 0 then
-    Net.Topology.set_flow_sink t.topology ~flow:t.flow.Net.Flow.id sink
-  else
-    Net.Topology.install_path t.topology ~flow:t.flow.Net.Flow.id
-      t.flow.Net.Flow.path ~sink;
+  Net.Topology.set_flow_sink t.topology ~flow:t.flow.Net.Flow.id sink;
   t.pending_losses <- 0;
   Net.Source.start (source t)
 

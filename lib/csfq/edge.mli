@@ -22,7 +22,7 @@ val flow : t -> Net.Flow.t
 
 val start : t -> unit
 
-(** Stop shaping; routes stay installed for in-flight packets. *)
+(** Stop shaping; the sink stays installed for in-flight packets. *)
 val stop : t -> unit
 
 (** Application backlog control for bursty sources (see

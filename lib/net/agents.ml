@@ -139,8 +139,8 @@ module Make (Scheme : SCHEME) = struct
     Scheme.start agent;
     agent
 
-  (* Routes stay installed on retirement (in-flight packets must still
-     reach their sink); what is reclaimed is the edge's per-flow soft
+  (* The sink stays installed on retirement (in-flight packets must
+     still deliver); what is reclaimed is the edge's per-flow soft
      state. A control signal already scheduled toward a retired agent
      lands in the agent's [running] guard and is dropped without trace,
      so nothing is attributed to a flow after its end or expiry event. *)

@@ -84,8 +84,8 @@ module type S = sig
   val add_flow : t -> ?floor:float -> ?size:int -> Flow.t -> agent
 
   (** [end_flow t id] retires a flow that completed: stops its source
-      and discards the agent. Routes stay installed so in-flight packets
-      still reach their sink; control signals already in flight die on
+      and discards the agent. Its sink stays installed so in-flight
+      packets still deliver; control signals already in flight die on
       the agent's [running] guard, so none is attributed to the flow
       after its [Flow_end] event.
       @raise Invalid_argument for an unknown (or already retired) id. *)

@@ -15,6 +15,11 @@ let egress t =
 
 let links t topology = Topology.path_links topology t.path
 
+let first_link t topology =
+  match t.path with
+  | ingress :: next :: _ -> List.hd (Topology.path_links topology [ ingress; next ])
+  | [ _ ] | [] -> invalid_arg "Flow.first_link: path needs >= 2 nodes"
+
 let upstream_delay t topology link =
   let rec walk acc = function
     | hop :: rest ->

@@ -18,6 +18,11 @@ val egress : t -> Node.t
 (** Links the flow traverses, in path order. *)
 val links : t -> Topology.t -> Link.t list
 
+(** The link leaving the ingress, where an injecting agent hands every
+    packet of the flow ({!Topology.route_paths} gives the ingress no
+    table entry). *)
+val first_link : t -> Topology.t -> Link.t
+
 (** Propagation delay from [link]'s upstream node back to the flow's
     ingress edge, assuming symmetric links: the sum of delays of the
     path links upstream of [link]. [None] if the flow does not traverse

@@ -1,18 +1,10 @@
 (** Network nodes (edge routers, core routers).
 
-    Two forwarding planes coexist:
-
-    - {e per-flow static routing} (the paper's figure topologies):
-      every node on a flow's path holds a route entry mapping the flow
-      id to an output link, and the egress node holds a sink callback;
-    - {e destination-indexed FIB forwarding} (generated scale
-      topologies): packets carry a destination host index
-      ({!Packet.dst} [>= 0]) and nodes forward through a flat
-      per-destination link array shared by all flows — core routers
-      hold no per-flow state no matter how many flows cross them.
-
-    A packet with [dst = -1] always takes the per-flow plane, so
-    hand-built topologies are byte-for-byte unaffected by the FIB. *)
+    Nodes forward by destination only: a packet carries the destination
+    host index its ingress stamped ({!Packet.dst}), and a node hands it
+    to its own host sink or to the link its flat per-destination table
+    names. No node holds per-flow state. The topology builder fills
+    the fields below ({!Topology.route_paths} for hand-built networks). *)
 
 type kind = Edge | Core
 
@@ -20,32 +12,20 @@ type t = {
   id : int;
   name : string;
   kind : kind;
-  routes : (int, Link.t) Hashtbl.t;  (** flow id -> output link *)
-  sinks : (int, Packet.t -> unit) Hashtbl.t;  (** flow id -> egress consumer *)
   mutable fib : Link.t option array;
-      (** destination host index -> output link; [[||]] when the node
-          is not FIB-routed *)
+      (** destination host index -> output link; [[||]] on a node that
+          forwards nothing *)
   mutable host : int;  (** own host index; [-1] for non-hosts *)
   mutable host_sink : Packet.t -> unit;
-      (** consumes FIB-routed packets addressed to this host *)
+      (** consumes packets addressed to this host *)
 }
 
 val create : id:int -> name:string -> kind:kind -> t
 
-val set_route : t -> flow:int -> Link.t -> unit
-
-val set_sink : t -> flow:int -> (Packet.t -> unit) -> unit
-
-(** [set_fib t ~host ~fib ~host_sink] installs the destination-indexed
-    forwarding state: the node's own host index ([-1] for switches),
-    its per-destination link array, and — for hosts — the local
-    delivery callback. *)
-val set_fib :
-  t -> host:int -> fib:Link.t option array -> host_sink:(Packet.t -> unit) option -> unit
-
-(** Forward a packet: FIB plane when [Packet.dst >= 0], else route
-    entry if present, else sink entry.
-    @raise Failure if the node knows nothing about the packet. *)
+(** Forward a packet: to the host sink when [Packet.dst] is this node's
+    host, else on the link the table holds for [Packet.dst].
+    @raise Failure ["Node <name>: no FIB entry for host <dst>"] when
+    the table holds none, an unstamped packet included. *)
 val receive : t -> Packet.t -> unit
 
 val is_edge : t -> bool

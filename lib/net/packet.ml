@@ -5,7 +5,7 @@ type t = {
   flow : int;
   micro : int;
   size : int;
-  dst : int;
+  mutable dst : int;
   created : float;
   mutable marker : marker option;
   mutable label : float;
@@ -13,7 +13,7 @@ type t = {
 
 let default_size = 1000
 
-let make ~id ~flow ?(micro = 0) ?(size = default_size) ?(dst = -1) ?marker ~created () =
-  { id; flow; micro; size; dst; created; marker; label = -1. }
+let make ~id ~flow ?(micro = 0) ?(size = default_size) ?marker ~created () =
+  { id; flow; micro; size; dst = -1; created; marker; label = -1. }
 
 let has_marker t = Option.is_some t.marker

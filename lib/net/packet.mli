@@ -22,8 +22,10 @@ type t = {
   micro : int;  (** end-to-end micro-flow id within an edge-to-edge
                     aggregate; 0 when the flow is not an aggregate *)
   size : int;  (** bytes *)
-  dst : int;  (** destination host index for FIB-routed (generated)
-                  topologies; [-1] on per-flow-routed paths *)
+  mutable dst : int;
+      (** destination host index, which nodes forward on. The sending
+          ingress stamps it, so a packet one cloud hands on to the next
+          is re-stamped there; [-1] until stamped. *)
   created : float;  (** injection time at the ingress edge *)
   mutable marker : marker option;
   mutable label : float;  (** CSFQ label; negative when unlabelled *)
@@ -37,7 +39,6 @@ val make :
   flow:int ->
   ?micro:int ->
   ?size:int ->
-  ?dst:int ->
   ?marker:marker ->
   created:float ->
   unit ->

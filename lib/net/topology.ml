@@ -6,10 +6,9 @@ type t = {
   link_index : (int * int, Link.t) Hashtbl.t;
   mutable next_node_id : int;
   mutable next_link_id : int;
-  (* Flat flow-id-indexed delivery table for FIB-routed (generated)
-     topologies: host nodes dispatch arrived packets through here, so
-     egress delivery is one array read instead of per-node sink
-     Hashtbls. Hand-built topologies never touch it. *)
+  mutable next_host : int;  (* next host index [route_paths] hands out *)
+  (* Flat flow-id-indexed delivery table: host nodes dispatch arrived
+     packets through here, so egress delivery is one array read. *)
   mutable flow_sinks : (Packet.t -> unit) option array;
 }
 
@@ -22,6 +21,7 @@ let create engine =
     link_index = Hashtbl.create 16;
     next_node_id = 0;
     next_link_id = 0;
+    next_host = 0;
     flow_sinks = [||];
   }
 
@@ -80,16 +80,6 @@ let path_links t path =
 let path_delay t path =
   List.fold_left (fun acc link -> acc +. link.Link.delay) 0. (path_links t path)
 
-let install_path t ~flow path ~sink =
-  let hops = path_links t path in
-  List.iter2
-    (fun node link -> Node.set_route node ~flow link)
-    (List.filteri (fun i _ -> i < List.length hops) path)
-    hops;
-  match List.rev path with
-  | last :: _ -> Node.set_sink last ~flow sink
-  | [] -> invalid_arg "Topology.install_path: empty path"
-
 let set_flow_sink t ~flow sink =
   if flow < 0 then invalid_arg "Topology.set_flow_sink: negative flow id";
   let n = Array.length t.flow_sinks in
@@ -116,9 +106,44 @@ let[@corelite.hot] deliver_to_sink t pkt =
 
 let sink_dispatcher t = fun pkt -> deliver_to_sink t pkt
 
-let uninstall_flow _t ~flow path =
-  List.iter
-    (fun node ->
-      Hashtbl.remove node.Node.routes flow;
-      Hashtbl.remove node.Node.sinks flow)
-    path
+(* Hosts are numbered first, so each table grows at most once, to span
+   every host numbered so far. *)
+let route_paths t paths =
+  let dispatch = sink_dispatcher t in
+  let routes =
+    List.map
+      (fun path ->
+        let egress =
+          match List.rev path with
+          | egress :: _ :: _ -> egress
+          | [ _ ] | [] -> invalid_arg "Topology.route_paths: path needs >= 2 nodes"
+        in
+        if egress.Node.host < 0 then begin
+          egress.Node.host <- t.next_host;
+          egress.Node.host_sink <- dispatch;
+          t.next_host <- t.next_host + 1
+        end;
+        (egress.Node.host, List.tl path, List.tl (path_links t path)))
+      paths
+  in
+  (* Interior nodes only: the ingress hands its packets straight to the
+     path's first link. *)
+  let rec fill host nodes links =
+    match (nodes, links) with
+    | node :: nodes, link :: links ->
+      let fib = node.Node.fib in
+      if Array.length fib < t.next_host then begin
+        node.Node.fib <- Array.make t.next_host None;
+        Array.blit fib 0 node.Node.fib 0 (Array.length fib)
+      end;
+      (match node.Node.fib.(host) with
+      | Some other when other != link ->
+        failwith
+          (Printf.sprintf
+             "Topology.route_paths: node %s reaches host %d on two links (%s, %s)"
+             node.Node.name host other.Link.name link.Link.name)
+      | Some _ | None -> node.Node.fib.(host) <- Some link);
+      fill host nodes links
+    | _ -> ()
+  in
+  List.iter (fun (host, nodes, links) -> fill host nodes links) routes

@@ -1,4 +1,4 @@
-(** Topology container: nodes, links, and per-flow path installation. *)
+(** Topology container: nodes, links and their forwarding state. *)
 
 type t
 
@@ -38,22 +38,23 @@ val path_links : t -> Node.t list -> Link.t list
     latency used for feedback travelling back to the edge). *)
 val path_delay : t -> Node.t list -> float
 
-(** [install_path t ~flow path ~sink] installs route entries for [flow]
-    along [path] and registers [sink] at the last node. *)
-val install_path : t -> flow:int -> Node.t list -> sink:(Packet.t -> unit) -> unit
+(** {1 Forwarding state}
 
-(** Remove the routing and sink state of a flow (used when a flow leaves
-    the network). *)
-val uninstall_flow : t -> flow:int -> Node.t list -> unit
+    Packets forward by destination ({!Node.receive}): each node's table
+    maps a destination host index to an output link, and host nodes
+    deliver through one topology-wide flow-id-indexed sink table. Table
+    entries and sinks stay installed when a flow retires, so in-flight
+    packets still deliver. *)
 
-(** {1 FIB-routed delivery (generated topologies)}
-
-    On generated scale topologies packets carry a destination host
-    index and are forwarded by per-node FIB arrays ({!Node.set_fib});
-    egress delivery goes through one topology-wide flow-id-indexed sink
-    table instead of per-node sink Hashtbls. Sinks stay installed on
-    flow retirement so in-flight packets still deliver (the same
-    contract as {!install_path} routes). *)
+(** [route_paths t paths] fills the tables of a hand-built network.
+    Each path's last node becomes a host (numbered in order of first
+    appearance, {!sink_dispatcher} as its sink) and every interior node
+    gets an entry for it. The first node gets none: the injecting agent
+    hands its packets straight to the path's first link.
+    @raise Failure if two paths to one host leave a node on different
+    links; the message names the node and the host.
+    @raise Invalid_argument on a path shorter than two nodes. *)
+val route_paths : t -> Node.t list list -> unit
 
 (** [set_flow_sink t ~flow sink] installs (or replaces) the delivery
     callback for a flow. The table grows on demand.

@@ -2,8 +2,8 @@
     host, computed once per topology).
 
     The table answers "at node [v], which directed link leads toward
-    host [h]?" — the destination-indexed forwarding state that replaces
-    per-flow route entries at scale. Equal-cost next hops are broken by
+    host [h]?" — the destination-indexed forwarding state
+    [Workload.Network.of_topo] installs on every node. Equal-cost next hops are broken by
     a deterministic hash of [(v, h)], spreading load ECMP-style while
     keeping the table a pure function of the graph. *)
 

@@ -9,8 +9,9 @@ let attach ~network ~flow ~rate ?(corelite_markers = false) () =
   let engine = network.Network.engine in
   let flow_record = Network.flow network flow in
   let delivered = ref 0 in
-  Net.Topology.install_path network.Network.topology ~flow flow_record.Net.Flow.path
-    ~sink:(fun _ -> incr delivered);
+  Net.Topology.set_flow_sink network.Network.topology ~flow (fun _ -> incr delivered);
+  let dst = (Net.Flow.egress flow_record).Net.Node.host in
+  let first_link = Net.Flow.first_link flow_record network.Network.topology in
   let estimator = Csfq.Rate_estimator.create ~k:0.1 in
   let weight = flow_record.Net.Flow.weight in
   let normalized = rate /. weight in
@@ -31,9 +32,10 @@ let attach ~network ~flow ~rate ?(corelite_markers = false) () =
       else None
     in
     let pkt = Net.Packet.make ~id:!seq ~flow ?marker ~created:now () in
+    pkt.Net.Packet.dst <- dst;
     pkt.Net.Packet.label <- estimate /. weight;
     incr sent;
-    Net.Node.receive (Net.Flow.ingress flow_record) pkt
+    Net.Link.send first_link pkt
   in
   let timer = Sim.Engine.every engine ~period:(1. /. rate) emit in
   { timer; sent; delivered }

@@ -82,6 +82,7 @@ let chain ~engine ?(bandwidth = default_bandwidth) ?(delay = default_delay)
         Net.Flow.make ~id:flow_id ~weight ~path:((ingress :: core_path) @ [ egress ]))
       specs
   in
+  Net.Topology.route_paths topology (List.map (fun f -> f.Net.Flow.path) flows);
   { engine; topology; flows; core_links }
 
 let topology1 ~engine ?(bandwidth = default_bandwidth) ?(delay = default_delay)
@@ -152,6 +153,7 @@ let random ~engine ~rng ?(bandwidth = default_bandwidth) ?(delay = default_delay
         Net.Flow.make ~id:flow_id ~weight ~path:((ingress :: core_path) @ [ egress ]))
       flows
   in
+  Net.Topology.route_paths topology (List.map (fun f -> f.Net.Flow.path) flows);
   (* Police every link: random flows may bottleneck anywhere, including
      their access links. *)
   { engine; topology; flows; core_links = Net.Topology.links topology }
@@ -190,14 +192,15 @@ let of_topo ~engine ?(bandwidth = default_bandwidth) ?(delay = default_delay)
   let hop = Array.map Option.some links in
   Array.iteri
     (fun v node ->
-      let table =
+      node.Net.Node.fib <-
         Array.init n_hosts (fun h ->
             let l = Topo.Fib.next_hop fib ~node:v ~host:h in
-            if l < 0 then None else hop.(l))
-      in
+            if l < 0 then None else hop.(l));
       let host = Topo.Graph.host_of_node graph v in
-      Net.Node.set_fib node ~host ~fib:table
-        ~host_sink:(if host >= 0 then Some dispatch else None))
+      if host >= 0 then begin
+        node.Net.Node.host <- host;
+        node.Net.Node.host_sink <- dispatch
+      end)
     nodes;
   let flows =
     List.init (Topo.Flows.count pop) (fun i ->

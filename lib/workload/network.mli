@@ -7,7 +7,11 @@
     40-packet DropTail queue, giving the paper's round-trip times of
     240/320/400 ms for flows crossing 1/2/3 congested links.
     [core_qdisc] substitutes a different queue discipline on the
-    congested links (RED/FRED for the related-work ablation). *)
+    congested links (RED/FRED for the related-work ablation).
+
+    The hand-built networks ({!topology1}, {!chain}, {!random},
+    {!single_bottleneck}) route their flows through
+    {!Net.Topology.route_paths}; each flow's egress is its own host. *)
 
 type t = {
   engine : Sim.Engine.t;
@@ -89,14 +93,14 @@ val random :
     {!Topo.Graph} as a Net topology: one Net node per graph node
     (hosts as edge routers, switches and routers as cores), one
     unidirectional Net link per directed graph link — link ids equal
-    graph link ids — and a {!Net.Node.set_fib} destination-indexed
-    forwarding table per node derived from [fib]. Each population
+    graph link ids — and a destination-indexed forwarding table
+    ({!Net.Node.t.fib}) per node derived from [fib]. Each population
     entry [i] becomes Net flow [i + 1] routed by {!Topo.Fib.route}.
     Every link (access links included) uses [core_qdisc] and is
     returned in [core_links], so schemes police wherever the
-    bottleneck lives. This is the scale path: packets forward through
-    flat per-node arrays and one topology-wide sink table, with no
-    per-flow route state on any node.
+    bottleneck lives. Unlike the hand-built builders, whose tables
+    {!Net.Topology.route_paths} fills from the flow paths, every node
+    gets an entry for every reachable host.
     @raise Failure if a sampled flow's host pair is unreachable. *)
 val of_topo :
   engine:Sim.Engine.t ->

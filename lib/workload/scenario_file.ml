@@ -39,6 +39,11 @@ let int_of token label =
   | Some v -> v
   | None -> fail "%s: expected an integer, got %S" label token
 
+(* Delays, floors and schedule times (the clock starts at 0). *)
+let non_negative label v =
+  if v < 0. then fail "%s must be non-negative, got %g" label v;
+  v
+
 (* "key=value" option fields of the topology directive. *)
 let topology_options tokens =
   let cores = ref 4
@@ -50,10 +55,13 @@ let topology_options tokens =
       match String.split_on_char '=' token with
       | [ "cores"; v ] -> cores := int_of v "cores"
       | [ "bandwidth"; v ] -> bandwidth := float_of v "bandwidth"
-      | [ "delay"; v ] -> delay := float_of v "delay"
+      | [ "delay"; v ] -> delay := non_negative "delay" (float_of v "delay")
       | [ "queue"; v ] -> queue := int_of v "queue"
       | _ -> fail "unknown topology option %S" token)
     tokens;
+  if !cores < 2 then fail "cores must be at least 2, got %d" !cores;
+  if !bandwidth <= 0. then fail "bandwidth must be positive";
+  if !queue < 1 then fail "queue must be positive";
   (!cores, !bandwidth, !delay, !queue)
 
 let directive b tokens =
@@ -69,21 +77,23 @@ let directive b tokens =
   | [ "duration"; v ] -> b.duration <- Some (float_of v "duration")
   | "flow" :: id :: "weight" :: w :: "from" :: entry :: "to" :: exit :: rest ->
     let id = int_of id "flow id" in
+    if id < 0 then fail "flow id must be non-negative, got %d" id;
     if List.exists (fun (existing, _, _, _) -> existing = id) b.flows then
       fail "duplicate flow %d" id;
     (match rest with
     | [] -> ()
-    | [ "floor"; f ] -> b.floors <- (id, float_of f "floor") :: b.floors
+    | [ "floor"; f ] ->
+      b.floors <- (id, non_negative "floor" (float_of f "floor")) :: b.floors
     | _ -> fail "unexpected tokens after flow %d" id);
     b.flows <-
       (id, float_of w "weight", int_of entry "entry core", int_of exit "exit core")
       :: b.flows
   | [ "start"; id; "at"; time ] ->
-    b.schedule <-
-      (float_of time "start time", Runner.Start (int_of id "flow id")) :: b.schedule
+    let time = non_negative "start time" (float_of time "start time") in
+    b.schedule <- (time, Runner.Start (int_of id "flow id")) :: b.schedule
   | [ "stop"; id; "at"; time ] ->
-    b.schedule <-
-      (float_of time "stop time", Runner.Stop (int_of id "flow id")) :: b.schedule
+    let time = non_negative "stop time" (float_of time "stop time") in
+    b.schedule <- (time, Runner.Stop (int_of id "flow id")) :: b.schedule
   | keyword :: _ -> fail "unknown directive %S" keyword
 
 let parse text =

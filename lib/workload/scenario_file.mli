@@ -24,7 +24,9 @@
     [topology] directive and at least one flow and one start are
     required; [duration] is required and positive; [scheme] defaults to
     corelite, [seed] to 42. Every number must be finite: [nan] and
-    [inf] are syntax errors. *)
+    [inf] are syntax errors. A value the run would reject — fewer than
+    two cores, a non-positive bandwidth or queue, a negative delay,
+    floor, flow id or schedule time — is an error on its line. *)
 
 type t = {
   scheme : Runner.scheme;

@@ -33,11 +33,13 @@ let build ?(tcp_params = Net.Tcp.default_params) ?(csfq_params = Csfq.Params.def
                  | None -> ()))
         in
         let receiver = Net.Tcp.Receiver.create ~send_ack in
-        Net.Topology.install_path topology ~flow:flow_id flow.Net.Flow.path
-          ~sink:(fun pkt -> Net.Tcp.Receiver.receive receiver pkt);
+        Net.Topology.set_flow_sink topology ~flow:flow_id (fun pkt ->
+            Net.Tcp.Receiver.receive receiver pkt);
+        let dst = (Net.Flow.egress flow).Net.Node.host in
+        let first_link = Net.Flow.first_link flow topology in
         (* Ingress labelling shim: the edge router's only involvement is
-           estimating the flow's rate and stamping the normalized
-           label — no shaping, no buffering. TCP emits whole windows
+           estimating the flow's rate and stamping the destination and
+           the normalized label — no shaping, no buffering. TCP emits whole windows
            back to back, so the estimation constant must exceed the
            burst scale (an RTT), not the 100 ms used for smooth
            sources; otherwise labels spike during bursts and the core
@@ -48,8 +50,9 @@ let build ?(tcp_params = Net.Tcp.default_params) ?(csfq_params = Csfq.Params.def
         let transmit pkt =
           let now = Sim.Engine.now engine in
           let estimate = Csfq.Rate_estimator.update estimator ~now ~amount:1. in
+          pkt.Net.Packet.dst <- dst;
           pkt.Net.Packet.label <- estimate /. weight;
-          Net.Node.receive (Net.Flow.ingress flow) pkt
+          Net.Link.send first_link pkt
         in
         let sender =
           Net.Tcp.Sender.create ~engine ~params:tcp_params ~flow:flow_id ~micro:1

@@ -363,6 +363,7 @@ let edge_fixture ?(weight = 2.) ?(params = Corelite.Params.default) ?(auto_probe
   let l2 = link ~src:c1 ~dst:c2 in
   let l3 = link ~src:c2 ~dst:d in
   let flow = Net.Flow.make ~id:1 ~weight ~path:[ e; c1; c2; d ] in
+  Net.Topology.route_paths topology [ flow.Net.Flow.path ];
   let agent = Corelite.Edge.create ~params ~topology ~flow () in
   (engine, topology, agent, (l1, l2, l3))
 
@@ -536,7 +537,7 @@ let test_core_detects_congestion_under_load () =
      ignores feedback, and check congestion detection + feedback. *)
   let params = Corelite.Params.default in
   let engine, _, agent, core, feedback, (_, l2, _) = core_fixture ~params () in
-  (* Install the flow's routes, then silence the cooperative source so
+  (* Install the flow's sink, then silence the cooperative source so
      only the blaster drives the link. Inject straight into the core
      link so the access link cannot shave the overload. *)
   Corelite.Edge.start agent;
@@ -551,6 +552,7 @@ let test_core_detects_congestion_under_load () =
             ~marker:(marker ~flow:1 700.)
             ~created:(Sim.Engine.now engine) ()
         in
+        pkt.Net.Packet.dst <- 0 (* D, the fixture's only host *);
         Net.Link.send l2 pkt)
   in
   Sim.Engine.run_until engine 10.;
@@ -578,6 +580,7 @@ let test_core_reset_no_feedback_burst () =
             ~marker:(marker ~flow:1 700.)
             ~created:(Sim.Engine.now engine) ()
         in
+        pkt.Net.Packet.dst <- 0 (* D, the fixture's only host *);
         Net.Link.send l2 pkt)
   in
   Sim.Engine.run_until engine 10.;
@@ -716,6 +719,7 @@ let test_multihop_maxmin () =
       Net.Flow.make ~id:3 ~weight:1. ~path:[ e2; c2; c3; d2 ];
     ]
   in
+  Net.Topology.route_paths topology (List.map (fun f -> f.Net.Flow.path) flows);
   let network =
     { Workload.Network.engine; topology; flows; core_links = [ l12; l23 ] }
   in

@@ -69,19 +69,24 @@ let core_fixture ?(params = Csfq.Params.default) ?(bandwidth = 4_000_000.) () =
       ~qdisc:(Net.Qdisc.droptail ~capacity:40)
   in
   let delivered = ref 0 in
-  Net.Node.set_sink c2 ~flow:1 (fun _ -> incr delivered);
+  Net.Topology.route_paths topology [ [ c1; c2 ] ];
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> incr delivered);
   let core = Csfq.Core.attach ~params ~rng:(Sim.Rng.create 7) link in
   (engine, link, core, delivered)
+
+(* A flow-1 packet for C2, the fixture's only host (index 0). *)
+let labelled ~id ~created label =
+  let pkt = Net.Packet.make ~id ~flow:1 ~created () in
+  pkt.Net.Packet.dst <- 0;
+  pkt.Net.Packet.label <- label;
+  pkt
 
 let inject engine link ~rate ~label ~until =
   let seq = ref 0 in
   let h =
     Sim.Engine.every engine ~period:(1. /. rate) (fun () ->
         incr seq;
-        let pkt =
-          Net.Packet.make ~id:!seq ~flow:1 ~created:(Sim.Engine.now engine) ()
-        in
-        pkt.Net.Packet.label <- label;
+        let pkt = labelled ~id:!seq ~created:(Sim.Engine.now engine) label in
         Net.Link.send link pkt)
   in
   ignore (Sim.Engine.schedule_at engine ~time:until (fun () -> Sim.Engine.cancel h))
@@ -140,8 +145,7 @@ let test_core_relabels_to_alpha () =
   let rec try_send n =
     if n > 200 then ()
     else begin
-      let p = Net.Packet.make ~id:n ~flow:1 ~created:2. () in
-      p.Net.Packet.label <- alpha *. 100.;
+      let p = labelled ~id:n ~created:2. (alpha *. 100.) in
       Net.Link.send link p;
       if p.Net.Packet.label <= alpha +. 1e-9 then begin
         relabelled := p.Net.Packet.label :: !relabelled;
@@ -204,6 +208,7 @@ let edge_fixture ?(weight = 2.) ?(auto_probes = true) () =
   let l1 = link ~src:e ~dst:c1 in
   let _l2 = link ~src:c1 ~dst:d in
   let flow = Net.Flow.make ~id:1 ~weight ~path:[ e; c1; d ] in
+  Net.Topology.route_paths topology [ flow.Net.Flow.path ];
   let agent = Csfq.Edge.create ~params:Csfq.Params.default ~topology ~flow () in
   (engine, agent, l1)
 
@@ -329,8 +334,9 @@ let test_unresponsive_flow_policed () =
   let flow1 = Workload.Network.flow network 1 in
   let estimator = Csfq.Rate_estimator.create ~k:0.1 in
   let delivered1 = ref 0 in
-  Net.Topology.install_path network.Workload.Network.topology ~flow:1
-    flow1.Net.Flow.path ~sink:(fun _ -> incr delivered1);
+  let topology = network.Workload.Network.topology in
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> incr delivered1);
+  let first_link = Net.Flow.first_link flow1 topology in
   let seq = ref 0 in
   ignore
     (Sim.Engine.every engine ~period:(1. /. 450.) (fun () ->
@@ -338,8 +344,9 @@ let test_unresponsive_flow_policed () =
          let now = Sim.Engine.now engine in
          let rate = Csfq.Rate_estimator.update estimator ~now ~amount:1. in
          let pkt = Net.Packet.make ~id:!seq ~flow:1 ~created:now () in
+         pkt.Net.Packet.dst <- (Net.Flow.egress flow1).Net.Node.host;
          pkt.Net.Packet.label <- rate /. flow1.Net.Flow.weight;
-         Net.Node.receive (Net.Flow.ingress flow1) pkt));
+         Net.Link.send first_link pkt));
   let result =
     Workload.Runner.run ~scheme:(Workload.Runner.Csfq Csfq.Params.default) ~network
       ~schedule ~duration:120. ()

@@ -227,7 +227,8 @@ let test_csfq_label_preserved_when_below_alpha () =
     Net.Topology.add_link topology ~src:a ~dst:b ~bandwidth:4e6 ~delay:0.001
       ~qdisc:(Net.Qdisc.droptail ~capacity:40)
   in
-  Net.Node.set_sink b ~flow:1 (fun _ -> ());
+  Net.Topology.route_paths topology [ [ a; b ] ];
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> ());
   let _core = Csfq.Core.attach ~params:Csfq.Params.default ~rng:(Sim.Rng.create 7) link in
   (* Establish alpha = 30 via an uncongested window of labelled traffic. *)
   let h =
@@ -235,6 +236,7 @@ let test_csfq_label_preserved_when_below_alpha () =
         let pkt =
           Net.Packet.make ~id:1 ~flow:1 ~created:(Sim.Engine.now engine) ()
         in
+        pkt.Net.Packet.dst <- b.Net.Node.host;
         pkt.Net.Packet.label <- 30.;
         Net.Link.send link pkt)
   in

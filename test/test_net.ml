@@ -3,8 +3,11 @@
 
 let check_float = Alcotest.(check (float 1e-9))
 
-let mk_packet ?(id = 1) ?(flow = 1) ?(size = Net.Packet.default_size) () =
-  Net.Packet.make ~id ~flow ~size ~created:0. ()
+(* Addressed to host 0, the B of [simple_net]. *)
+let mk_packet ?(id = 1) ?(flow = 1) ?(size = Net.Packet.default_size) ?marker () =
+  let p = Net.Packet.make ~id ~flow ~size ?marker ~created:0. () in
+  p.Net.Packet.dst <- 0;
+  p
 
 (* ------------------------------------------------------------------ *)
 (* Packet *)
@@ -297,7 +300,8 @@ let test_classful_validation () =
 (* ------------------------------------------------------------------ *)
 (* Link and Topology *)
 
-(* One link between two nodes; returns (engine, topology, a, b, link). *)
+(* One link between two nodes, routed so that B is host 0; returns
+   (engine, topology, a, b, link). *)
 let simple_net ?(bandwidth = 8000.) ?(delay = 0.1) ?(capacity = 10) () =
   let engine = Sim.Engine.create () in
   let topology = Net.Topology.create engine in
@@ -307,21 +311,22 @@ let simple_net ?(bandwidth = 8000.) ?(delay = 0.1) ?(capacity = 10) () =
     Net.Topology.add_link topology ~src:a ~dst:b ~bandwidth ~delay
       ~qdisc:(Net.Qdisc.droptail ~capacity)
   in
+  Net.Topology.route_paths topology [ [ a; b ] ];
   (engine, topology, a, b, link)
 
 let test_link_delivery_timing () =
   (* 1000-byte packet on 8000 bit/s: tx = 1 s, delay = 0.1 s. *)
-  let engine, _, _, b, link = simple_net () in
+  let engine, topology, _, _, link = simple_net () in
   let arrival = ref nan in
-  Net.Node.set_sink b ~flow:1 (fun _ -> arrival := Sim.Engine.now engine);
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> arrival := Sim.Engine.now engine);
   Net.Link.send link (mk_packet ());
   Sim.Engine.run engine;
   check_float "tx + propagation" 1.1 !arrival
 
 let test_link_serializes () =
-  let engine, _, _, b, link = simple_net () in
+  let engine, topology, _, _, link = simple_net () in
   let arrivals = ref [] in
-  Net.Node.set_sink b ~flow:1 (fun p ->
+  Net.Topology.set_flow_sink topology ~flow:1 (fun p ->
       arrivals := (p.Net.Packet.id, Sim.Engine.now engine) :: !arrivals);
   Net.Link.send link (mk_packet ~id:1 ());
   Net.Link.send link (mk_packet ~id:2 ());
@@ -330,8 +335,8 @@ let test_link_serializes () =
     "back to back" [ (1, 1.1); (2, 2.1) ] (List.rev !arrivals)
 
 let test_link_queue_overflow_drops () =
-  let engine, _, _, b, link = simple_net ~capacity:2 () in
-  Net.Node.set_sink b ~flow:1 (fun _ -> ());
+  let engine, topology, _, _, link = simple_net ~capacity:2 () in
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> ());
   let reasons = ref [] in
   link.Net.Link.on_drop <- Some (fun reason _ -> reasons := reason :: !reasons);
   (* One in service + 2 queued fit; the rest overflow. *)
@@ -345,8 +350,8 @@ let test_link_queue_overflow_drops () =
     (List.for_all (fun r -> r = Net.Link.Queue_full) !reasons)
 
 let test_link_hook_filter_drop () =
-  let engine, _, _, b, link = simple_net () in
-  Net.Node.set_sink b ~flow:1 (fun _ -> ());
+  let engine, topology, _, _, link = simple_net () in
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> ());
   let reasons = ref [] in
   link.Net.Link.on_drop <- Some (fun reason _ -> reasons := reason :: !reasons);
   link.Net.Link.hooks <-
@@ -365,8 +370,8 @@ let test_link_hook_filter_drop () =
     (List.for_all (fun r -> r = Net.Link.Filtered) !reasons)
 
 let test_link_queue_change_hook () =
-  let engine, _, _, b, link = simple_net () in
-  Net.Node.set_sink b ~flow:1 (fun _ -> ());
+  let engine, topology, _, _, link = simple_net () in
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> ());
   let lengths = ref [] in
   link.Net.Link.hooks <-
     Some
@@ -417,9 +422,9 @@ let test_link_rejects_bad_args () =
 (* Link outages, resets and the fault hook (the chaos surface) *)
 
 let test_link_down_purges_and_recovers () =
-  let engine, _, _, b, link = simple_net () in
+  let engine, topology, _, _, link = simple_net () in
   let delivered = ref [] in
-  Net.Node.set_sink b ~flow:1 (fun p -> delivered := p.Net.Packet.id :: !delivered);
+  Net.Topology.set_flow_sink topology ~flow:1 (fun p -> delivered := p.Net.Packet.id :: !delivered);
   let reasons = ref [] in
   link.Net.Link.on_drop <- Some (fun reason _ -> reasons := reason :: !reasons);
   (* 8000 bit/s, 1000 B packets: 1 s serialization each. Queue 5, take
@@ -446,8 +451,8 @@ let test_link_down_purges_and_recovers () =
   Alcotest.(check int) "queue empty" 0 (Net.Link.queue_length link)
 
 let test_link_send_while_down_drops () =
-  let engine, _, _, b, link = simple_net () in
-  Net.Node.set_sink b ~flow:1 (fun _ -> Alcotest.fail "delivered through a down link");
+  let engine, topology, _, _, link = simple_net () in
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> Alcotest.fail "delivered through a down link");
   Net.Link.set_up link false;
   Net.Link.send link (mk_packet ~id:1 ());
   Sim.Engine.run engine;
@@ -455,9 +460,9 @@ let test_link_send_while_down_drops () =
   Alcotest.(check bool) "still down" false (Net.Link.is_up link)
 
 let test_link_reset_purges_but_stays_up () =
-  let engine, _, _, b, link = simple_net () in
+  let engine, topology, _, _, link = simple_net () in
   let delivered = ref [] in
-  Net.Node.set_sink b ~flow:1 (fun p -> delivered := p.Net.Packet.id :: !delivered);
+  Net.Topology.set_flow_sink topology ~flow:1 (fun p -> delivered := p.Net.Packet.id :: !delivered);
   for i = 1 to 4 do
     Net.Link.send link (mk_packet ~id:i ())
   done;
@@ -475,9 +480,9 @@ let test_link_reset_purges_but_stays_up () =
     (link.Net.Link.departures + link.Net.Link.drops)
 
 let test_link_fault_hook_strip_and_lose () =
-  let engine, _, _, b, link = simple_net () in
+  let engine, topology, _, _, link = simple_net () in
   let delivered = ref [] in
-  Net.Node.set_sink b ~flow:1 (fun p -> delivered := p :: !delivered);
+  Net.Topology.set_flow_sink topology ~flow:1 (fun p -> delivered := p :: !delivered);
   let reasons = ref [] in
   link.Net.Link.on_drop <- Some (fun reason _ -> reasons := reason :: !reasons);
   (* Deterministic stand-in for Net.Fault: lose even ids, strip odd. *)
@@ -488,8 +493,7 @@ let test_link_fault_hook_strip_and_lose () =
   let marker = { Net.Packet.edge_id = 0; flow_id = 1; normalized_rate = 1.0 } in
   for i = 1 to 4 do
     Net.Link.send link
-      (Net.Packet.make ~id:i ~flow:1 ~size:Net.Packet.default_size ~marker
-         ~created:0. ())
+      (mk_packet ~id:i ~marker ())
   done;
   Sim.Engine.run engine;
   Alcotest.(check (list int)) "odd ids forwarded" [ 1; 3 ]
@@ -503,31 +507,78 @@ let test_link_fault_hook_strip_and_lose () =
   Sim.Engine.run engine;
   Alcotest.(check int) "hook cleared, packet delivered" 3 (List.length !delivered)
 
+(* Flow 1 on A -> B -> C: the agent hands its packet to the first link,
+   B forwards on C's host index and C delivers to the flow's sink. *)
 let test_node_routes_and_sinks () =
-  let engine, topology, a, b, _ = simple_net () in
+  let engine = Sim.Engine.create () in
+  let topology = Net.Topology.create engine in
+  let n name = Net.Topology.add_node topology ~kind:Net.Node.Core name in
+  let a = n "A" and b = n "B" and c = n "C" in
+  let link ~src ~dst =
+    Net.Topology.add_link topology ~src ~dst ~bandwidth:8000. ~delay:0.1
+      ~qdisc:(Net.Qdisc.droptail ~capacity:10)
+  in
+  let first = link ~src:a ~dst:b in
+  let second = link ~src:b ~dst:c in
+  let flow = Net.Flow.make ~id:1 ~weight:1. ~path:[ a; b; c ] in
+  Net.Topology.route_paths topology [ flow.Net.Flow.path ];
+  Alcotest.(check int) "egress is host 0" 0 c.Net.Node.host;
+  Alcotest.(check bool) "interior entry" true
+    (match b.Net.Node.fib with [| Some l |] -> l == second | _ -> false);
+  Alcotest.(check int) "no ingress entry" 0 (Array.length a.Net.Node.fib);
+  Alcotest.(check bool) "first link" true (Net.Flow.first_link flow topology == first);
   let got = ref [] in
-  Net.Topology.install_path topology ~flow:1 [ a; b ] ~sink:(fun p ->
-      got := p.Net.Packet.id :: !got);
-  Net.Node.receive a (mk_packet ~id:42 ());
+  Net.Topology.set_flow_sink topology ~flow:1 (fun p -> got := p.Net.Packet.id :: !got);
+  Net.Link.send first (mk_packet ~id:42 ());
   Sim.Engine.run engine;
   Alcotest.(check (list int)) "delivered through path" [ 42 ] !got
 
-let test_node_unknown_flow_fails () =
-  let _, _, a, _, _ = simple_net () in
-  Alcotest.check_raises "no route" (Failure "Node A: no route or sink for flow 9")
-    (fun () -> Net.Node.receive a (mk_packet ~flow:9 ()))
+(* A node holds entries only for the hosts that routed paths reach
+   through it (the ingress A, which agents bypass, holds none), and a
+   host delivers only the flows that registered a sink. *)
+let test_node_unknown_host_fails () =
+  let _, _, a, b, _ = simple_net () in
+  Alcotest.check_raises "unknown host" (Failure "Node A: no FIB entry for host 0")
+    (fun () -> Net.Node.receive a (mk_packet ()));
+  Alcotest.check_raises "unknown flow" (Failure "Topology: no sink installed for flow 9")
+    (fun () -> Net.Node.receive b (mk_packet ~flow:9 ()))
 
-(* A host-stamped packet reaching a node whose FIB lacks that host — a
-   hand-built node's FIB is empty, a generated one may be shorter —
+(* A packet reaching a node whose FIB lacks its host — the table is
+   empty, too short, or the packet was never stamped ([dst = -1]) —
    fails with the node's own message, not a bare index error. *)
 let test_node_fib_out_of_range_fails () =
   let _, _, a, _, link = simple_net () in
-  let stamped dst = Net.Packet.make ~id:1 ~flow:1 ~dst ~created:0. () in
+  let stamped dst =
+    let p = mk_packet () in
+    p.Net.Packet.dst <- dst;
+    p
+  in
   Alcotest.check_raises "empty fib" (Failure "Node A: no FIB entry for host 3")
     (fun () -> Net.Node.receive a (stamped 3));
-  Net.Node.set_fib a ~host:(-1) ~fib:[| Some link |] ~host_sink:None;
+  a.Net.Node.fib <- [| Some link |];
   Alcotest.check_raises "short fib" (Failure "Node A: no FIB entry for host 1")
-    (fun () -> Net.Node.receive a (stamped 1))
+    (fun () -> Net.Node.receive a (stamped 1));
+  Alcotest.check_raises "unstamped" (Failure "Node A: no FIB entry for host -1")
+    (fun () -> Net.Node.receive a (stamped (-1)))
+
+(* A destination table cannot send one host's packets two ways from
+   the same node; paths that agree share the entry. *)
+let test_topology_conflicting_paths () =
+  let engine = Sim.Engine.create () in
+  let topology = Net.Topology.create engine in
+  let n name = Net.Topology.add_node topology ~kind:Net.Node.Core name in
+  let x = n "x" and y = n "y" and a = n "a" and b = n "b" and c = n "c" in
+  let d = n "d" in
+  List.iter
+    (fun (src, dst) ->
+      ignore
+        (Net.Topology.add_link topology ~src ~dst ~bandwidth:1e6 ~delay:0.01
+           ~qdisc:(Net.Qdisc.droptail ~capacity:10)))
+    [ (x, a); (y, a); (a, b); (a, c); (b, d); (c, d) ];
+  Net.Topology.route_paths topology [ [ x; a; b; d ]; [ y; a; b; d ] ];
+  Alcotest.check_raises "two links to one host"
+    (Failure "Topology.route_paths: node a reaches host 0 on two links (a->b, a->c)")
+    (fun () -> Net.Topology.route_paths topology [ [ y; a; c; d ] ])
 
 let test_topology_duplicate_node () =
   let engine = Sim.Engine.create () in
@@ -705,8 +756,8 @@ let test_drr_validation () =
 let test_probe_tracks_throughput_and_queue () =
   (* 8000 bit/s, 1 KB packets: 1 packet/s service. Offer 4 packets at
      t=0: the queue drains one per second. *)
-  let engine, _, _, b, link = simple_net ~capacity:10 () in
-  Net.Node.set_sink b ~flow:1 (fun _ -> ());
+  let engine, topology, _, _, link = simple_net ~capacity:10 () in
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> ());
   let probe = Net.Probe.attach ~engine ~period:1. link in
   (* Send at t = 0.5 so departures (1.5, 2.5, 3.5, 4.5) fall strictly
      between the probe's whole-second samples. *)
@@ -729,8 +780,8 @@ let test_probe_tracks_throughput_and_queue () =
     (Float.abs (Net.Probe.mean_utilization probe -. (4. /. 6.)) < 0.01)
 
 let test_probe_counts_drops () =
-  let engine, _, _, b, link = simple_net ~capacity:1 () in
-  Net.Node.set_sink b ~flow:1 (fun _ -> ());
+  let engine, topology, _, _, link = simple_net ~capacity:1 () in
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> ());
   let probe = Net.Probe.attach ~engine ~period:1. link in
   for i = 1 to 5 do
     Net.Link.send link (mk_packet ~id:i ())
@@ -1129,8 +1180,8 @@ let test_link_conservation_audited () =
      conservation audit (arrivals = departures + drops + queued +
      in-service) runs at every stable point and stays silent. *)
   let before = Sim.Invariant.checks_run () in
-  let engine, _, _, b, link = simple_net ~capacity:2 () in
-  Net.Node.set_sink b ~flow:1 (fun _ -> ());
+  let engine, topology, _, _, link = simple_net ~capacity:2 () in
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> ());
   for i = 1 to 8 do
     Net.Link.send link (mk_packet ~id:i ())
   done;
@@ -1191,9 +1242,10 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "route and sink" `Quick test_node_routes_and_sinks;
-          Alcotest.test_case "unknown flow" `Quick test_node_unknown_flow_fails;
+          Alcotest.test_case "unknown host" `Quick test_node_unknown_host_fails;
           Alcotest.test_case "fib index out of range" `Quick
             test_node_fib_out_of_range_fails;
+          Alcotest.test_case "conflicting paths" `Quick test_topology_conflicting_paths;
           Alcotest.test_case "duplicate node" `Quick test_topology_duplicate_node;
           Alcotest.test_case "duplicate link" `Quick test_topology_duplicate_link;
           Alcotest.test_case "path helpers" `Quick test_topology_path_helpers;

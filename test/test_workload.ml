@@ -87,6 +87,29 @@ let test_single_bottleneck_structure () =
     (Invalid_argument "Network.single_bottleneck: need at least one flow") (fun () ->
       ignore (Workload.Network.single_bottleneck ~engine:(Sim.Engine.create ()) ~weights:(fun _ -> 1.) 0))
 
+(* Hand-built forwarding tables stay linear in the total path length:
+   ingress edges hold no entries (agents send on the first link) and
+   egress hosts deliver, so only the two cores carry one entry per
+   host. A table over every host on every node would hold 2,002,000. *)
+let test_single_bottleneck_fib_linear () =
+  let engine = Sim.Engine.create () in
+  let net = Workload.Network.single_bottleneck ~engine ~weights:(fun _ -> 1.) 1000 in
+  let entries =
+    List.fold_left
+      (fun acc node -> acc + Array.length node.Net.Node.fib)
+      0
+      (Net.Topology.nodes net.Workload.Network.topology)
+  in
+  let path_total =
+    List.fold_left
+      (fun acc flow -> acc + List.length flow.Net.Flow.path)
+      0 net.Workload.Network.flows
+  in
+  Alcotest.(check int) "total path length" 4000 path_total;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d entries within %d" entries path_total)
+    true (entries <= path_total)
+
 let test_link_capacities () =
   let engine = Sim.Engine.create () in
   let net = Workload.Network.single_bottleneck ~engine ~weights:(fun _ -> 1.) 2 in
@@ -483,7 +506,44 @@ start 1 at 0|};
     {|topology chain cores=2
 duration 0
 flow 1 weight 1 from 1 to 2
-start 1 at 0|}
+start 1 at 0|};
+  (* Each of these used to parse and then crash the run with an
+     uncaught Invalid_argument from the network or engine builders. *)
+  expect_parse_error "line 1: cores must be at least 2, got 1"
+    {|topology chain cores=1
+duration 1
+flow 1 weight 1 from 1 to 1
+start 1 at 0|};
+  expect_parse_error "line 1: bandwidth must be positive"
+    {|topology chain cores=2 bandwidth=0
+duration 1
+flow 1 weight 1 from 1 to 2
+start 1 at 0|};
+  expect_parse_error "line 1: delay must be non-negative, got -1"
+    {|topology chain cores=2 delay=-1
+duration 1
+flow 1 weight 1 from 1 to 2
+start 1 at 0|};
+  expect_parse_error "line 1: queue must be positive"
+    {|topology chain cores=2 queue=0
+duration 1
+flow 1 weight 1 from 1 to 2
+start 1 at 0|};
+  expect_parse_error "line 3: floor must be non-negative, got -5"
+    {|topology chain cores=2
+duration 1
+flow 1 weight 1 from 1 to 2 floor -5
+start 1 at 0|};
+  expect_parse_error "line 4: start time must be non-negative, got -1"
+    {|topology chain cores=2
+duration 1
+flow 1 weight 1 from 1 to 2
+start 1 at -1|};
+  expect_parse_error "line 3: flow id must be non-negative, got -3"
+    {|topology chain cores=2
+duration 1
+flow -3 weight 1 from 1 to 2
+start -3 at 0|}
 
 let scenario_gen =
   QCheck.Gen.(
@@ -826,6 +886,8 @@ let () =
           Alcotest.test_case "flow subset" `Quick test_topology1_subset;
           Alcotest.test_case "expected rates phases" `Quick test_expected_rates_phases;
           Alcotest.test_case "single bottleneck" `Quick test_single_bottleneck_structure;
+          Alcotest.test_case "fib linear in path length" `Quick
+            test_single_bottleneck_fib_linear;
           Alcotest.test_case "link capacities" `Quick test_link_capacities;
           Alcotest.test_case "random network structure" `Quick
             test_random_network_structure;
