@@ -10,7 +10,9 @@
    witness is the ratio between successive rungs staying far below the
    10x flow-count ratio.
 
-   results/BENCH_scale.json is the committed artefact. CI gates on
+   results/BENCH_scale.json is the committed artefact; its header names
+   the host (nproc, OCaml version) and the git rev it was run at. Run
+   it from the repository root. CI gates on
    [--min-events-per-s] (every point) and [--max-rss-mb] (final peak),
    both deterministic enough for shared runners because events and RSS
    are dominated by simulation structure, not machine noise. *)
@@ -47,6 +49,31 @@ let peak_rss_mb () =
     let mb = scan () in
     close_in ic;
     mb
+
+(* The commit the numbers came from: .git/HEAD, resolved through a loose
+   or packed ref; "unknown" outside a git checkout. *)
+let git_rev () =
+  let read path =
+    try Some (String.trim (In_channel.with_open_bin path In_channel.input_all))
+    with Sys_error _ -> None
+  in
+  let packed name =
+    Option.bind (read (Filename.concat ".git" "packed-refs")) (fun refs ->
+        List.find_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ rev; n ] when String.equal n name -> Some rev
+            | _ -> None)
+          (String.split_on_char '\n' refs))
+  in
+  match read (Filename.concat ".git" "HEAD") with
+  | None -> "unknown"
+  | Some head when String.starts_with ~prefix:"ref: " head ->
+    let name = String.sub head 5 (String.length head - 5) in
+    (match read (Filename.concat ".git" name) with
+    | Some rev -> rev
+    | None -> Option.value ~default:"unknown" (packed name))
+  | Some rev -> rev
 
 type point = {
   id : string;
@@ -130,6 +157,9 @@ let write_report observations =
   p "  \"mode\": \"%s\",\n"
     (if !quick then "quick" else if !huge then "huge" else "full");
   p "  \"seed\": %d,\n" !seed;
+  p "  \"nproc\": %d,\n" (Workload.Pool.default_domains ());
+  p "  \"ocaml\": \"%s\",\n" Sys.ocaml_version;
+  p "  \"rev\": \"%s\",\n" (git_rev ());
   p "  \"scheme\": \"corelite\",\n";
   p "  \"points\": [\n";
   List.iteri

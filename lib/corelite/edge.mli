@@ -64,19 +64,27 @@ val running : t -> bool
 (** Current allowed transmission rate [bg(f)], pkts/s. *)
 val rate : t -> float
 
-(** Deliver a feedback marker from the core link with id [link_id]. *)
+(** Deliver a feedback marker from the core link with id [link_id]. The
+    agent counts the epoch's markers per link in an int array indexed
+    by the link's position on the flow's path, plus one slot for
+    {!handoff_link}; a stopped agent drops the marker.
+    @raise Invalid_argument naming the flow and the link when [link_id]
+    is neither on the flow's path nor {!handoff_link}. *)
 val receive_feedback : t -> link_id:int -> Net.Packet.marker -> unit
+
+(** The pseudo core-link id under which a multi-cloud hand-off reports
+    backpressure to this agent: the negated flow id, so that it never
+    names a real link of a positive flow id. *)
+val handoff_link : t -> int
 
 (** Data packets delivered end-to-end to this flow's egress. *)
 val delivered : t -> int
 
 (** Mean end-to-end delay of delivered packets, seconds ([0.] before
-    any delivery). Corelite's early feedback keeps queues short, so
-    this stays close to the propagation delay. *)
+    any delivery), kept as a running Welford mean. Corelite's early
+    feedback keeps queues short, so this stays close to the propagation
+    delay. *)
 val mean_delay : t -> float
-
-(** 99th-percentile end-to-end delay (P2 streaming estimate). *)
-val p99_delay : t -> float
 
 (** Data packets sent, markers attached, feedback markers received. *)
 val sent : t -> int

@@ -39,11 +39,9 @@ val note_loss : t -> unit
 
 val delivered : t -> int
 
-(** Mean end-to-end delay of delivered packets, seconds. *)
+(** Mean end-to-end delay of delivered packets, seconds, kept as a
+    running Welford mean. *)
 val mean_delay : t -> float
-
-(** 99th-percentile end-to-end delay (P2 streaming estimate). *)
-val p99_delay : t -> float
 
 val sent : t -> int
 

@@ -43,8 +43,10 @@ let delays t topology =
 
 (* Top-level, so a lookup builds no closure. *)
 let rec scan d link_id i =
-  if i < 0 then 0.
-  else if d.ids.(i) = link_id then d.upstream.(i)
-  else scan d link_id (i - 1)
+  if i < 0 || d.ids.(i) = link_id then i else scan d link_id (i - 1)
 
-let delay_to d ~link_id = scan d link_id (Array.length d.ids - 1)
+let position d ~link_id = scan d link_id (Array.length d.ids - 1)
+
+let delay_to d ~link_id =
+  let i = position d ~link_id in
+  if i < 0 then 0. else d.upstream.(i)

@@ -39,3 +39,9 @@ val delays : t -> Topology.t -> delays
 (** [delay_to d ~link_id] is the {!upstream_delay} of link [link_id],
     bit for bit, or [0.] when the path does not cross it. *)
 val delay_to : delays -> link_id:int -> float
+
+(** [position d ~link_id] is the index of link [link_id] in the flow's
+    path (0 for the ingress's link), found by the same scan as
+    {!delay_to}, or [-1] when the path does not cross it. Per-flow
+    state kept per path link can live in an array indexed by it. *)
+val position : delays -> link_id:int -> int

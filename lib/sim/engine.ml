@@ -97,6 +97,11 @@ let[@inline] [@corelite.hot] schedule_unit t ~delay action =
   if delay < 0. then invalid_arg "Engine.schedule_unit: negative delay";
   push_after t ~delay action
 
+let schedule_unit_at t ~time action =
+  check_time "Engine.schedule_unit_at" time;
+  if time < t.clock.time then invalid_arg "Engine.schedule_unit_at: time in the past";
+  push t ~time action
+
 let every t ?start ~period action =
   check_time "Engine.every" period;
   if period <= 0. then invalid_arg "Engine.every: period must be positive";

@@ -8,16 +8,17 @@
     Scheduling comes in two flavours: the cancellable
     {!schedule}/{!schedule_at}/{!every} return a {!handle} (costing a
     handle record plus a guard closure per call), while
-    {!schedule_unit} pushes the caller's closure straight onto the
-    event queue with no allocation at all — the contract the per-packet
-    hot path ({!Net.Link}) is built on.
+    {!schedule_unit}/{!schedule_unit_at} push the caller's closure
+    straight onto the event queue with no allocation at all — the
+    contract the per-packet hot path ({!Net.Link}) and the per-flow
+    source timers ({!Net.Source}) are built on.
 
     Events scheduled a delay after now ({!schedule}, {!schedule_unit},
     every re-arm of {!every}) join the {!Event_queue} lane of their
     delay, behind which they cost O(1); only each lane's head sits in
-    the binary heap. Absolute times ({!schedule_at}, the first firing
-    of [every ~start]) go to the heap. The firing order is the same
-    either way. *)
+    the binary heap. Absolute times ({!schedule_at},
+    {!schedule_unit_at}, the first firing of [every ~start]) go to the
+    heap. The firing order is the same either way. *)
 
 type t
 
@@ -78,6 +79,16 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
     per-packet transmission completions and deliveries.
     @raise Invalid_argument if [delay] is negative or not finite. *)
 val schedule_unit : t -> delay:float -> (unit -> unit) -> unit
+
+(** [schedule_unit_at t ~time f] fires [f] at absolute time [time],
+    with no handle and no allocation: the absolute-time counterpart of
+    {!schedule_unit}, for a persistent closure that is never cancelled.
+    A caller that must drop a pushed event keeps its own pending count
+    and lets the closure return early, as {!Net.Source} does for its
+    timers. The event takes the next sequence number and goes to the
+    heap, exactly as the first firing of [every ~start:time] would.
+    @raise Invalid_argument if [time] is in the past or not finite. *)
+val schedule_unit_at : t -> time:float -> (unit -> unit) -> unit
 
 (** [every t ~start ~period f] fires [f] at [start], [start +. period],
     [start +. 2 *. period], ... until the handle is cancelled. [start]

@@ -66,10 +66,6 @@ let build ?(params = Corelite.Params.default) ?(seed = 42) ?(handoff_capacity = 
       (* Cloud A's ordinary edge agent, with its egress delivering into
          B's ingress buffer. Cloud-A markers must not leak into B; B's
          aggregate re-marks under its own normalized rate. *)
-      (* The hand-off id doubles as a pseudo core-link id for the
-         backpressure feedback channel (negative: never clashes with
-         real links). *)
-      let handoff_link = -id in
       let agent_cell = ref None in
       let agent_a =
         Corelite.Edge.create ~params ~topology:cloud_a.Network.topology ~flow:flow_a
@@ -83,7 +79,8 @@ let build ?(params = Corelite.Params.default) ?(seed = 42) ?(handoff_capacity = 
             if (not accepted) && backpressure then
               match !agent_cell with
               | Some agent ->
-                Corelite.Edge.receive_feedback agent ~link_id:handoff_link
+                Corelite.Edge.receive_feedback agent
+                  ~link_id:(Corelite.Edge.handoff_link agent)
                   {
                     Net.Packet.edge_id = (Net.Flow.ingress flow_a).Net.Node.id;
                     flow_id = id;

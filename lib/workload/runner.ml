@@ -27,7 +27,6 @@ type result = {
   feedback_markers : int;
   early_drops : int;
   mean_delays : (int * float) list;
-  p99_delays : (int * float) list;
   drops_by_flow : (int * int) list;
   fault : fault_stats option;
 }
@@ -47,10 +46,6 @@ let rate = function
 let mean_delay = function
   | Corelite_edge a -> Corelite.Edge.mean_delay a
   | Csfq_edge a -> Csfq.Edge.mean_delay a
-
-let p99_delay = function
-  | Corelite_edge a -> Corelite.Edge.p99_delay a
-  | Csfq_edge a -> Csfq.Edge.p99_delay a
 
 let set_backlogged agent on =
   match agent with
@@ -222,7 +217,6 @@ let run ~scheme ~network ?(seed = 42) ?rng ?fault ?trace ?(metrics = false)
     feedback_markers = driver.feedback ();
     early_drops = driver.early_drops ();
     mean_delays = List.map (fun (id, agent) -> (id, mean_delay agent)) agents;
-    p99_delays = List.map (fun (id, agent) -> (id, p99_delay agent)) agents;
     drops_by_flow = List.map (fun id -> (id, driver.drops_of_flow id)) ids;
     fault =
       Option.map

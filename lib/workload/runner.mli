@@ -90,8 +90,6 @@ type result = {
   early_drops : int;  (** CSFQ: probabilistic drops; Corelite: 0 *)
   mean_delays : (int * float) list;
       (** per flow: mean end-to-end delay of delivered packets, seconds *)
-  p99_delays : (int * float) list;
-      (** per flow: 99th-percentile end-to-end delay (P2 estimate) *)
   drops_by_flow : (int * int) list;
       (** per flow: packets lost on the core links (CSFQ-paper-style
           loss accounting) *)

@@ -441,24 +441,39 @@ let test_edge_marker_rn_is_normalized_rate () =
   Alcotest.(check bool) "saw markers" true (!checked > 0)
 
 let test_edge_reacts_to_max_not_sum () =
-  let engine, _, agent, _ = edge_fixture () in
+  let engine, _, agent, (_, l2, l3) = edge_fixture () in
   Corelite.Edge.start agent;
   (* By t = 7 the slow-start threshold has put the agent in linear
      mode at a known rate. *)
   Sim.Engine.run_until engine 7.;
   let rate0 = Corelite.Edge.rate agent in
-  (* 3 markers from link A, 2 from link B within one epoch: the decrease
+  (* 3 markers from C1->C2, 2 from C2->D within one epoch: the decrease
      must be beta * max(3,2) = 3, not 5. *)
   for _ = 1 to 3 do
-    Corelite.Edge.receive_feedback agent ~link_id:100 (marker 1.)
+    Corelite.Edge.receive_feedback agent ~link_id:l2.Net.Link.id (marker 1.)
   done;
   for _ = 1 to 2 do
-    Corelite.Edge.receive_feedback agent ~link_id:200 (marker 1.)
+    Corelite.Edge.receive_feedback agent ~link_id:l3.Net.Link.id (marker 1.)
   done;
   (* Run just past the next epoch boundary. *)
   Sim.Engine.run_until engine (Sim.Engine.now engine +. 0.55);
   let drop = rate0 -. Corelite.Edge.rate agent in
   check_float "decrease by max" 3. drop
+
+let test_edge_rejects_off_path_feedback () =
+  let engine, _, agent, (_, l2, _) = edge_fixture () in
+  Corelite.Edge.start agent;
+  Sim.Engine.run_until engine 1.;
+  Alcotest.check_raises "link 100 is off E->C1->C2->D"
+    (Invalid_argument "Corelite.Edge.receive_feedback: link 100 is not on flow 1's path")
+    (fun () -> Corelite.Edge.receive_feedback agent ~link_id:100 (marker 1.));
+  Alcotest.(check int) "nothing counted" 0 (Corelite.Edge.feedback_received agent);
+  (* A path link and the hand-off slot are accepted. *)
+  Corelite.Edge.receive_feedback agent ~link_id:l2.Net.Link.id (marker 1.);
+  Corelite.Edge.receive_feedback agent ~link_id:(Corelite.Edge.handoff_link agent)
+    (marker 1.);
+  Alcotest.(check int) "path link and hand-off counted" 2
+    (Corelite.Edge.feedback_received agent)
 
 let test_edge_feedback_ignored_when_stopped () =
   let engine, _, agent, _ = edge_fixture () in
@@ -831,6 +846,8 @@ let () =
             test_edge_probes_follow_auto_probes;
           Alcotest.test_case "marker rn" `Quick test_edge_marker_rn_is_normalized_rate;
           Alcotest.test_case "max not sum" `Quick test_edge_reacts_to_max_not_sum;
+          Alcotest.test_case "rejects off-path feedback" `Quick
+            test_edge_rejects_off_path_feedback;
           Alcotest.test_case "feedback when stopped" `Quick
             test_edge_feedback_ignored_when_stopped;
           Alcotest.test_case "delivery counting" `Quick test_edge_delivery_counting;

@@ -302,11 +302,7 @@ let test_runner_delay_metrics_populated () =
     (fun (_, mean) ->
       (* At least the 120 ms propagation; far below a second. *)
       Alcotest.(check bool) "plausible mean delay" true (mean > 0.11 && mean < 1.))
-    result.Workload.Runner.mean_delays;
-  List.iter2
-    (fun (_, mean) (_, p99) ->
-      Alcotest.(check bool) "p99 >= mean" true (p99 >= mean -. 1e-9))
-    result.Workload.Runner.mean_delays result.Workload.Runner.p99_delays
+    result.Workload.Runner.mean_delays
 
 (* ------------------------------------------------------------------ *)
 (* Figures.restart_recovery *)

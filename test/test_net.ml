@@ -1134,6 +1134,261 @@ let test_source_epoch_offset_shifts_adaptation () =
   Sim.Engine.run_until engine 0.8;
   check_float "tick at 0.75" 41. (Net.Source.rate src)
 
+(* Reference for the timer property below: the source's epoch and
+   slow-start timers as cancellable [Engine.every] handles, cancelled on
+   [stop] and on the slow-start exit, with [Net.Source]'s adaptation
+   rules copied unchanged (silence recovery left out). [Net.Source]
+   drives the same timers with persistent closures and pending counts,
+   and must fire the same events in the same order. *)
+module Every_source = struct
+  type t = {
+    engine : Sim.Engine.t;
+    id : int;
+    params : Net.Source.params;
+    epoch_offset : float;
+    collect : unit -> int;
+    mutable rate : float;
+    mutable phase : Net.Source.phase;
+    mutable running : bool;
+    mutable active : bool;
+    mutable emitted : int;
+    mutable pacing_pending : int;
+    mutable pace_ev : unit -> unit;
+    mutable epoch_timer : Sim.Engine.handle option;
+    mutable ss_timer : Sim.Engine.handle option;
+  }
+
+  let note_rate t =
+    let trace = Sim.Engine.trace t.engine in
+    if Sim.Trace.want trace Sim.Trace.Rate_update then
+      Sim.Trace.record trace ~time:(Sim.Engine.now t.engine) Sim.Trace.Rate_update ~a:t.id
+        ~b:0 ~x:t.rate
+        ~y:(match t.phase with Net.Source.Slow_start -> 0. | Net.Source.Linear -> 1.)
+
+  let schedule_pace t =
+    t.pacing_pending <- t.pacing_pending + 1;
+    Sim.Engine.schedule_unit t.engine ~delay:(1. /. Float.max t.rate 1e-6) t.pace_ev
+
+  let emit_one t = if t.active then t.emitted <- t.emitted + 1
+
+  let pace t =
+    t.pacing_pending <- t.pacing_pending - 1;
+    if t.running && t.pacing_pending = 0 then begin
+      emit_one t;
+      schedule_pace t
+    end
+
+  let create ~engine ~id ~epoch_offset ~params ~collect =
+    let t =
+      {
+        engine; id; params; epoch_offset; collect; rate = params.Net.Source.initial_rate;
+        phase = Net.Source.Slow_start; running = false; active = true; emitted = 0;
+        pacing_pending = 0; pace_ev = ignore; epoch_timer = None; ss_timer = None;
+      }
+    in
+    t.pace_ev <- (fun () -> pace t);
+    t
+
+  let rate_floor t = Float.max t.params.Net.Source.min_rate t.params.Net.Source.floor
+
+  let exit_slow_start t =
+    if t.phase = Net.Source.Slow_start then begin
+      ignore (t.collect ());
+      t.rate <- Float.max (rate_floor t) (t.rate /. 2.);
+      t.phase <- Net.Source.Linear;
+      note_rate t;
+      match t.ss_timer with
+      | Some h ->
+        Sim.Engine.cancel h;
+        t.ss_timer <- None
+      | None -> ()
+    end
+
+  let signal_congestion t = if t.running then exit_slow_start t
+
+  let on_epoch t () =
+    let m = t.collect () in
+    if t.active then
+      match t.phase with
+      | Net.Source.Slow_start -> if m > 0 then exit_slow_start t
+      | Net.Source.Linear ->
+        if m = 0 then t.rate <- t.rate +. t.params.Net.Source.alpha
+        else
+          t.rate <-
+            Float.max (rate_floor t) (t.rate -. (t.params.Net.Source.beta *. float_of_int m));
+        note_rate t
+
+  let on_ss_tick t () =
+    if t.phase = Net.Source.Slow_start then begin
+      t.rate <- t.rate *. 2.;
+      note_rate t;
+      if t.rate > t.params.Net.Source.ss_thresh then exit_slow_start t
+    end
+
+  let stop t =
+    if t.running then begin
+      t.running <- false;
+      let cancel = function Some h -> Sim.Engine.cancel h | None -> () in
+      cancel t.epoch_timer;
+      cancel t.ss_timer;
+      t.epoch_timer <- None;
+      t.ss_timer <- None
+    end
+
+  let start t =
+    stop t;
+    ignore (t.collect ());
+    let p = t.params in
+    t.rate <- Float.max p.Net.Source.initial_rate p.Net.Source.floor;
+    t.phase <-
+      (if t.rate >= p.Net.Source.ss_thresh then Net.Source.Linear else Net.Source.Slow_start);
+    t.running <- true;
+    note_rate t;
+    let now = Sim.Engine.now t.engine in
+    t.epoch_timer <-
+      Some
+        (Sim.Engine.every t.engine
+           ~start:(now +. p.Net.Source.epoch +. t.epoch_offset)
+           ~period:p.Net.Source.epoch (on_epoch t));
+    if t.phase = Net.Source.Slow_start then
+      t.ss_timer <-
+        Some
+          (Sim.Engine.every t.engine
+             ~start:(now +. p.Net.Source.ss_period +. t.epoch_offset)
+             ~period:p.Net.Source.ss_period (on_ss_tick t));
+    emit_one t;
+    schedule_pace t
+end
+
+type source_op = Start | Stop | Signal | Active of bool | Feedback of int
+
+let source_op_name = function
+  | Start -> "start"
+  | Stop -> "stop"
+  | Signal -> "signal"
+  | Active b -> Printf.sprintf "active %b" b
+  | Feedback n -> Printf.sprintf "feedback %d" n
+
+(* Times and periods are multiples of 1/8 s, so schedule operations
+   often land on the same instant as a timer firing and the FIFO order
+   among equal times is exercised too. *)
+let tick = 0.125
+
+let horizon = 12.
+
+(* Drives one source through [ops] (each at [k * tick]) after a start at
+   0, and returns its Rate_update records, the events the engine
+   executed and scheduled, and the packets emitted. *)
+let drive_source ~start ~stop ~signal ~set_active ~emitted engine pending ops =
+  Sim.Trace.enable ~capacity:4096 ~kinds:[ Sim.Trace.Rate_update ] (Sim.Engine.trace engine);
+  List.iter
+    (fun (k, op) ->
+      ignore
+        (Sim.Engine.schedule_at engine ~time:(tick *. float_of_int k) (fun () ->
+             match op with
+             | Start -> start ()
+             | Stop -> stop ()
+             | Signal -> signal ()
+             | Active b -> set_active b
+             | Feedback n -> pending := !pending + n)))
+    ((0, Start) :: ops);
+  Sim.Engine.run_until engine horizon;
+  let records = ref [] in
+  Sim.Trace.iter (Sim.Engine.trace engine) (fun e -> records := e :: !records);
+  ( List.rev !records,
+    Sim.Engine.executed engine,
+    Sim.Engine.events_scheduled engine,
+    emitted () )
+
+let prop_source_timers_match_every =
+  let collect pending () =
+    let m = !pending in
+    pending := 0;
+    m
+  in
+  let params_gen =
+    QCheck.Gen.(
+      map
+        (fun (((epoch, ss_period), offset), ((initial_rate, ss_thresh), floor)) ->
+          ( {
+              Net.Source.default_params with
+              Net.Source.epoch = tick *. float_of_int epoch;
+              ss_period = tick *. float_of_int ss_period;
+              initial_rate;
+              ss_thresh;
+              floor;
+            },
+            (* epoch_offset in [0, epoch) *)
+            tick *. float_of_int (offset mod epoch) ))
+        (pair
+           (pair (pair (int_range 1 8) (int_range 1 8)) (int_range 0 7))
+           (pair
+              (pair (oneofl [ 1.; 4.; 40. ]) (oneofl [ 8.; 32. ]))
+              (oneofl [ 0.; 5.; 50. ]))))
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return Start);
+          (2, return Stop);
+          (2, return Signal);
+          (2, map (fun b -> Active b) bool);
+          (3, map (fun n -> Feedback n) (int_range 1 3));
+        ])
+  in
+  let ops_gen =
+    QCheck.Gen.(
+      map
+        (List.stable_sort (fun (a, _) (b, _) -> compare a b))
+        (list_size (int_range 0 25) (pair (int_range 0 95) op_gen)))
+  in
+  let print ((params, offset), ops) =
+    Printf.sprintf "epoch=%g ss_period=%g offset=%g initial=%g ss_thresh=%g floor=%g ops=[%s]"
+      params.Net.Source.epoch params.Net.Source.ss_period offset
+      params.Net.Source.initial_rate params.Net.Source.ss_thresh params.Net.Source.floor
+      (String.concat "; "
+         (List.map (fun (k, op) -> Printf.sprintf "%g %s" (tick *. float_of_int k) (source_op_name op)) ops))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"source timers fire like Engine.every handles under random start/stop schedules"
+    (QCheck.make ~print (QCheck.Gen.pair params_gen ops_gen))
+    (fun ((params, epoch_offset), ops) ->
+      let engine = Sim.Engine.create () in
+      let pending = ref 0 in
+      let src =
+        Net.Source.create ~engine ~id:7 ~epoch_offset ~params
+          ~emit:(fun ~now:_ ~rate:_ -> ())
+          ~collect:(collect pending) ()
+      in
+      let got =
+        drive_source engine pending ops
+          ~start:(fun () -> Net.Source.start src)
+          ~stop:(fun () -> Net.Source.stop src)
+          ~signal:(fun () -> Net.Source.signal_congestion src)
+          ~set_active:(Net.Source.set_active src)
+          ~emitted:(fun () -> Net.Source.emitted src)
+      in
+      let engine = Sim.Engine.create () in
+      let pending = ref 0 in
+      let r = Every_source.create ~engine ~id:7 ~epoch_offset ~params ~collect:(collect pending) in
+      let want =
+        drive_source engine pending ops
+          ~start:(fun () -> Every_source.start r)
+          ~stop:(fun () -> Every_source.stop r)
+          ~signal:(fun () -> Every_source.signal_congestion r)
+          ~set_active:(fun b -> r.Every_source.active <- b)
+          ~emitted:(fun () -> r.Every_source.emitted)
+      in
+      let records, executed, scheduled, emitted = got in
+      let records', executed', scheduled', emitted' = want in
+      if records <> records' then QCheck.Test.fail_report "Rate_update records differ";
+      if executed <> executed' then
+        QCheck.Test.fail_reportf "executed %d, reference %d" executed executed';
+      if scheduled <> scheduled' then
+        QCheck.Test.fail_reportf "scheduled %d, reference %d" scheduled scheduled';
+      emitted = emitted')
+
 (* ------------------------------------------------------------------ *)
 (* Invariant auditing *)
 
@@ -1307,6 +1562,7 @@ let () =
           Alcotest.test_case "bad params" `Quick test_source_rejects_bad_params;
           Alcotest.test_case "bad offset" `Quick test_source_rejects_bad_offset;
           Alcotest.test_case "epoch offset" `Quick test_source_epoch_offset_shifts_adaptation;
+          qt prop_source_timers_match_every;
         ] );
       ( "invariant",
         [

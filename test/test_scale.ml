@@ -184,6 +184,58 @@ let test_engine_reset_clears_scale_state () =
   Alcotest.(check (option string)) "replay after reset is byte-identical"
     r1.Workload.Scale.csv r2.Workload.Scale.csv
 
+(* ---- per-flow memory budget ---- *)
+
+(* Live-heap bytes one [add_flow] leaves behind on fat-tree k=4: the
+   edge agent and its source, the flow-table slot, the first packet and
+   the pacing and timer events the start pushes, read with
+   [Gc.full_major] around 1,000 add_flows. *)
+let bytes_per_add_flow scheme =
+  let engine = Sim.Engine.create () in
+  let graph = Topo.Fattree.build 4 in
+  let fib = Topo.Fib.compute graph in
+  let pop =
+    Topo.Flows.generate ~seed:42 ~label:"scale/memory" ~graph ~n:1_000 ~max_weight:4 ()
+  in
+  Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) false;
+  let network =
+    Workload.Network.of_topo ~engine ~delay:0.002 ~queue_capacity:40 ~graph ~fib ~flows:pop
+      ()
+  in
+  let driver =
+    Workload.Runner.deploy ~fault:None scheme
+      ~rng:(Sim.Rng.scenario ~seed:42 ~id:"scale/memory/deploy")
+      ~network ~flows:[]
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  let before = live () in
+  List.iter (fun flow -> ignore (driver.Workload.Runner.add_flow ~size:0 flow))
+    network.Workload.Network.flows;
+  let after = live () in
+  ignore (Sys.opaque_identity driver);
+  8 * (after - before) / 1_000
+
+(* The figure repeats exactly from run to run, so the budget is a
+   ratchet like the hot path's 36 minor words per hop: the value
+   measured with OCaml 5.1.1 on 64-bit Linux plus a 32 B margin for
+   compiler drift. Lower a budget whenever the state shrinks; never
+   raise one. Measured: Corelite 1,057 B, CSFQ 1,068 B. *)
+let test_add_flow_memory_budget () =
+  let source = Workload.Scale.default_source in
+  List.iter
+    (fun (name, scheme, budget) ->
+      let bytes = bytes_per_add_flow scheme in
+      Printf.printf "%s: %d B per add_flow (budget %d B)\n" name bytes budget;
+      if bytes > budget then
+        Alcotest.failf "%s: %d B per add_flow exceeds the %d B budget" name bytes budget)
+    [
+      ("corelite", Workload.Runner.Corelite { Corelite.Params.default with source }, 1_089);
+      ("csfq", Workload.Runner.Csfq { Csfq.Params.default with source }, 1_100);
+    ]
+
 let () =
   Alcotest.run "scale"
     [
@@ -202,6 +254,7 @@ let () =
       ( "lifecycle",
         [
           Alcotest.test_case "flow ledger balances" `Quick test_ledger_balances;
+          Alcotest.test_case "per-flow memory budget" `Quick test_add_flow_memory_budget;
           Alcotest.test_case "flow id reuse after expire_idle" `Quick
             test_flow_id_reuse_after_expiry;
           Alcotest.test_case "rejects bad duration" `Quick test_rejects_bad_duration;

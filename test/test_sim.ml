@@ -705,8 +705,18 @@ let test_engine_schedule_unit () =
   Alcotest.check_raises "nan delay"
     (Invalid_argument "Engine.schedule_unit: time not finite") (fun () ->
       Sim.Engine.schedule_unit e ~delay:nan (fun () -> ()));
+  Sim.Engine.schedule_unit_at e ~time:1.5 (fun () -> log := "c" :: !log);
+  Sim.Engine.schedule_unit_at e ~time:1. (fun () -> log := "a2" :: !log);
+  Alcotest.check_raises "nan time"
+    (Invalid_argument "Engine.schedule_unit_at: time not finite") (fun () ->
+      Sim.Engine.schedule_unit_at e ~time:nan (fun () -> ()));
+  Sim.Engine.run_until e 1.;
+  Alcotest.check_raises "past time"
+    (Invalid_argument "Engine.schedule_unit_at: time in the past") (fun () ->
+      Sim.Engine.schedule_unit_at e ~time:0.5 (fun () -> ()));
   Sim.Engine.run e;
-  Alcotest.(check (list string)) "fires in order" [ "a"; "b" ] (List.rev !log);
+  Alcotest.(check (list string))
+    "fires in (time, seq) order" [ "a"; "a2"; "c"; "b" ] (List.rev !log);
   check_float "clock" 2. (Sim.Engine.now e)
 
 let test_engine_pending () =
