@@ -208,6 +208,207 @@ let prop_maxmin_feasible_and_bottlenecked =
       in
       feasible && bottlenecked)
 
+(* Malformed input: each case is rejected by name instead of failing an
+   assertion, returning NaN or silently keeping one of two entries. *)
+
+let test_nan_inputs_rejected () =
+  Alcotest.check_raises "weight" (Invalid_argument "Maxmin.demand: weight must be finite")
+    (fun () -> ignore (demand ~flow:1 ~weight:Float.nan ~links:[ 0 ] ()));
+  Alcotest.check_raises "floor" (Invalid_argument "Maxmin.demand: floor must be finite")
+    (fun () -> ignore (demand ~floor:Float.nan ~flow:1 ~weight:1. ~links:[ 0 ] ()));
+  Alcotest.check_raises "capacity" (Invalid_argument "Maxmin.solve: NaN capacity on link 4")
+    (fun () ->
+      ignore
+        (solve
+           ~capacities:[ (0, 10.); (4, Float.nan) ]
+           ~demands:[ demand ~flow:1 ~weight:1. ~links:[ 0; 4 ] () ]))
+
+let test_infinite_weight_rejected () =
+  Alcotest.check_raises "infinite" (Invalid_argument "Maxmin.demand: weight must be finite")
+    (fun () -> ignore (demand ~flow:1 ~weight:Float.infinity ~links:[ 0 ] ()))
+
+let test_duplicate_capacity_rejected () =
+  Alcotest.check_raises "twice" (Invalid_argument "Maxmin.solve: link 3 listed twice")
+    (fun () ->
+      ignore
+        (solve
+           ~capacities:[ (3, 10.); (5, 10.); (3, 20.) ]
+           ~demands:[ demand ~flow:1 ~weight:1. ~links:[ 3 ] () ]))
+
+let test_path_repeating_link_rejected () =
+  (* Charged twice, flow 1 would leave flow 2 with 3.33 of 10, not 5. *)
+  Alcotest.check_raises "twice" (Invalid_argument "Maxmin.demand: flow 1 lists link 0 twice")
+    (fun () -> ignore (demand ~flow:1 ~weight:1. ~links:[ 0; 2; 0 ] ()))
+
+let test_duplicate_flow_rejected () =
+  (* Both entries used to get the later flow's rate: 10 and 10. *)
+  Alcotest.check_raises "twice" (Invalid_argument "Maxmin.solve: flow 1 listed twice")
+    (fun () ->
+      ignore
+        (solve
+           ~capacities:[ (0, 10.); (1, 100.) ]
+           ~demands:
+             [
+               demand ~flow:1 ~weight:1. ~links:[ 0 ] ();
+               demand ~flow:1 ~weight:4. ~links:[ 1 ] ();
+             ]))
+
+let test_oversubscription_names_first_link () =
+  let demands =
+    List.map
+      (fun l -> demand ~floor:20. ~flow:l ~weight:1. ~links:[ l ] ())
+      [ 3; 5; 7 ]
+  in
+  Alcotest.check_raises "first in capacities order"
+    (Invalid_argument "Maxmin.solve: floors oversubscribe link 7") (fun () ->
+      ignore (solve ~capacities:[ (7, 10.); (3, 10.); (5, 10.) ] ~demands))
+
+(* The solver before progressive filling, kept verbatim as the
+   differential reference: every level rebuilds a per-link weight table
+   and re-partitions the active list. *)
+module Rescan = struct
+  open Fairness.Maxmin
+
+  let epsilon = 1e-9
+
+  let solve ~capacities ~demands =
+    let capacity : (int, float) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun (id, c) ->
+        if c <= 0. then invalid_arg "Maxmin.solve: non-positive capacity";
+        Hashtbl.replace capacity id c)
+      capacities;
+    let remaining = Hashtbl.copy capacity in
+    let check_link id =
+      if not (Hashtbl.mem capacity id) then
+        invalid_arg (Printf.sprintf "Maxmin.solve: unknown link %d" id)
+    in
+    List.iter (fun d -> List.iter check_link d.links) demands;
+    let take_on_path d amount =
+      List.iter
+        (fun id ->
+          let c = Hashtbl.find remaining id -. amount in
+          Hashtbl.replace remaining id c)
+        d.links
+    in
+    List.iter (fun d -> take_on_path d d.floor) demands;
+    Hashtbl.iter
+      (fun id c ->
+        if c < -.epsilon then
+          invalid_arg (Printf.sprintf "Maxmin.solve: floors oversubscribe link %d" id))
+      remaining;
+    let alloc : (int, float) Hashtbl.t = Hashtbl.create 16 in
+    let active = ref demands in
+    while !active <> [] do
+      let weight_on : (int, float) Hashtbl.t = Hashtbl.create 16 in
+      List.iter
+        (fun d ->
+          List.iter
+            (fun id ->
+              let w = Option.value ~default:0. (Hashtbl.find_opt weight_on id) in
+              Hashtbl.replace weight_on id (w +. d.weight))
+            d.links)
+        !active;
+      let bottleneck_share =
+        Hashtbl.fold
+          (fun id w acc ->
+            if w <= 0. then acc
+            else begin
+              let share = Float.max 0. (Hashtbl.find remaining id) /. w in
+              match acc with
+              | None -> Some share
+              | Some best -> Some (Float.min best share)
+            end)
+          weight_on None
+      in
+      let share = match bottleneck_share with Some s -> s | None -> assert false in
+      let saturated id =
+        let w = Option.value ~default:0. (Hashtbl.find_opt weight_on id) in
+        w > 0. && Float.max 0. (Hashtbl.find remaining id) /. w <= share +. epsilon
+      in
+      let frozen, still_active =
+        List.partition (fun d -> List.exists saturated d.links) !active
+      in
+      assert (frozen <> []);
+      List.iter
+        (fun d ->
+          let rate = d.weight *. share in
+          Hashtbl.replace alloc d.flow (d.floor +. rate);
+          take_on_path d rate)
+        frozen;
+      active := still_active
+    done;
+    List.map (fun d -> (d.flow, Hashtbl.find alloc d.flow)) demands
+end
+
+(* Instances built to hit the rounding the two solvers must agree on:
+   non-integer weights and capacities, floors and links shared by
+   several flows. Half are twinned for exact ties: every link and flow
+   is copied onto twin links, each flow next to its copy in demand
+   order, so twin links saturate at the same level; every flow also
+   crosses one shared link, which two flows of their own keep active,
+   so the order of a level's charges reaches their rates. Floors stay
+   admissible: flow i's floor is a fraction below 0.9 of its tightest
+   capacity over the flow count. *)
+let differential_instance =
+  QCheck.Gen.(
+    let* n_links = 1 -- 6 in
+    let* n_flows = 1 -- 12 in
+    let* capacities =
+      list_repeat n_links (oneof [ oneofl [ 10.; 12.5; 30.; 100. ]; float_range 5. 200. ])
+    in
+    let* flows =
+      list_repeat n_flows
+        (triple
+           (oneof [ oneofl [ 0.5; 1.; 1.5; 2.; 3. ]; float_range 0.1 5. ])
+           (oneof [ return 0.; oneofl [ 0.25; 0.5 ]; float_range 0. 0.9 ])
+           (let* k = 1 -- n_links in
+            list_repeat k (0 -- (n_links - 1))))
+    in
+    let* twin = bool in
+    if not twin then return (capacities, flows)
+    else
+      let* shared = oneof [ oneofl [ 100.; 300. ]; float_range 50. 500. ] in
+      let* own = list_repeat 2 (oneof [ oneofl [ 1.; 2. ]; float_range 0.1 5. ]) in
+      let s = 2 * n_links in
+      let twins =
+        List.concat_map
+          (fun (w, f, links) ->
+            [ (w, f, s :: links); (w, f, s :: List.map (fun l -> l + n_links) links) ])
+          flows
+      in
+      return
+        (capacities @ capacities @ [ shared ], twins @ List.map (fun w -> (w, 0., [ s ])) own))
+
+let print_differential (capacities, flows) =
+  Printf.sprintf "capacities [%s]; flows [%s]"
+    (String.concat "; " (List.map (Printf.sprintf "%h") capacities))
+    (String.concat "; "
+       (List.map
+          (fun (w, f, links) ->
+            Printf.sprintf "(w %h, floor %h, [%s])" w f
+              (String.concat ";" (List.map string_of_int links)))
+          flows))
+
+let prop_maxmin_matches_rescan =
+  QCheck.Test.make ~name:"maxmin rates equal the per-level rescan bit for bit" ~count:1000
+    (QCheck.make ~print:print_differential differential_instance)
+    (fun (capacities, flows) ->
+      let n_flows = float_of_int (List.length flows) in
+      let capacities = List.mapi (fun i c -> (i, c)) capacities in
+      let demands =
+        List.mapi
+          (fun i (weight, share, links) ->
+            let links = List.sort_uniq compare links in
+            let tightest =
+              List.fold_left (fun acc l -> Float.min acc (List.assoc l capacities)) infinity links
+            in
+            demand ~floor:(share *. tightest /. n_flows) ~flow:i ~weight ~links ())
+          flows
+      in
+      let bits rates = List.map (fun (id, r) -> (id, Int64.bits_of_float r)) rates in
+      bits (solve ~capacities ~demands) = bits (Rescan.solve ~capacities ~demands))
+
 (* ------------------------------------------------------------------ *)
 (* Fluid model *)
 
@@ -514,7 +715,17 @@ let () =
           Alcotest.test_case "unknown link" `Quick test_unknown_link_rejected;
           Alcotest.test_case "demand validation" `Quick test_demand_validation;
           Alcotest.test_case "single link share" `Quick test_single_link_share;
+          Alcotest.test_case "NaN inputs rejected" `Quick test_nan_inputs_rejected;
+          Alcotest.test_case "infinite weight rejected" `Quick test_infinite_weight_rejected;
+          Alcotest.test_case "duplicate capacity rejected" `Quick
+            test_duplicate_capacity_rejected;
+          Alcotest.test_case "path repeating a link rejected" `Quick
+            test_path_repeating_link_rejected;
+          Alcotest.test_case "duplicate flow rejected" `Quick test_duplicate_flow_rejected;
+          Alcotest.test_case "oversubscription names first link" `Quick
+            test_oversubscription_names_first_link;
           qt prop_maxmin_feasible_and_bottlenecked;
+          qt prop_maxmin_matches_rescan;
         ] );
       ( "fluid",
         [
