@@ -16,10 +16,12 @@ let link_capacities t =
     (Net.Topology.links t.topology)
 
 let expected_rates t ~active =
+  let member : (int, unit) Hashtbl.t = Hashtbl.create (List.length active) in
+  List.iter (fun id -> Hashtbl.replace member id ()) active;
   let demands =
     List.filter_map
       (fun f ->
-        if List.mem f.Net.Flow.id active then
+        if Hashtbl.mem member f.Net.Flow.id then
           Some
             (Fairness.Maxmin.demand ~flow:f.Net.Flow.id ~weight:f.Net.Flow.weight
                ~links:(List.map (fun l -> l.Net.Link.id) (Net.Flow.links f t.topology))

@@ -32,7 +32,9 @@ val default_bandwidth : float
 val link_capacities : t -> (int * float) list
 
 (** Weighted max-min reference rates (pkt/s) for a set of concurrently
-    active flows. *)
+    active flows, in ascending flow id ({!Fairness.Maxmin.solve} over
+    every link's capacity). Ids in [active] that name no flow are
+    ignored. *)
 val expected_rates : t -> active:int list -> (int * float) list
 
 (** [topology1 ~engine ~weights ()] builds the 20-flow network of the

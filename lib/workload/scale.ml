@@ -158,28 +158,11 @@ let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
     if not reference then None
     else begin
       (* Water-filling over the flows alive through the window. *)
-      let demands =
-        List.filter_map
-          (fun f ->
-            let id = f.Net.Flow.id in
-            if id <= n_ended then None
-            else
-              Some
-                (Fairness.Maxmin.demand ~flow:id ~weight:f.Net.Flow.weight
-                   ~links:
-                     (List.map
-                        (fun l -> l.Net.Link.id)
-                        (Net.Flow.links f network.Network.topology))
-                   ()))
-          network.Network.flows
-      in
-      let solved =
-        Fairness.Maxmin.solve
-          ~capacities:(Network.link_capacities network)
-          ~demands
-      in
       let expected = Array.make (n_flows + 1) 0. in
-      List.iter (fun (id, rate) -> expected.(id) <- rate) solved;
+      List.iter
+        (fun (id, rate) -> expected.(id) <- rate)
+        (Network.expected_rates network
+           ~active:(List.init measured (fun i -> n_ended + 1 + i)));
       let ratios = Array.make measured 0. in
       let ones = Array.make measured 1. in
       for id = n_ended + 1 to n_flows do
