@@ -4,7 +4,7 @@
 # --instrument-with bisect_ppx, so regular builds and tests never see
 # it. CI's coverage job installs it on top of the test switch.
 
-.PHONY: all build test lint bench profile coverage check-coverage clean
+.PHONY: all build test lint profile coverage check-coverage clean
 
 all: build
 
@@ -16,9 +16,6 @@ test:
 
 lint:
 	dune build @lint @typelint
-
-bench:
-	dune exec bench/hotpath_bench.exe -- --quick --budget 36
 
 # Line-coverage report (text summary + HTML under _coverage/). The
 # reporter discovers the *.coverage files dune leaves under _build.

@@ -198,32 +198,8 @@ let jobs ?seed ?quick ?(fault_seed = default_fault_seed) () =
     ("router resets", reset_jobs ?seed ?quick ~fault_seed ());
   ]
 
-let force js = List.map (fun j -> j.Pool.run ()) js
-
-let all ?seed ?quick ?fault_seed () =
-  List.map (fun (name, js) -> (name, force js)) (jobs ?seed ?quick ?fault_seed ())
-
-let all_parallel ?domains ?seed ?quick ?fault_seed () =
-  (* One flat batch so workers steal across group boundaries (the
-     GE points run much longer than the baseline), re-chunked in
-     submission order — the same shape as Sweeps.all_parallel. *)
-  let groups = jobs ?seed ?quick ?fault_seed () in
-  let flat = List.concat_map snd groups in
-  let results = ref (Pool.map ?domains flat) in
-  List.map
-    (fun (name, js) ->
-      let k = List.length js in
-      let rec take n acc rest =
-        if n = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> invalid_arg "Chaos.all_parallel: result count mismatch"
-          | r :: rest -> take (n - 1) (r :: acc) rest
-      in
-      let points, rest = take k [] !results in
-      results := rest;
-      (name, points))
-    groups
+let all ?domains ?seed ?quick ?fault_seed () =
+  Pool.map_groups ?domains (jobs ?seed ?quick ?fault_seed ())
 
 (* CSV render of the whole battery — the byte-level currency of the
    serial-vs-parallel and run-to-run determinism checks, and the body

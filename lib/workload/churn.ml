@@ -346,30 +346,8 @@ let jobs ?seed ?quick ?fault_seed () =
       ))
     schemes
 
-let force js = List.map (fun j -> j.Pool.run ()) js
-
-let all ?seed ?quick ?fault_seed () =
-  List.map (fun (name, js) -> (name, force js)) (jobs ?seed ?quick ?fault_seed ())
-
-let all_parallel ?domains ?seed ?quick ?fault_seed () =
-  (* Flat batch re-chunked in submission order, as in Chaos. *)
-  let groups = jobs ?seed ?quick ?fault_seed () in
-  let flat = List.concat_map snd groups in
-  let results = ref (Pool.map ?domains flat) in
-  List.map
-    (fun (name, js) ->
-      let k = List.length js in
-      let rec take n acc rest =
-        if n = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> invalid_arg "Churn.all_parallel: result count mismatch"
-          | r :: rest -> take (n - 1) (r :: acc) rest
-      in
-      let points, rest = take k [] !results in
-      results := rest;
-      (name, points))
-    groups
+let all ?domains ?seed ?quick ?fault_seed () =
+  Pool.map_groups ?domains (jobs ?seed ?quick ?fault_seed ())
 
 let csv_of_points points =
   let buf = Buffer.create 1024 in

@@ -81,13 +81,11 @@ val jobs :
   unit ->
   (string * point Pool.job list) list
 
-(** Run every group serially, in order. *)
+(** Run the battery as one {!Pool.map_groups} batch on up to
+    [domains] workers (default {!Pool.default_domains}). The payloads
+    are byte-identical for any [domains]; [~domains:1] runs every group
+    serially, in order. *)
 val all :
-  ?seed:int -> ?quick:bool -> ?fault_seed:int -> unit -> (string * point list) list
-
-(** Run the flattened battery on a worker pool; byte-identical payloads
-    to {!all} by construction. *)
-val all_parallel :
   ?domains:int ->
   ?seed:int ->
   ?quick:bool ->

@@ -57,6 +57,17 @@ let map ?domains jobs =
                   jobs.(i).id))
   end
 
+let map_groups ?domains groups =
+  (* One flat batch so workers steal across group boundaries, then
+     re-chunked in submission order. *)
+  let results = Array.of_list (map ?domains (List.concat_map snd groups)) in
+  snd
+    (List.fold_left_map
+       (fun first (name, jobs) ->
+         let n = List.length jobs in
+         (first + n, (name, Array.to_list (Array.sub results first n))))
+       0 groups)
+
 type 'a scenario = {
   label : string;
   scenario : engine:Sim.Engine.t -> rng:Sim.Rng.t -> 'a;

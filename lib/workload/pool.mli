@@ -52,6 +52,12 @@ val default_domains : unit -> int
     leaked. *)
 val map : ?domains:int -> 'a job list -> 'a list
 
+(** [map_groups ~domains groups] runs every group's jobs as one
+    {!map} batch, so workers steal across group boundaries, and returns
+    each group's results under its name, in submission order. With
+    [~domains:1] it is a per-group [List.map] run inline. *)
+val map_groups : ?domains:int -> ('k * 'a job list) list -> ('k * 'a list) list
+
 (** A scenario: a job that receives its deterministic RNG stream and a
     worker-owned, freshly {!Sim.Engine.reset} engine. *)
 type 'a scenario = {

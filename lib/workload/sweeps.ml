@@ -60,8 +60,8 @@ let base = Corelite.Params.default
 
 (* Every sweep point is a closed pool job: the whole grid is one flat
    job list that workers steal from, so a slow point never serializes a
-   group behind it. The serial API below forces the same jobs in order,
-   producing byte-identical output. *)
+   group behind it. The per-sweep functions below run the same jobs
+   inline, in order, producing byte-identical output. *)
 
 let point_job ?delay ~label params =
   Pool.job ~id:label (fun () -> run_point ?delay ~label params)
@@ -226,58 +226,35 @@ let jobs () =
     ("bursty sources (Section 2 claim)", burst_jobs ());
   ]
 
-let force js = List.map (fun j -> j.Pool.run ()) js
+let core_epoch () = Pool.map ~domains:1 (core_epoch_jobs ())
 
-let core_epoch () = force (core_epoch_jobs ())
+let qthresh () = Pool.map ~domains:1 (qthresh_jobs ())
 
-let qthresh () = force (qthresh_jobs ())
+let k1 () = Pool.map ~domains:1 (k1_jobs ())
 
-let k1 () = force (k1_jobs ())
+let latency () = Pool.map ~domains:1 (latency_jobs ())
 
-let latency () = force (latency_jobs ())
+let k_correction () = Pool.map ~domains:1 (k_correction_jobs ())
 
-let k_correction () = force (k_correction_jobs ())
+let estimator () = Pool.map ~domains:1 (estimator_jobs ())
 
-let estimator () = force (estimator_jobs ())
+let cache_size () = Pool.map ~domains:1 (cache_size_jobs ())
 
-let cache_size () = force (cache_size_jobs ())
+let selector () = Pool.map ~domains:1 (selector_jobs ())
 
-let selector () = force (selector_jobs ())
+let rav_gain () = Pool.map ~domains:1 (rav_gain_jobs ())
 
-let rav_gain () = force (rav_gain_jobs ())
+let wav_gain () = Pool.map ~domains:1 (wav_gain_jobs ())
 
-let wav_gain () = force (wav_gain_jobs ())
+let pw_cap () = Pool.map ~domains:1 (pw_cap_jobs ())
 
-let pw_cap () = force (pw_cap_jobs ())
+let edge_epoch () = Pool.map ~domains:1 (edge_epoch_jobs ())
 
-let edge_epoch () = force (edge_epoch_jobs ())
+let burst () = Pool.map ~domains:1 (burst_jobs ())
 
-let burst () = force (burst_jobs ())
+let qdisc () = Pool.map ~domains:1 (qdisc_jobs ())
 
-let qdisc () = force (qdisc_jobs ())
-
-let all () = List.map (fun (name, js) -> (name, force js)) (jobs ())
-
-let all_parallel ?domains () =
-  (* Flatten the whole grid into one batch so workers steal across
-     group boundaries, then re-chunk the in-order results. *)
-  let groups = jobs () in
-  let flat = List.concat_map snd groups in
-  let results = ref (Pool.map ?domains flat) in
-  List.map
-    (fun (name, js) ->
-      let k = List.length js in
-      let rec take n acc rest =
-        if n = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> invalid_arg "Sweeps.all_parallel: result count mismatch"
-          | r :: rest -> take (n - 1) (r :: acc) rest
-      in
-      let points, rest = take k [] !results in
-      results := rest;
-      (name, points))
-    groups
+let all ?domains () = Pool.map_groups ?domains (jobs ())
 
 let pp_points ppf (name, points) =
   Format.fprintf ppf "@[<v>-- sensitivity: %s@," name;

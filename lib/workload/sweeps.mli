@@ -80,18 +80,14 @@ val burst : unit -> point list
     (the bursty ones claim less, so the headline number is the drops
     and the backlogged flows' stability across selectors). *)
 
-val all : unit -> (string * point list) list
-
-(** Every sweep group as pool jobs (job id = point label), in the same
-    order [all] evaluates them. The closures are self-contained: each
-    builds its own engine and RNG, so they are safe to shard across
-    domains. *)
+(** Every sweep group as pool jobs (job id = point label), in the order
+    {!all} reports them. The closures are self-contained: each builds
+    its own engine and RNG, so they are safe to shard across domains. *)
 val jobs : unit -> (string * point Pool.job list) list
 
-(** [all_parallel ~domains ()] is observationally [all ()]: the whole
-    grid is flattened into one batch for {!Pool.map} (workers steal
-    across group boundaries) and the results re-chunked per group in
-    submission order. *)
-val all_parallel : ?domains:int -> unit -> (string * point list) list
+(** [all ~domains ()] runs the whole grid as one {!Pool.map_groups}
+    batch on up to [domains] workers (default {!Pool.default_domains});
+    the points are byte-identical for any [domains]. *)
+val all : ?domains:int -> unit -> (string * point list) list
 
 val pp_points : Format.formatter -> string * point list -> unit

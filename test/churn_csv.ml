@@ -5,4 +5,4 @@
    arrival plan or any scheme's dynamics shows up against the
    committed battery. *)
 
-let () = print_string (Workload.Churn.csv_of_groups (Workload.Churn.all ()))
+let () = print_string (Workload.Churn.csv_of_groups (Workload.Churn.all ~domains:1 ()))

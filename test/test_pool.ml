@@ -36,6 +36,21 @@ let test_map_propagates_exceptions () =
   Alcotest.check_raises "parallel path" (Failure "boom") (fun () ->
       ignore (Workload.Pool.map ~domains:3 jobs))
 
+let test_map_groups_matches_per_group_map () =
+  let groups = [ ("a", squares 3); ("empty", []); ("b", squares 7); ("c", squares 1) ] in
+  let expected =
+    List.map
+      (fun (name, jobs) -> (name, List.map (fun j -> j.Workload.Pool.run ()) jobs))
+      groups
+  in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list (pair string (list int))))
+        (Printf.sprintf "%d domains" domains)
+        expected
+        (Workload.Pool.map_groups ~domains groups))
+    [ 1; 3 ]
+
 let test_default_domains_positive () =
   Alcotest.(check bool) "at least one worker" true
     (Workload.Pool.default_domains () >= 1)
@@ -123,18 +138,26 @@ let check_summary what (expected : Workload.Figures.summary) actual =
      bit-reproducible by the determinism contract). *)
   Alcotest.(check bool) what true (expected = actual)
 
+(* fig3 and the sub-second figures, fig5 to fig8, in one pooled batch:
+   CSV payloads, summaries and executed event counts. *)
 let test_fig3_parallel_is_bit_identical () =
-  let spec = Workload.Figures.fig3 () in
-  let serial = Workload.Figures.run spec in
-  match Workload.Figures.run_all ~domains:2 [ spec ] with
-  | [ (_, pooled) ] ->
-    check_payloads "fig3 CSV payloads"
-      (Workload.Csv.result_strings serial)
-      (Workload.Csv.result_strings pooled);
-    check_summary "fig3 summaries"
-      (Workload.Figures.summarize spec serial)
-      (Workload.Figures.summarize spec pooled)
-  | _ -> Alcotest.fail "expected exactly one result"
+  let specs = Workload.Figures.[ fig3 (); fig5 (); fig6 (); fig7 (); fig8 () ] in
+  let events (result : Workload.Runner.result) =
+    Sim.Engine.executed result.Workload.Runner.network.Workload.Network.engine
+  in
+  List.iter2
+    (fun (spec : Workload.Figures.spec) (_, pooled) ->
+      let serial = Workload.Figures.run spec in
+      let id = spec.Workload.Figures.id in
+      check_payloads (id ^ " CSV payloads")
+        (Workload.Csv.result_strings serial)
+        (Workload.Csv.result_strings pooled);
+      check_summary (id ^ " summaries")
+        (Workload.Figures.summarize spec serial)
+        (Workload.Figures.summarize spec pooled);
+      Alcotest.(check int) (id ^ " executed events") (events serial) (events pooled))
+    specs
+    (Workload.Figures.run_all ~domains:2 specs)
 
 let test_sweep_parallel_is_bit_identical () =
   let serial = Workload.Sweeps.selector () in
@@ -169,6 +192,8 @@ let () =
             test_map_preserves_submission_order;
           Alcotest.test_case "exception propagation" `Quick
             test_map_propagates_exceptions;
+          Alcotest.test_case "map_groups = per-group map" `Quick
+            test_map_groups_matches_per_group_map;
           Alcotest.test_case "default domains" `Quick test_default_domains_positive;
         ] );
       ( "scenarios",

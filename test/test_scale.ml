@@ -219,7 +219,7 @@ let bytes_per_add_flow scheme =
   8 * (after - before) / 1_000
 
 (* The figure repeats exactly from run to run, so the budget is a
-   ratchet like the hot path's 36 minor words per hop: the value
+   ratchet like the hot path's 36 minor words per hop below: the value
    measured with OCaml 5.1.1 on 64-bit Linux plus a 32 B margin for
    compiler drift. Lower a budget whenever the state shrinks; never
    raise one. Measured: Corelite 1,057 B, CSFQ 1,068 B. *)
@@ -235,6 +235,45 @@ let test_add_flow_memory_budget () =
       ("corelite", Workload.Runner.Corelite { Corelite.Params.default with source }, 1_089);
       ("csfq", Workload.Runner.Csfq { Csfq.Params.default with source }, 1_100);
     ]
+
+(* ---- hot-path allocation budget ---- *)
+
+(* Minor words per packet-hop of the sub-second figure runs, fig5 to
+   fig8. [Gc.minor_words] read around [Figures.run] counts every word
+   the run allocates on the minor heap; [Gc.quick_stat]'s count moves
+   only at minor collections, so it reads low by whatever the last
+   partial minor heap held. Packet-hops are arrivals at every link,
+   access links included. This suite leaves Sim.Invariant off: its
+   audits allocate (fig5 reads about 100 words per hop with them on).
+   The budget is a ratchet like the per-flow memory budget: lower it
+   when the hot path sheds an allocation, never raise it. Measured:
+   fig5 28.13, fig6 31.05, fig7 29.06, fig8 31.36. *)
+let test_hot_path_budget () =
+  let budget = 36. in
+  let per_hop (spec : Workload.Figures.spec) =
+    let before = Gc.minor_words () in
+    let result = Workload.Figures.run spec in
+    let words = Gc.minor_words () -. before in
+    let hops =
+      List.fold_left
+        (fun acc l -> acc + l.Net.Link.arrivals)
+        0
+        (Net.Topology.links result.Workload.Runner.network.Workload.Network.topology)
+    in
+    let per_hop = words /. float_of_int hops in
+    Printf.printf "%s: %.2f minor words per packet-hop (budget %.0f)\n"
+      spec.Workload.Figures.id per_hop budget;
+    (spec.Workload.Figures.id, per_hop)
+  in
+  let over =
+    List.filter
+      (fun (_, words) -> words > budget)
+      (List.map per_hop Workload.Figures.[ fig5 (); fig6 (); fig7 (); fig8 () ])
+  in
+  if over <> [] then
+    Alcotest.failf "over the %.0f minor words per packet-hop budget: %s" budget
+      (String.concat ", "
+         (List.map (fun (id, words) -> Printf.sprintf "%s %.2f" id words) over))
 
 let () =
   Alcotest.run "scale"
@@ -255,6 +294,8 @@ let () =
         [
           Alcotest.test_case "flow ledger balances" `Quick test_ledger_balances;
           Alcotest.test_case "per-flow memory budget" `Quick test_add_flow_memory_budget;
+          Alcotest.test_case "hot-path minor words per packet-hop" `Quick
+            test_hot_path_budget;
           Alcotest.test_case "flow id reuse after expire_idle" `Quick
             test_flow_id_reuse_after_expiry;
           Alcotest.test_case "rejects bad duration" `Quick test_rejects_bad_duration;
