@@ -10,9 +10,11 @@ type t
 
 val create : capacity:int -> rng:Sim.Rng.t -> t
 
-(** Record a marker passing through the link (overwrites the oldest
-    entry when full). *)
-val observe : t -> Net.Packet.marker -> unit
+(** Record the marker of a packet passing through the link
+    (overwrites the oldest entry when full). The marker is copied out,
+    so the cache never references the packet, which must carry one
+    ({!Net.Packet.has_marker}). *)
+val observe : t -> Net.Packet.t -> unit
 
 (** [select t ~fn] draws markers for one congested epoch: [floor fn]
     draws plus one more with probability [frac fn], each uniform over
@@ -24,6 +26,7 @@ val select : t -> fn:float -> Net.Packet.marker list
     receives each drawn marker in draw order and the number of draws is
     returned (at most [floor fn + 1], [0] when the cache is empty) —
     the feedback path uses this to emit markers with no list churn.
+    Each drawn marker is a fresh record.
     The RNG stream consumed is identical to {!select}'s. *)
 val select_iter : t -> fn:float -> (Net.Packet.marker -> unit) -> int
 

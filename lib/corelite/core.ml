@@ -44,17 +44,19 @@ let[@corelite.hot] emit t marker =
       ~b:marker.Net.Packet.flow_id ~x:marker.Net.Packet.normalized_rate ~y:0.;
   t.send_feedback marker
 
-let[@corelite.hot] on_marker t marker =
+(* The selectors read the marker straight from the packet; a marker
+   record is built only for feedback, which outlives the packet. *)
+let[@corelite.hot] on_marker t pkt =
   t.markers_seen <- t.markers_seen + 1;
   if Sim.Trace.want t.trace Sim.Trace.Marker_seen then
     Sim.Trace.record t.trace
       ~time:(Sim.Engine.now t.link.Net.Link.engine)
       Sim.Trace.Marker_seen ~a:t.link.Net.Link.id
-      ~b:marker.Net.Packet.flow_id ~x:marker.Net.Packet.normalized_rate ~y:0.;
+      ~b:pkt.Net.Packet.marker_flow ~x:pkt.Net.Packet.floats.rate ~y:0.;
   match t.selector with
-  | Cache cache -> Cache_selector.observe cache marker
+  | Cache cache -> Cache_selector.observe cache pkt
   | Stateless sel ->
-    let copies = Stateless_selector.observe sel marker in
+    let copies = Stateless_selector.observe sel pkt in
     if t.check then
       (* Per-marker feedback budget: at most ceil(pw) copies, whether
          they come from this marker's own draw or the swap deficit. *)
@@ -67,9 +69,13 @@ let[@corelite.hot] on_marker t marker =
             (Stateless_selector.pw sel)
             (int_of_float (Stateless_selector.pw sel) + 1))
         (copies >= 0 && copies <= int_of_float (Stateless_selector.pw sel) + 1);
-    for _ = 1 to copies do
-      emit t marker
-    done
+    if copies > 0 then
+      match Net.Packet.marker pkt with
+      | Some marker ->
+        for _ = 1 to copies do
+          emit t marker
+        done
+      | None -> ()
 
 let on_epoch t engine () =
   let now = Sim.Engine.now engine in
@@ -194,9 +200,7 @@ let attach ?check_invariants ~params ~rng ~send_feedback link =
     {
       Net.Link.on_arrival =
         (fun pkt ->
-          (match pkt.Net.Packet.marker with
-          | Some marker -> on_marker t marker
-          | None -> ());
+          if Net.Packet.has_marker pkt then on_marker t pkt;
           Net.Link.Pass);
       on_queue_change =
         (fun qlen_now ->

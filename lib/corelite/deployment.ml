@@ -47,9 +47,10 @@ let build ?fault ~params ~rng ~topology ~flows ~core_links () =
               | None -> ()
               | Some agent ->
                 let delay = Edge.feedback_delay agent ~link_id:link.Net.Link.id in
-                ignore
-                  (Sim.Engine.schedule engine ~delay (fun () ->
-                       Edge.receive_feedback agent ~link_id:link.Net.Link.id marker))
+                (* Never cancelled, so no handle: [schedule_unit] takes
+                   the same seq a handle-returning [schedule] would. *)
+                Sim.Engine.schedule_unit engine ~delay (fun () ->
+                    Edge.receive_feedback agent ~link_id:link.Net.Link.id marker)
           in
           Core.attach ~params ~rng:(Sim.Rng.split rng) ~send_feedback link)
         core_links)

@@ -16,6 +16,7 @@ type t = {
   floor : float;
   supply : (unit -> Net.Packet.t option) option;
   deliver : (Net.Packet.t -> unit) option;
+  pool : Net.Packet.pool;  (* the topology's; [emit] allocates from it *)
   mutable source : Net.Source.t option;  (* set once in [create] *)
   (* [emit] stamps the egress's host index into every packet, the
      supplied ones included, and hands it to the path's first link. *)
@@ -71,45 +72,43 @@ let collect_max t () =
   clear_feedback t;
   m
 
-let[@corelite.hot] emit t ~now ~rate =
-  (* The supply match is inlined into the binding (a [let next_packet ()
-     = ...] helper would close over [t] and [now], one closure per
-     packet). Packet and marker construction below are the two
-     allocations this path keeps until the packet-pool PR (ROADMAP). *)
-  let pkt =
-    match t.supply with
-    | None ->
-      t.next_packet_id <- t.next_packet_id + 1;
-      (* lint: alloc-ok -- fresh packet per emission until the packet pool *)
-      Some
-        (Net.Packet.make ~id:t.next_packet_id ~flow:t.flow.Net.Flow.id
-           (* lint: alloc-ok -- same finding, end-line anchor *)
-           ~created:now ())
-    | Some take -> take ()
-  in
-  match pkt with
-  | None -> () (* application-limited aggregate: nothing to shape *)
-  | Some pkt ->
-    pkt.Net.Packet.dst <- t.dst_host;
-    let weight = t.flow.Net.Flow.weight in
-    t.data_since_marker <- t.data_since_marker + 1;
-    if t.data_since_marker >= t.marker_spacing then begin
-      t.data_since_marker <- 0;
-      t.markers_attached <- t.markers_attached + 1;
-      (* The advertised normalized rate covers only the contended part
-         of the flow's rate: traffic under a contracted floor is
-         reserved capacity and must not attract selective feedback. *)
-      let edge_id = (Net.Flow.ingress t.flow).Net.Node.id in
-      let normalized_rate = Float.max 0. (rate -. t.floor) /. weight in
-      pkt.Net.Packet.marker <- (* lint: alloc-ok -- one marker per marker_spacing packets *)
-        Some { Net.Packet.edge_id; flow_id = t.flow.Net.Flow.id; normalized_rate };
-      if Sim.Trace.want t.trace Sim.Trace.Marker_attach then
-        Sim.Trace.record t.trace ~time:now Sim.Trace.Marker_attach
-          ~a:t.flow.Net.Flow.id ~b:edge_id ~x:normalized_rate ~y:0.
-    end;
-    t.sent <- t.sent + 1;
-    t.activity.at <- now;
-    Net.Link.send t.first_link pkt
+(* Stamp, mark and send one packet, pooled or supplied. The normalized
+   rate is read from the source only for a marked packet, into the
+   packet's float block: a marker costs no record. *)
+let[@corelite.hot] send t ~now pkt =
+  pkt.Net.Packet.dst <- t.dst_host;
+  t.data_since_marker <- t.data_since_marker + 1;
+  if t.data_since_marker >= t.marker_spacing then begin
+    t.data_since_marker <- 0;
+    t.markers_attached <- t.markers_attached + 1;
+    (* The advertised normalized rate covers only the contended part
+       of the flow's rate: traffic under a contracted floor is
+       reserved capacity and must not attract selective feedback. *)
+    let edge_id = (Net.Flow.ingress t.flow).Net.Node.id in
+    let rate = Net.Source.rate (source t) in
+    let normalized_rate = Float.max 0. (rate -. t.floor) /. t.flow.Net.Flow.weight in
+    pkt.Net.Packet.marker_edge <- edge_id;
+    pkt.Net.Packet.marker_flow <- t.flow.Net.Flow.id;
+    pkt.Net.Packet.floats.rate <- normalized_rate;
+    if Sim.Trace.want t.trace Sim.Trace.Marker_attach then
+      Sim.Trace.record t.trace ~time:now Sim.Trace.Marker_attach
+        ~a:t.flow.Net.Flow.id ~b:edge_id ~x:normalized_rate ~y:0.
+  end;
+  t.sent <- t.sent + 1;
+  t.activity.at <- now;
+  Net.Link.send t.first_link pkt
+
+let[@corelite.hot] emit t ~now =
+  match t.supply with
+  | None ->
+    t.next_packet_id <- t.next_packet_id + 1;
+    send t ~now
+      (Net.Packet.alloc t.pool ~id:t.next_packet_id ~flow:t.flow.Net.Flow.id
+         ~created:now)
+  | Some take -> (
+    match take () with
+    | None -> () (* application-limited aggregate: nothing to shape *)
+    | Some pkt -> send t ~now pkt)
 
 let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) ?supply
     ?deliver () =
@@ -124,6 +123,7 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) ?supply
       floor;
       supply;
       deliver;
+      pool = Net.Topology.pool topology;
       source = None;
       dst_host = (Net.Flow.egress flow).Net.Node.host;
       first_link = Net.Flow.first_link flow topology;
@@ -144,7 +144,7 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) ?supply
     Some
       (Net.Source.create ~engine ~id:flow.Net.Flow.id ~epoch_offset
          ~params:source_params
-         ~emit:(fun ~now ~rate -> emit t ~now ~rate)
+         ~emit:(fun ~now -> emit t ~now)
          ~collect:(collect_max t) ());
   let m = Sim.Engine.metrics engine in
   (* [Metrics.probe] drops probes while auto-probes are off (large
@@ -169,10 +169,14 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) ?supply
 
 let start t =
   let engine = Net.Topology.engine t.topology in
+  (* The packet's last reader unless a consumer takes it over. *)
   let sink pkt =
     t.delivered <- t.delivered + 1;
-    Sim.Stats.Welford.add t.delay (Sim.Engine.now engine -. pkt.Net.Packet.created);
-    match t.deliver with Some consume -> consume pkt | None -> ()
+    Sim.Stats.Welford.add t.delay
+      (Sim.Engine.now engine -. pkt.Net.Packet.floats.created);
+    match t.deliver with
+    | Some consume -> consume pkt
+    | None -> Net.Packet.release pkt
   in
   Net.Topology.set_flow_sink t.topology ~flow:t.flow.Net.Flow.id sink;
   t.data_since_marker <- 0;

@@ -17,11 +17,14 @@ type t
     installs it.
 
     Without [supply] the agent models an always-backlogged flow and
-    synthesizes its packets. With [supply] it shapes externally queued
-    traffic instead (micro-flow aggregation, see {!Aggregate}): each
-    pacing slot takes one packet from [supply]; [None] leaves the slot
-    unused. [deliver] is invoked for every packet arriving at the
-    egress (e.g. to demultiplex micro-flows to their receivers). *)
+    synthesizes its packets from the topology's pool
+    ({!Net.Topology.pool}); its sink releases each one it delivers
+    unless [deliver] takes the packet over. With [supply] it shapes
+    externally queued traffic instead (micro-flow aggregation, see
+    {!Aggregate}): each pacing slot takes one packet from [supply];
+    [None] leaves the slot unused. [deliver] is invoked for every
+    packet arriving at the egress (e.g. to demultiplex micro-flows to
+    their receivers). *)
 val create :
   params:Params.t ->
   topology:Net.Topology.t ->

@@ -26,12 +26,13 @@ let pw t = t.pw
 
 let deficit t = t.deficit
 
-let[@corelite.hot] observe t marker =
+let[@corelite.hot] observe t pkt =
+  let rn = pkt.Net.Packet.floats.rate in
   t.epoch_markers <- t.epoch_markers + 1;
-  Sim.Stats.Ewma.update t.rav marker.Net.Packet.normalized_rate;
+  Sim.Stats.Ewma.update t.rav rn;
   if t.pw <= 0. then 0
   else begin
-    let eligible = marker.Net.Packet.normalized_rate >= rav t in
+    let eligible = rn >= rav t in
     let selections =
       int_of_float t.pw
       (* lint: fault-ok -- the paper's probabilistic rounding, not loss *)

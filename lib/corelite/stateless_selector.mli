@@ -19,9 +19,10 @@ type t
 
 val create : rav_gain:float -> wav_gain:float -> pw_cap:float -> rng:Sim.Rng.t -> t
 
-(** Process a marker passing through the link; returns how many
-    feedback copies of it must be sent back (0 = none). Also updates
-    [rav] and the epoch marker count.
+(** Process the marker of a packet passing through the link (read in
+    place; the packet must carry one, {!Net.Packet.has_marker}); returns
+    how many feedback copies of it must be sent back (0 = none). Also
+    updates [rav] and the epoch marker count.
 
     When the budget exceeds the marker arrival rate ([pw > 1]) a
     selected marker is fed back [floor pw] times plus one more with
@@ -30,7 +31,7 @@ val create : rav_gain:float -> wav_gain:float -> pw_cap:float -> rng:Sim.Rng.t -
     selected"); emitting multiple copies preserves the weighted-fair
     expectation and restores equivalence with the cache selector, which
     samples with replacement and is not limited by the marker rate. *)
-val observe : t -> Net.Packet.marker -> int
+val observe : t -> Net.Packet.t -> int
 
 (** Close the current epoch: fold its marker count into [wav], reset the
     deficit, and arm the selection probability for the next epoch with

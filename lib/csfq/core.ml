@@ -39,7 +39,8 @@ let set_alpha t ~now v =
 
 (* Fair-share update, run on every arrival after the rate estimates
    (SIGCOMM '98 estimate_alpha). *)
-let estimate_alpha t ~now ~label =
+let estimate_alpha t ~now pkt =
+  let label = pkt.Net.Packet.floats.label in
   let a = Rate_estimator.value t.arrival in
   let f = Rate_estimator.value t.accepted in
   if a >= t.capacity then begin
@@ -80,12 +81,18 @@ let estimate_alpha t ~now ~label =
     end
   end
 
+(* [estimate_alpha] takes the packet, not its label: the label sits
+   unboxed in the packet's float block, and passing it as a float
+   argument would box it on every arrival. So the relabelling waits
+   until [estimate_alpha] has read the arrival label, and applies the
+   fair share that was in force before it ran. *)
 let on_arrival t pkt =
   let now = Sim.Engine.now t.link.Net.Link.engine in
-  let label = pkt.Net.Packet.label in
+  let label = pkt.Net.Packet.floats.label in
   ignore (Rate_estimator.update t.arrival ~now ~amount:1.);
+  let alpha_before = t.alpha in
   let drop_probability =
-    match t.alpha with
+    match alpha_before with
     | Some alpha when label > 0. -> Float.max 0. (1. -. (alpha /. label))
     | Some _ | None -> 0.
   in
@@ -96,13 +103,13 @@ let on_arrival t pkt =
     end
     else begin
       ignore (Rate_estimator.update t.accepted ~now ~amount:1.);
-      (match t.alpha with
-      | Some alpha when label > alpha -> pkt.Net.Packet.label <- alpha
-      | Some _ | None -> ());
       Net.Link.Pass
     end
   in
-  estimate_alpha t ~now ~label;
+  estimate_alpha t ~now pkt;
+  (match (verdict, alpha_before) with
+  | Net.Link.Pass, Some alpha when label > alpha -> pkt.Net.Packet.floats.label <- alpha
+  | (Net.Link.Pass | Net.Link.Drop), _ -> ());
   verdict
 
 let note_overflow t =

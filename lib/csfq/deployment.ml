@@ -41,7 +41,6 @@ let build ?(attach_cores = true) ~params ~rng ~topology ~flows ~core_links () =
                 | None -> ()
                 | Some agent ->
                   let delay = Edge.loss_delay agent ~link_id:link.Net.Link.id in
-                  ignore
-                    (Sim.Engine.schedule engine ~delay (fun () -> Edge.note_loss agent)));
+                  Sim.Engine.schedule_unit engine ~delay (fun () -> Edge.note_loss agent));
           core)
         core_links)

@@ -1,6 +1,7 @@
-(* Flat all-float record so the activity stamp in [emit] is an unboxed
-   in-place write (mirrors Corelite.Edge). *)
-type clock = { mutable at : float }
+(* Flat all-float record so the activity stamp and the label in [emit]
+   are unboxed in-place writes (mirrors Corelite.Edge): a mutable float
+   field of the mixed record [t] would box a fresh float per packet. *)
+type clock = { mutable at : float; mutable label : float }
 
 type t = {
   topology : Net.Topology.t;
@@ -18,8 +19,9 @@ type t = {
   mutable sent : int;
   mutable losses : int;
   mutable delivered : int;
-  mutable current_label : float;
-  activity : clock;  (* time of the last packet this agent emitted *)
+  activity : clock;
+      (* time of the last packet this agent emitted, and its label *)
+  pool : Net.Packet.pool;  (* the topology's; [emit] allocates from it *)
   delay : Sim.Stats.Welford.t;  (* end-to-end delay of delivered packets *)
 }
 
@@ -41,7 +43,7 @@ let last_activity t = t.activity.at
 
 let losses t = t.losses
 
-let current_label t = t.current_label
+let current_label t = t.activity.label
 
 let loss_delay t ~link_id = Net.Flow.delay_to t.delays ~link_id
 
@@ -50,15 +52,15 @@ let collect_losses t () =
   t.pending_losses <- 0;
   m
 
-let emit t ~now ~rate:_ =
+let emit t ~now =
   let estimated = Rate_estimator.update t.estimator ~now ~amount:1. in
-  t.current_label <- estimated /. t.flow.Net.Flow.weight;
+  t.activity.label <- estimated /. t.flow.Net.Flow.weight;
   t.next_packet_id <- t.next_packet_id + 1;
   let pkt =
-    Net.Packet.make ~id:t.next_packet_id ~flow:t.flow.Net.Flow.id ~created:now ()
+    Net.Packet.alloc t.pool ~id:t.next_packet_id ~flow:t.flow.Net.Flow.id ~created:now
   in
   pkt.Net.Packet.dst <- t.dst_host;
-  pkt.Net.Packet.label <- t.current_label;
+  pkt.Net.Packet.floats.label <- t.activity.label;
   t.sent <- t.sent + 1;
   t.activity.at <- now;
   Net.Link.send t.first_link pkt
@@ -81,8 +83,8 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) () =
       sent = 0;
       losses = 0;
       delivered = 0;
-      current_label = 0.;
-      activity = { at = Sim.Engine.now engine };
+      activity = { at = Sim.Engine.now engine; label = 0. };
+      pool = Net.Topology.pool topology;
       delay = Sim.Stats.Welford.create ();
     }
   in
@@ -90,7 +92,7 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) () =
     Some
       (Net.Source.create ~engine ~id:flow.Net.Flow.id ~epoch_offset
          ~params:source_params
-         ~emit:(fun ~now ~rate -> emit t ~now ~rate)
+         ~emit:(fun ~now -> emit t ~now)
          ~collect:(collect_losses t) ());
   let m = Sim.Engine.metrics engine in
   (* [Metrics.probe] drops probes while auto-probes are off (large
@@ -111,9 +113,12 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) () =
 
 let start t =
   let engine = Net.Topology.engine t.topology in
+  (* The packet's last reader. *)
   let sink pkt =
     t.delivered <- t.delivered + 1;
-    Sim.Stats.Welford.add t.delay (Sim.Engine.now engine -. pkt.Net.Packet.created)
+    Sim.Stats.Welford.add t.delay
+      (Sim.Engine.now engine -. pkt.Net.Packet.floats.created);
+    Net.Packet.release pkt
   in
   Net.Topology.set_flow_sink t.topology ~flow:t.flow.Net.Flow.id sink;
   t.pending_losses <- 0;

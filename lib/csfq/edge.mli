@@ -5,7 +5,10 @@
     [r/w] (weighted CSFQ). Rate adaptation mirrors the Corelite agent
     (paper Section 4: "similar rate adaptation schemes"), except that
     the congestion indications are packet {e losses} reported back to
-    the source. *)
+    the source.
+
+    Packets come from the topology's pool ({!Net.Topology.pool}); the
+    agent's sink releases each one it delivers. *)
 
 type t
 

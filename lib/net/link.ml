@@ -72,7 +72,9 @@ let[@corelite.hot] drop t reason pkt =
       ~a:t.id ~b:pkt.Packet.flow
       ~x:(float_of_int (reason_code reason))
       ~y:0.;
-  match t.on_drop with Some f -> f reason pkt | None -> ()
+  (match t.on_drop with Some f -> f reason pkt | None -> ());
+  (* The last reader: hand a pooled packet back (see Packet). *)
+  Packet.release pkt
 
 (* Packet conservation: every arrival is accounted for exactly once —
    transmitted (delivered or on the wire), dropped, still queued, or in
@@ -253,7 +255,7 @@ let[@corelite.hot] send t pkt =
          match f pkt with
          | Forward -> true
          | Strip ->
-           pkt.Packet.marker <- None;
+           Packet.clear_marker pkt;
            if Sim.Trace.want t.trace Sim.Trace.Fault then
              Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine)
                Sim.Trace.Fault ~a:t.id ~b:pkt.Packet.flow ~x:1. ~y:0.;

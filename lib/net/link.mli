@@ -70,7 +70,8 @@ type t = {
   mutable hooks : hooks option;
   mutable on_drop : (drop_reason -> Packet.t -> unit) option;
       (** Fires for every packet lost on this link, whatever the
-          {!drop_reason}. *)
+          {!drop_reason}. The link then releases the packet to its pool
+          ({!Packet.release}), so the callback must not keep it. *)
   mutable deliver : Packet.t -> unit;  (** set when the topology is wired *)
   mutable arrivals : int;
   mutable departures : int;

@@ -22,10 +22,10 @@ module Fifo = struct
     t.bytes <- t.bytes + pkt.Packet.size
 
   (* The option result is the one allocation this API keeps: callers
-     need the atomic empty-test-and-pop. The timer-wheel/packet-pool
-     PR (ROADMAP) replaces it with an exception-style or sentinel
-     dequeue; until then the Some per dequeue is a known, waived cost
-     inside the 36-words budget. *)
+     need the atomic empty-test-and-pop. It stays: the [Some] dies in
+     the minor heap within the dequeue, while a sentinel or handle
+     dequeue would change the element type every qdisc and link hook
+     shares. A known, waived cost inside the hot-path words budget. *)
   let[@corelite.hot] pop t =
     if Sim.Ring.is_empty t.q then None
     else begin

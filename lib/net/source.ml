@@ -30,15 +30,21 @@ let with_floor params floor =
 
 type phase = Slow_start | Linear
 
+(* All-float cell for the allowed rate (as Engine's clock): a
+   [mutable rate : float] field of the mixed record [t] would box a
+   fresh float at every rate change, and each box would be promoted
+   because the old record [t] points at it. *)
+type rate_cell = { mutable v : float }
+
 type t = {
   engine : Sim.Engine.t;
   id : int;
   trace : Sim.Trace.t;
   params : params;
   epoch_offset : float;
-  emit : now:float -> rate:float -> unit;
+  emit : now:float -> unit;
   collect : unit -> int;
-  mutable rate : float;
+  rate : rate_cell;
   mutable phase : phase;
   mutable silent : int;  (* consecutive feedback-free epochs (Linear) *)
   mutable running : bool;
@@ -73,17 +79,20 @@ type t = {
 let[@corelite.hot] note_rate t =
   if Sim.Trace.want t.trace Sim.Trace.Rate_update then
     Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine)
-      Sim.Trace.Rate_update ~a:t.id ~b:0 ~x:t.rate
+      Sim.Trace.Rate_update ~a:t.id ~b:0 ~x:t.rate.v
       ~y:(match t.phase with Slow_start -> 0. | Linear -> 1.)
 
 let[@corelite.hot] emit_one t =
   if t.active then begin
     t.emitted <- t.emitted + 1;
-    t.emit ~now:(Sim.Engine.now t.engine) ~rate:t.rate
+    t.emit ~now:(Sim.Engine.now t.engine)
   end
 
+(* [Float.max t.rate.v 1e-6] spelled out: the call would box the
+   unboxed rate once per packet. Same value, NaN included. *)
 let[@corelite.hot] schedule_pace t =
-  let interval = 1. /. Float.max t.rate 1e-6 in
+  let rate = t.rate.v in
+  let interval = 1. /. (if rate < 1e-6 then 1e-6 else rate) in
   t.pacing_pending <- t.pacing_pending + 1;
   Sim.Engine.schedule_unit t.engine ~delay:interval t.pace_ev
 
@@ -94,7 +103,7 @@ let[@corelite.hot] pace t =
     schedule_pace t
   end
 
-let rate t = t.rate
+let rate t = t.rate.v
 
 let phase t = t.phase
 
@@ -109,7 +118,7 @@ let exit_slow_start t =
     (* The halving is the response to any indication received so far;
        flush the pending count so it is not charged again at epoch end. *)
     ignore (t.collect ());
-    t.rate <- Float.max (rate_floor t) (t.rate /. 2.);
+    t.rate.v <- Float.max (rate_floor t) (t.rate.v /. 2.);
     t.phase <- Linear;
     note_rate t
   end
@@ -141,13 +150,13 @@ let on_epoch t =
            feedback arrives well before the threshold and resets the
            count. *)
         if t.params.silence_epochs > 0 && t.silent >= t.params.silence_epochs then
-          t.rate <- t.rate *. t.params.restore
-        else t.rate <- t.rate +. t.params.alpha;
+          t.rate.v <- t.rate.v *. t.params.restore
+        else t.rate.v <- t.rate.v +. t.params.alpha;
         note_rate t
       end
       else begin
         t.silent <- 0;
-        t.rate <- Float.max (rate_floor t) (t.rate -. (t.params.beta *. float_of_int m));
+        t.rate.v <- Float.max (rate_floor t) (t.rate.v -. (t.params.beta *. float_of_int m));
         note_rate t
       end
 
@@ -166,9 +175,9 @@ let epoch_tick t =
 let ss_tick t =
   t.ss_pending <- t.ss_pending - 1;
   if t.running && t.ss_pending = 0 && t.phase = Slow_start then begin
-    t.rate <- t.rate *. 2.;
+    t.rate.v <- t.rate.v *. 2.;
     note_rate t;
-    if t.rate > t.params.ss_thresh then exit_slow_start t
+    if t.rate.v > t.params.ss_thresh then exit_slow_start t
     else begin
       t.ss_pending <- 1;
       Sim.Engine.schedule_unit t.engine ~delay:t.params.ss_period t.ss_ev
@@ -214,7 +223,7 @@ let create ~engine ?(id = -1) ?(epoch_offset = 0.) ~params ~emit ~collect () =
       epoch_offset;
       emit;
       collect;
-      rate = params.initial_rate;
+      rate = { v = params.initial_rate };
       phase = Slow_start;
       silent = 0;
       running = false;
@@ -243,8 +252,8 @@ let start t =
   stop t;
   ignore (t.collect ());
   (* A contracted floor is reserved capacity: the flow starts there. *)
-  t.rate <- Float.max t.params.initial_rate t.params.floor;
-  t.phase <- (if t.rate >= t.params.ss_thresh then Linear else Slow_start);
+  t.rate.v <- Float.max t.params.initial_rate t.params.floor;
+  t.phase <- (if t.rate.v >= t.params.ss_thresh then Linear else Slow_start);
   t.silent <- 0;
   t.running <- true;
   note_rate t;

@@ -61,7 +61,8 @@ type phase = Slow_start | Linear
 type t
 
 (** [create ~engine ~params ~emit ~collect] builds a stopped source.
-    [emit ~now ~rate] must inject exactly one packet; [collect ()] must
+    [emit ~now] must inject exactly one packet (an agent that needs the
+    allowed rate reads {!rate}); [collect ()] must
     return the number of congestion indications accumulated since the
     previous call and reset its counter.
 
@@ -94,7 +95,7 @@ val create :
   ?id:int ->
   ?epoch_offset:float ->
   params:params ->
-  emit:(now:float -> rate:float -> unit) ->
+  emit:(now:float -> unit) ->
   collect:(unit -> int) ->
   unit ->
   t

@@ -10,6 +10,7 @@ type t = {
   (* Flat flow-id-indexed delivery table: host nodes dispatch arrived
      packets through here, so egress delivery is one array read. *)
   mutable flow_sinks : (Packet.t -> unit) option array;
+  pool : Packet.pool;  (* the packets the edge agents synthesize *)
 }
 
 let create engine =
@@ -23,9 +24,12 @@ let create engine =
     next_link_id = 0;
     next_host = 0;
     flow_sinks = [||];
+    pool = Packet.create_pool ();
   }
 
 let engine t = t.engine
+
+let pool t = t.pool
 
 let add_node t ~kind name =
   if Hashtbl.mem t.by_name name then

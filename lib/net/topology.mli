@@ -6,6 +6,10 @@ val create : Sim.Engine.t -> t
 
 val engine : t -> Sim.Engine.t
 
+(** The topology's packet pool: the edge agents allocate from it, and
+    links and edge sinks release into it (see {!Packet}). *)
+val pool : t -> Packet.pool
+
 (** [add_node t ~kind name] creates a node with a fresh id.
     @raise Invalid_argument if [name] is already taken. *)
 val add_node : t -> kind:Node.kind -> string -> Node.t

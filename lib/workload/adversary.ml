@@ -57,7 +57,7 @@ let attach ~network ~flow ~peak ~duty ~period ?(corelite_markers = false) () =
       in
       let pkt = Net.Packet.make ~id:!seq ~flow ?marker ~created:now () in
       pkt.Net.Packet.dst <- dst;
-      pkt.Net.Packet.label <- estimate /. weight;
+      pkt.Net.Packet.floats.label <- estimate /. weight;
       incr sent;
       Net.Link.send first_link pkt
     end

@@ -71,7 +71,7 @@ let build ?(params = Corelite.Params.default) ?(seed = 42) ?(handoff_capacity = 
         Corelite.Edge.create ~params ~topology:cloud_a.Network.topology ~flow:flow_a
           ~epoch_offset:(Sim.Rng.float rng epoch)
           ~deliver:(fun pkt ->
-            pkt.Net.Packet.marker <- None;
+            Net.Packet.clear_marker pkt;
             let accepted = Corelite.Aggregate.submit aggregate_b pkt in
             (* Inter-domain backpressure: a full hand-off buffer means
                cloud B grants this flow less than A does; throttle A's

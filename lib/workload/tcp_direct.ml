@@ -51,7 +51,7 @@ let build ?(tcp_params = Net.Tcp.default_params) ?(csfq_params = Csfq.Params.def
           let now = Sim.Engine.now engine in
           let estimate = Csfq.Rate_estimator.update estimator ~now ~amount:1. in
           pkt.Net.Packet.dst <- dst;
-          pkt.Net.Packet.label <- estimate /. weight;
+          pkt.Net.Packet.floats.label <- estimate /. weight;
           Net.Link.send first_link pkt
         in
         let sender =

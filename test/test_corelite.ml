@@ -9,6 +9,10 @@ let check_float_eps eps = Alcotest.(check (float eps))
 let marker ?(edge = 1) ?(flow = 1) rn =
   { Net.Packet.edge_id = edge; flow_id = flow; normalized_rate = rn }
 
+(* A packet carrying that marker, as the selectors observe it. *)
+let marked ?edge ?(flow = 1) rn =
+  Net.Packet.make ~id:0 ~flow ~marker:(marker ?edge ~flow rn) ~created:0. ()
+
 (* ------------------------------------------------------------------ *)
 (* Params *)
 
@@ -139,11 +143,11 @@ let test_cache_occupancy_and_wrap () =
   let c = Corelite.Cache_selector.create ~capacity:4 ~rng:(Sim.Rng.create 1) in
   Alcotest.(check int) "empty" 0 (Corelite.Cache_selector.occupancy c);
   for i = 1 to 3 do
-    Corelite.Cache_selector.observe c (marker ~flow:i 10.)
+    Corelite.Cache_selector.observe c (marked ~flow:i 10.)
   done;
   Alcotest.(check int) "partial" 3 (Corelite.Cache_selector.occupancy c);
   for i = 4 to 10 do
-    Corelite.Cache_selector.observe c (marker ~flow:i 10.)
+    Corelite.Cache_selector.observe c (marked ~flow:i 10.)
   done;
   Alcotest.(check int) "capped at capacity" 4 (Corelite.Cache_selector.occupancy c)
 
@@ -157,7 +161,7 @@ let test_cache_empty_select () =
 let test_cache_select_count () =
   let c = Corelite.Cache_selector.create ~capacity:16 ~rng:(Sim.Rng.create 2) in
   for i = 1 to 16 do
-    Corelite.Cache_selector.observe c (marker ~flow:i 10.)
+    Corelite.Cache_selector.observe c (marked ~flow:i 10.)
   done;
   Alcotest.(check int) "integral budget" 5
     (List.length (Corelite.Cache_selector.select c ~fn:5.));
@@ -174,7 +178,7 @@ let test_cache_proportional_feedback () =
   let c = Corelite.Cache_selector.create ~capacity:300 ~rng:(Sim.Rng.create 3) in
   for i = 0 to 299 do
     let flow = if i mod 3 < 2 then 1 else 2 in
-    Corelite.Cache_selector.observe c (marker ~flow 10.)
+    Corelite.Cache_selector.observe c (marked ~flow 10.)
   done;
   let count1 = ref 0 and total = ref 0 in
   for _ = 1 to 500 do
@@ -206,21 +210,21 @@ let mk_stateless ?(rav_gain = 0.1) ?(wav_gain = 1.) ?(pw_cap = 1.) seed =
 let test_stateless_idle_without_budget () =
   let s = mk_stateless 1 in
   Alcotest.(check int) "no budget, no feedback" 0
-    (Corelite.Stateless_selector.observe s (marker 10.));
+    (Corelite.Stateless_selector.observe s (marked 10.));
   check_float "pw stays 0" 0. (Corelite.Stateless_selector.pw s)
 
 let test_stateless_rav_tracks_labels () =
   let s = mk_stateless ~rav_gain:1. 1 in
-  ignore (Corelite.Stateless_selector.observe s (marker 10.));
+  ignore (Corelite.Stateless_selector.observe s (marked 10.));
   check_float "rav equals last with gain 1" 10. (Corelite.Stateless_selector.rav s);
-  ignore (Corelite.Stateless_selector.observe s (marker 30.));
+  ignore (Corelite.Stateless_selector.observe s (marked 30.));
   check_float "tracks" 30. (Corelite.Stateless_selector.rav s)
 
 let test_stateless_pw_arming () =
   let s = mk_stateless 1 in
   (* 10 markers in the epoch; budget 5 -> pw = 0.5. *)
   for _ = 1 to 10 do
-    ignore (Corelite.Stateless_selector.observe s (marker 10.))
+    ignore (Corelite.Stateless_selector.observe s (marked 10.))
   done;
   Corelite.Stateless_selector.on_epoch s ~fn:5.;
   check_float "pw = fn/wav" 0.5 (Corelite.Stateless_selector.pw s);
@@ -230,7 +234,7 @@ let test_stateless_pw_arming () =
 let test_stateless_pw_cap () =
   let s = mk_stateless ~pw_cap:2. 1 in
   for _ = 1 to 4 do
-    ignore (Corelite.Stateless_selector.observe s (marker 10.))
+    ignore (Corelite.Stateless_selector.observe s (marked 10.))
   done;
   Corelite.Stateless_selector.on_epoch s ~fn:100.;
   check_float "capped" 2. (Corelite.Stateless_selector.pw s)
@@ -239,14 +243,14 @@ let test_stateless_selects_only_above_average () =
   let s = mk_stateless ~rav_gain:0.05 7 in
   (* Establish rav around 20 from a 10/30 mix. *)
   for _ = 1 to 200 do
-    ignore (Corelite.Stateless_selector.observe s (marker ~flow:1 10.));
-    ignore (Corelite.Stateless_selector.observe s (marker ~flow:2 30.))
+    ignore (Corelite.Stateless_selector.observe s (marked ~flow:1 10.));
+    ignore (Corelite.Stateless_selector.observe s (marked ~flow:2 30.))
   done;
   Corelite.Stateless_selector.on_epoch s ~fn:50.;
   let low = ref 0 and high = ref 0 in
   for _ = 1 to 400 do
-    let c1 = Corelite.Stateless_selector.observe s (marker ~flow:1 10.) in
-    let c2 = Corelite.Stateless_selector.observe s (marker ~flow:2 30.) in
+    let c1 = Corelite.Stateless_selector.observe s (marked ~flow:1 10.) in
+    let c2 = Corelite.Stateless_selector.observe s (marked ~flow:2 30.) in
     low := !low + c1;
     high := !high + c2
   done;
@@ -257,22 +261,22 @@ let test_stateless_deficit_swaps () =
   (* With pw = 1 every marker is selected; ineligible ones build deficit
      which eligible markers repay on top of their own selection. *)
   let s = mk_stateless ~rav_gain:0.5 11 in
-  ignore (Corelite.Stateless_selector.observe s (marker 100.));
+  ignore (Corelite.Stateless_selector.observe s (marked 100.));
   (* rav = 100 *)
   for _ = 1 to 10 do
-    ignore (Corelite.Stateless_selector.observe s (marker 100.))
+    ignore (Corelite.Stateless_selector.observe s (marked 100.))
   done;
   Corelite.Stateless_selector.on_epoch s ~fn:1000.;
   (* pw capped at 1. Low marker (rn 0 < rav): selected, not sent. *)
   Alcotest.(check int) "ineligible buffered" 0
-    (Corelite.Stateless_selector.observe s (marker 0.));
+    (Corelite.Stateless_selector.observe s (marked 0.));
   Alcotest.(check bool) "deficit grew" true (Corelite.Stateless_selector.deficit s >= 1)
 
 let test_stateless_deficit_resets_each_epoch () =
   let s = mk_stateless ~rav_gain:0.5 13 in
-  ignore (Corelite.Stateless_selector.observe s (marker 100.));
+  ignore (Corelite.Stateless_selector.observe s (marked 100.));
   Corelite.Stateless_selector.on_epoch s ~fn:10.;
-  ignore (Corelite.Stateless_selector.observe s (marker 0.));
+  ignore (Corelite.Stateless_selector.observe s (marked 0.));
   Alcotest.(check bool) "deficit positive" true (Corelite.Stateless_selector.deficit s > 0);
   Corelite.Stateless_selector.on_epoch s ~fn:10.;
   Alcotest.(check int) "reset" 0 (Corelite.Stateless_selector.deficit s)
@@ -282,13 +286,13 @@ let test_stateless_expected_feedback_rate () =
      approximately equals fn. *)
   let s = mk_stateless ~rav_gain:0.9 17 in
   for _ = 1 to 20 do
-    ignore (Corelite.Stateless_selector.observe s (marker 10.))
+    ignore (Corelite.Stateless_selector.observe s (marked 10.))
   done;
   let sent = ref 0 and epochs = 300 in
   for _ = 1 to epochs do
     Corelite.Stateless_selector.on_epoch s ~fn:5.;
     for _ = 1 to 20 do
-      sent := !sent + Corelite.Stateless_selector.observe s (marker 10.)
+      sent := !sent + Corelite.Stateless_selector.observe s (marked 10.)
     done
   done;
   check_float_eps 0.4 "mean feedback near fn" 5.
@@ -306,7 +310,7 @@ let test_stateless_rejects_negative_budget () =
 let test_cache_clear_empties () =
   let c = Corelite.Cache_selector.create ~capacity:8 ~rng:(Sim.Rng.create 3) in
   for i = 1 to 5 do
-    Corelite.Cache_selector.observe c (marker ~flow:i (float_of_int i))
+    Corelite.Cache_selector.observe c (marked ~flow:i (float_of_int i))
   done;
   Alcotest.(check int) "cached" 5 (Corelite.Cache_selector.occupancy c);
   Corelite.Cache_selector.clear c;
@@ -319,7 +323,7 @@ let test_cache_clear_empties () =
   Alcotest.(check int) "empty selection" 0
     (List.length (Corelite.Cache_selector.select c ~fn:5.));
   (* A cleared cache must be a working cache. *)
-  Corelite.Cache_selector.observe c (marker 1.);
+  Corelite.Cache_selector.observe c (marked 1.);
   Alcotest.(check int) "usable after clear" 1 (Corelite.Cache_selector.occupancy c)
 
 let test_stateless_reset_clears_state () =
@@ -329,7 +333,7 @@ let test_stateless_reset_clears_state () =
   in
   (* Build up rav/wav and arm a selection probability. *)
   for _ = 1 to 10 do
-    ignore (Corelite.Stateless_selector.observe s (marker 4.))
+    ignore (Corelite.Stateless_selector.observe s (marked 4.))
   done;
   Corelite.Stateless_selector.on_epoch s ~fn:5.;
   Alcotest.(check bool) "armed" true (Corelite.Stateless_selector.pw s > 0.);
@@ -341,7 +345,7 @@ let test_stateless_reset_clears_state () =
   (* With pw = 0 nothing is selected until an epoch rebuilds a budget
      from fresh observations. *)
   Alcotest.(check int) "no selection after reset" 0
-    (Corelite.Stateless_selector.observe s (marker 4.))
+    (Corelite.Stateless_selector.observe s (marked 4.))
 
 (* ------------------------------------------------------------------ *)
 (* Edge agent *)
@@ -423,7 +427,7 @@ let test_edge_marker_rn_is_normalized_rate () =
       {
         Net.Link.on_arrival =
           (fun p ->
-            (match p.Net.Packet.marker with
+            (match Net.Packet.marker p with
             | Some m ->
               incr checked;
               (* rn must equal the agent's current rate / weight. *)

@@ -78,7 +78,7 @@ let core_fixture ?(params = Csfq.Params.default) ?(bandwidth = 4_000_000.) () =
 let labelled ~id ~created label =
   let pkt = Net.Packet.make ~id ~flow:1 ~created () in
   pkt.Net.Packet.dst <- 0;
-  pkt.Net.Packet.label <- label;
+  pkt.Net.Packet.floats.label <- label;
   pkt
 
 let inject engine link ~rate ~label ~until =
@@ -140,15 +140,15 @@ let test_core_relabels_to_alpha () =
   let seen = ref 0 in
   (* Tap the sink side: observe the packet after the hook ran. *)
   let pkt = Net.Packet.make ~id:9999 ~flow:1 ~created:2. () in
-  pkt.Net.Packet.label <- alpha *. 100.;
+  pkt.Net.Packet.floats.label <- alpha *. 100.;
   (* Send repeatedly until one survives the probabilistic filter. *)
   let rec try_send n =
     if n > 200 then ()
     else begin
       let p = labelled ~id:n ~created:2. (alpha *. 100.) in
       Net.Link.send link p;
-      if p.Net.Packet.label <= alpha +. 1e-9 then begin
-        relabelled := p.Net.Packet.label :: !relabelled;
+      if p.Net.Packet.floats.label <= alpha +. 1e-9 then begin
+        relabelled := p.Net.Packet.floats.label :: !relabelled;
         incr seen
       end
       else try_send (n + 1)
@@ -248,7 +248,7 @@ let test_edge_labels_with_normalized_rate () =
             (* Label must be the flow's estimated rate / weight: after a
                few packets the estimate tracks the paced rate, so the
                label stays within a factor of the actual. *)
-            if p.Net.Packet.label <= 0. then Alcotest.fail "unlabelled packet";
+            if p.Net.Packet.floats.label <= 0. then Alcotest.fail "unlabelled packet";
             Net.Link.Pass);
         on_queue_change = (fun _ -> ());
       };
@@ -345,7 +345,7 @@ let test_unresponsive_flow_policed () =
          let rate = Csfq.Rate_estimator.update estimator ~now ~amount:1. in
          let pkt = Net.Packet.make ~id:!seq ~flow:1 ~created:now () in
          pkt.Net.Packet.dst <- (Net.Flow.egress flow1).Net.Node.host;
-         pkt.Net.Packet.label <- rate /. flow1.Net.Flow.weight;
+         pkt.Net.Packet.floats.label <- rate /. flow1.Net.Flow.weight;
          Net.Link.send first_link pkt));
   let result =
     Workload.Runner.run ~scheme:(Workload.Runner.Csfq Csfq.Params.default) ~network

@@ -61,7 +61,7 @@ let test_source_floor_above_ss_thresh_starts_linear () =
   let engine = Sim.Engine.create () in
   let params = { Net.Source.default_params with Net.Source.floor = 100. } in
   let src =
-    Net.Source.create ~engine ~params ~emit:(fun ~now:_ ~rate:_ -> ())
+    Net.Source.create ~engine ~params ~emit:(fun ~now:_ -> ())
       ~collect:(fun () -> 0)
       ()
   in
@@ -73,7 +73,7 @@ let test_source_double_start_is_reset () =
   let engine = Sim.Engine.create () in
   let src =
     Net.Source.create ~engine ~params:Net.Source.default_params
-      ~emit:(fun ~now:_ ~rate:_ -> ())
+      ~emit:(fun ~now:_ -> ())
       ~collect:(fun () -> 0)
       ()
   in
@@ -91,7 +91,7 @@ let test_source_stop_is_idempotent () =
   let engine = Sim.Engine.create () in
   let src =
     Net.Source.create ~engine ~params:Net.Source.default_params
-      ~emit:(fun ~now:_ ~rate:_ -> ())
+      ~emit:(fun ~now:_ -> ())
       ~collect:(fun () -> 0)
       ()
   in
@@ -107,7 +107,7 @@ let test_source_inactive_freezes_adaptation () =
   in
   let src =
     Net.Source.create ~engine ~params
-      ~emit:(fun ~now:_ ~rate:_ -> ())
+      ~emit:(fun ~now:_ -> ())
       ~collect:(fun () -> 0)
       ()
   in
@@ -151,10 +151,13 @@ let test_marker_spacing_large_weight () =
 
 let test_cache_selector_single_slot () =
   let c = Corelite.Cache_selector.create ~capacity:1 ~rng:(Sim.Rng.create 2) in
-  Corelite.Cache_selector.observe c
-    { Net.Packet.edge_id = 1; flow_id = 1; normalized_rate = 5. };
-  Corelite.Cache_selector.observe c
-    { Net.Packet.edge_id = 1; flow_id = 2; normalized_rate = 6. };
+  let marked flow rn =
+    Net.Packet.make ~id:0 ~flow
+      ~marker:{ Net.Packet.edge_id = 1; flow_id = flow; normalized_rate = rn }
+      ~created:0. ()
+  in
+  Corelite.Cache_selector.observe c (marked 1 5.);
+  Corelite.Cache_selector.observe c (marked 2 6.);
   (* Only the newest marker survives in a 1-slot cache. *)
   List.iter
     (fun m -> Alcotest.(check int) "latest only" 2 m.Net.Packet.flow_id)
@@ -165,14 +168,18 @@ let test_stateless_selector_zero_fn_after_congestion () =
     Corelite.Stateless_selector.create ~rav_gain:0.5 ~wav_gain:1. ~pw_cap:1.
       ~rng:(Sim.Rng.create 3)
   in
-  let marker rn = { Net.Packet.edge_id = 1; flow_id = 1; normalized_rate = rn } in
-  ignore (Corelite.Stateless_selector.observe s (marker 10.));
+  let marked rn =
+    Net.Packet.make ~id:0 ~flow:1
+      ~marker:{ Net.Packet.edge_id = 1; flow_id = 1; normalized_rate = rn }
+      ~created:0. ()
+  in
+  ignore (Corelite.Stateless_selector.observe s (marked 10.));
   Corelite.Stateless_selector.on_epoch s ~fn:5.;
   Alcotest.(check bool) "armed" true (Corelite.Stateless_selector.pw s > 0.);
   Corelite.Stateless_selector.on_epoch s ~fn:0.;
   check_float "disarmed" 0. (Corelite.Stateless_selector.pw s);
   Alcotest.(check int) "no feedback when disarmed" 0
-    (Corelite.Stateless_selector.observe s (marker 10.))
+    (Corelite.Stateless_selector.observe s (marked 10.))
 
 let test_edge_zero_weight_flow_rejected () =
   let engine = Sim.Engine.create () in
@@ -237,16 +244,16 @@ let test_csfq_label_preserved_when_below_alpha () =
           Net.Packet.make ~id:1 ~flow:1 ~created:(Sim.Engine.now engine) ()
         in
         pkt.Net.Packet.dst <- b.Net.Node.host;
-        pkt.Net.Packet.label <- 30.;
+        pkt.Net.Packet.floats.label <- 30.;
         Net.Link.send link pkt)
   in
   Sim.Engine.run_until engine 2.;
   Sim.Engine.cancel h;
   (* A below-alpha label passes unmodified. *)
   let pkt = Net.Packet.make ~id:2 ~flow:1 ~created:2. () in
-  pkt.Net.Packet.label <- 5.;
+  pkt.Net.Packet.floats.label <- 5.;
   Net.Link.send link pkt;
-  check_float "label kept" 5. pkt.Net.Packet.label
+  check_float "label kept" 5. pkt.Net.Packet.floats.label
 
 let test_plain_deployment_has_no_relabelling () =
   (* Without core logic the packets keep their edge labels end to end. *)
@@ -259,7 +266,7 @@ let test_plain_deployment_has_no_relabelling () =
       {
         Net.Link.on_arrival =
           (fun p ->
-            labels := p.Net.Packet.label :: !labels;
+            labels := p.Net.Packet.floats.label :: !labels;
             Net.Link.Pass);
         on_queue_change = (fun _ -> ());
       };

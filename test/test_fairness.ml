@@ -514,6 +514,64 @@ let prop_fluid_fixed_points_are_maxmin =
           Float.abs (rate -. expected) <= (0.2 *. expected) +. 10.)
         fluid.Fairness.Fluid.final)
 
+(* A pinned counterexample of the property above (QCHECK_SEED=455063761
+   draws it): capacities 269.82, 971.76 and 747.23; flows 3 (w 1.74)
+   and 5 (w 3.57) cross only link 2 and split what the four link-0
+   flows leave of it. Their max-min rates are 156.2 and 321.2, but at
+   2,000 s the model holds them at 203.0 and 272.4. Each Euler step
+   cuts a congested link's excess by a tenth, so the excess decays
+   geometrically and seldom crosses back below capacity: from 1,000 s
+   on, link 2 is over capacity at 99.6% of the steps. Every cut there
+   falls on flows 3 and 5, the only flows above the link's
+   marker-weighted mean rn (74.2, held down by the link-0 flows at
+   27.2), split by rn (116.7 against 76.3); both probe upward only in
+   the remaining 0.4%. So the gap closes by about 1.7 pkt/s per
+   1,000 s: 199.6 at 4,000 s, 193.4 at 8,000 s, 179.4 at 20,000 s.
+   The test states what the model does: inside the band at 20,000 s,
+   and closer to max-min there than at 2,000 s. *)
+let test_fluid_slow_instance () =
+  let capacities =
+    [ (0, 0x1.0dd2395e31875p+8); (1, 0x1.e5e0d6bc03781p+9); (2, 0x1.759df954e0428p+9) ]
+  in
+  let flows =
+    [
+      fluid_flow ~id:0 ~weight:0x1.0d9d2b40992c6p+2 ~links:[ 0; 1; 2 ];
+      fluid_flow ~id:1 ~weight:0x1.9021b5f79e684p+0 ~links:[ 0; 1; 2 ];
+      fluid_flow ~id:2 ~weight:0x1.bc1bb431baeacp+1 ~links:[ 0; 2 ];
+      fluid_flow ~id:3 ~weight:0x1.bc461ce1cee7p+0 ~links:[ 2 ];
+      fluid_flow ~id:4 ~weight:0x1.80fa061d3629cp-1 ~links:[ 0; 1; 2 ];
+      fluid_flow ~id:5 ~weight:0x1.c8dcece047c5ep+1 ~links:[ 2 ];
+    ]
+  in
+  let reference =
+    Fairness.Maxmin.solve ~capacities
+      ~demands:
+        (List.map
+           (fun f ->
+             Fairness.Maxmin.demand ~flow:f.Fairness.Fluid.id
+               ~weight:f.Fairness.Fluid.weight ~links:f.Fairness.Fluid.links ())
+           flows)
+  in
+  let at duration =
+    (Fairness.Fluid.simulate ~capacities ~flows ~duration ()).Fairness.Fluid.final
+  in
+  let early = at 2000. and late = at 20000. in
+  let error rates id = Float.abs (List.assoc id rates -. List.assoc id reference) in
+  List.iter
+    (fun (id, rate) ->
+      let expected = List.assoc id reference in
+      Printf.printf "flow %d: max-min %.1f, 2,000 s %.1f, 20,000 s %.1f\n" id expected
+        (List.assoc id early) rate;
+      if error late id > (0.2 *. expected) +. 10. then
+        Alcotest.failf "flow %d outside the band at 20,000 s: %.1f vs max-min %.1f" id
+          rate expected)
+    late;
+  List.iter
+    (fun id ->
+      if error late id >= error early id then
+        Alcotest.failf "flow %d no closer to max-min at 20,000 s" id)
+    [ 3; 5 ]
+
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
@@ -737,6 +795,7 @@ let () =
             test_fluid_single_flow_saturates_link;
           Alcotest.test_case "validation" `Quick test_fluid_validation;
           qt prop_fluid_fixed_points_are_maxmin;
+          Alcotest.test_case "slow instance converges" `Quick test_fluid_slow_instance;
         ] );
       ( "metrics",
         [

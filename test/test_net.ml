@@ -16,15 +16,106 @@ let test_packet_defaults () =
   let p = mk_packet () in
   Alcotest.(check int) "size" 1000 p.Net.Packet.size;
   Alcotest.(check bool) "no marker" false (Net.Packet.has_marker p);
-  Alcotest.(check bool) "unlabelled" true (p.Net.Packet.label < 0.)
+  Alcotest.(check bool) "unlabelled" true (p.Net.Packet.floats.label < 0.)
 
 let test_packet_marker () =
   let marker = { Net.Packet.edge_id = 3; flow_id = 7; normalized_rate = 12.5 } in
   let p = Net.Packet.make ~id:1 ~flow:7 ~marker ~created:1. () in
   Alcotest.(check bool) "has marker" true (Net.Packet.has_marker p);
-  match p.Net.Packet.marker with
+  match Net.Packet.marker p with
   | Some m -> Alcotest.(check int) "flow id" 7 m.Net.Packet.flow_id
   | None -> Alcotest.fail "marker lost"
+
+(* ------------------------------------------------------------------ *)
+(* Packet pool *)
+
+(* What [alloc] promises of every packet it hands out, reused or new. *)
+let reads_fresh ~id ~flow ~created p =
+  p.Net.Packet.id = id
+  && p.Net.Packet.flow = flow
+  && p.Net.Packet.micro = 0
+  && p.Net.Packet.size = Net.Packet.default_size
+  && p.Net.Packet.dst = -1
+  && (not (Net.Packet.has_marker p))
+  && p.Net.Packet.floats.Net.Packet.label < 0.
+  && Float.equal p.Net.Packet.floats.Net.Packet.created created
+
+(* Scribble over every field a sender or a core may write. *)
+let dirty p =
+  Net.Packet.set_marker p { Net.Packet.edge_id = 4; flow_id = 9; normalized_rate = 2.5 };
+  p.Net.Packet.floats.Net.Packet.label <- 3.;
+  p.Net.Packet.dst <- 5;
+  p.Net.Packet.micro <- 7;
+  p.Net.Packet.size <- 40
+
+let test_pool_reuse_resets () =
+  let pool = Net.Packet.create_pool () in
+  let p = Net.Packet.alloc pool ~id:1 ~flow:2 ~created:0.5 in
+  dirty p;
+  Net.Packet.release p;
+  Alcotest.(check int) "released dst" (-2) p.Net.Packet.dst;
+  let q = Net.Packet.alloc pool ~id:3 ~flow:4 ~created:1.5 in
+  Alcotest.(check bool) "same record" true (p == q);
+  Alcotest.(check bool) "reads like a fresh packet" true
+    (reads_fresh ~id:3 ~flow:4 ~created:1.5 q);
+  Alcotest.(check int) "outstanding" 1 (Net.Packet.outstanding pool)
+
+(* Operations on one pool against a reference free list: [(0, _)]
+   allocates, [(1, i)] releases a live packet, [(2, i)] scribbles over
+   one. The pool must hand back the most recently released record
+   before it makes a new one, reset it, and count what is out. *)
+let prop_pool_model =
+  QCheck.Test.make ~count:300 ~name:"Packet pool matches a free-list model"
+    QCheck.(list (pair (int_range 0 2) small_nat))
+    (fun ops ->
+      let pool = Net.Packet.create_pool () in
+      let live = ref [] and free = ref [] and seen = ref [] in
+      let allocs = ref 0 and releases = ref 0 in
+      let pick i = List.nth !live (i mod List.length !live) in
+      List.iter
+        (fun (op, i) ->
+          (match op with
+          | 0 ->
+            incr allocs;
+            let created = float_of_int !allocs in
+            let p = Net.Packet.alloc pool ~id:!allocs ~flow:i ~created in
+            (match !free with
+            | q :: rest ->
+              if p != q then QCheck.Test.fail_report "a released record was skipped";
+              free := rest
+            | [] ->
+              if List.memq p !seen then
+                QCheck.Test.fail_report "a live record was handed out twice";
+              seen := p :: !seen);
+            if not (reads_fresh ~id:!allocs ~flow:i ~created p) then
+              QCheck.Test.fail_report "an allocated packet does not read fresh";
+            live := p :: !live
+          | 1 when !live <> [] ->
+            let p = pick i in
+            Net.Packet.release p;
+            incr releases;
+            live := List.filter (fun q -> q != p) !live;
+            free := p :: !free;
+            if p.Net.Packet.dst <> -2 then
+              QCheck.Test.fail_report "a released packet is not stamped -2"
+          | _ when !live <> [] -> dirty (pick i)
+          | _ -> ());
+          if Net.Packet.outstanding pool <> !allocs - !releases then
+            QCheck.Test.fail_report "outstanding <> allocations - releases")
+        ops;
+      List.iter
+        (fun p ->
+          match Net.Packet.release p with
+          | () -> QCheck.Test.fail_report "a second release was accepted"
+          | exception Invalid_argument _ -> ())
+        !free;
+      true)
+
+let test_pool_unpooled_release () =
+  let p = mk_packet () in
+  Net.Packet.release p;
+  Net.Packet.release p;
+  Alcotest.(check int) "dst untouched" 0 p.Net.Packet.dst
 
 (* ------------------------------------------------------------------ *)
 (* Qdisc: droptail *)
@@ -561,6 +652,39 @@ let test_node_fib_out_of_range_fails () =
   Alcotest.check_raises "unstamped" (Failure "Node A: no FIB entry for host -1")
     (fun () -> Net.Node.receive a (stamped (-1)))
 
+(* [on_drop] sees the packet intact; the link releases it afterwards. *)
+let test_pool_link_drop_releases () =
+  let engine, topology, _, _, link = simple_net ~capacity:1 () in
+  let pool = Net.Topology.pool topology in
+  let seen = ref [] in
+  link.Net.Link.on_drop <- Some (fun _ p -> seen := p.Net.Packet.dst :: !seen);
+  let send id =
+    let p = Net.Packet.alloc pool ~id ~flow:1 ~created:0. in
+    p.Net.Packet.dst <- 0;
+    Net.Link.send link p;
+    p
+  in
+  ignore (send 1);
+  ignore (send 2);
+  let dropped = send 3 in
+  Alcotest.(check (list int)) "on_drop saw the stamped packet" [ 0 ] !seen;
+  Alcotest.(check int) "dropped packet released" (-2) dropped.Net.Packet.dst;
+  Alcotest.(check int) "in service + queued" 2 (Net.Packet.outstanding pool);
+  Net.Topology.set_flow_sink topology ~flow:1 Net.Packet.release;
+  Sim.Engine.run engine;
+  Alcotest.(check int) "sink released the rest" 0 (Net.Packet.outstanding pool)
+
+(* A released packet forwarded by mistake fails loudly at the next
+   node instead of travelling on as someone else's packet. *)
+let test_node_released_packet_fails () =
+  let _, topology, a, _, link = simple_net () in
+  a.Net.Node.fib <- [| Some link |];
+  let p = Net.Packet.alloc (Net.Topology.pool topology) ~id:1 ~flow:1 ~created:0. in
+  p.Net.Packet.dst <- 0;
+  Net.Packet.release p;
+  Alcotest.check_raises "released" (Failure "Node A: no FIB entry for host -2")
+    (fun () -> Net.Node.receive a p)
+
 (* A destination table cannot send one host's packets two ways from
    the same node; paths that agree share the entry. *)
 let test_topology_conflicting_paths () =
@@ -876,7 +1000,7 @@ let make_source ?(params = Net.Source.default_params) ?epoch_offset ~collect eng
   let sent = ref [] in
   let src =
     Net.Source.create ~engine ?epoch_offset ~params
-      ~emit:(fun ~now ~rate:_ -> sent := now :: !sent)
+      ~emit:(fun ~now -> sent := now :: !sent)
       ~collect ()
   in
   (src, sent)
@@ -962,7 +1086,7 @@ let test_source_decrease_on_feedback () =
   let sent = ref [] in
   let src =
     Net.Source.create ~engine ~params
-      ~emit:(fun ~now ~rate:_ -> sent := now :: !sent)
+      ~emit:(fun ~now -> sent := now :: !sent)
       ~collect ()
   in
   Net.Source.start src;
@@ -988,7 +1112,7 @@ let test_source_floor_clamps_decrease () =
     }
   in
   let src =
-    Net.Source.create ~engine ~params ~emit:(fun ~now:_ ~rate:_ -> ()) ~collect ()
+    Net.Source.create ~engine ~params ~emit:(fun ~now:_ -> ()) ~collect ()
   in
   Net.Source.start src;
   ignore (Sim.Engine.schedule engine ~delay:0.4 (fun () -> pending := 100));
@@ -1061,7 +1185,7 @@ let test_source_rejects_bad_recovery_params () =
   let mk params () =
     ignore
       (Net.Source.create ~engine ~params
-         ~emit:(fun ~now:_ ~rate:_ -> ())
+         ~emit:(fun ~now:_ -> ())
          ~collect:no_feedback ())
   in
   Alcotest.check_raises "negative silence_epochs"
@@ -1085,7 +1209,7 @@ let test_source_rejects_bad_params () =
       (fun () ->
         ignore
           (Net.Source.create ~engine ~params
-             ~emit:(fun ~now:_ ~rate:_ -> ())
+             ~emit:(fun ~now:_ -> ())
              ~collect:no_feedback ()))
   in
   let d = Net.Source.default_params in
@@ -1118,7 +1242,7 @@ let test_source_rejects_bad_offset () =
       ignore
         (Net.Source.create ~engine ~epoch_offset:1.
            ~params:Net.Source.default_params
-           ~emit:(fun ~now:_ ~rate:_ -> ())
+           ~emit:(fun ~now:_ -> ())
            ~collect:no_feedback ()))
 
 let test_source_epoch_offset_shifts_adaptation () =
@@ -1358,7 +1482,7 @@ let prop_source_timers_match_every =
       let pending = ref 0 in
       let src =
         Net.Source.create ~engine ~id:7 ~epoch_offset ~params
-          ~emit:(fun ~now:_ ~rate:_ -> ())
+          ~emit:(fun ~now:_ -> ())
           ~collect:(collect pending) ()
       in
       let got =
@@ -1456,6 +1580,13 @@ let () =
           Alcotest.test_case "defaults" `Quick test_packet_defaults;
           Alcotest.test_case "marker" `Quick test_packet_marker;
         ] );
+      ( "pool",
+        [
+          Alcotest.test_case "reuse resets" `Quick test_pool_reuse_resets;
+          qt prop_pool_model;
+          Alcotest.test_case "unpooled release" `Quick test_pool_unpooled_release;
+          Alcotest.test_case "link drop releases" `Quick test_pool_link_drop_releases;
+        ] );
       ( "droptail",
         [
           Alcotest.test_case "fifo" `Quick test_droptail_fifo;
@@ -1500,6 +1631,8 @@ let () =
           Alcotest.test_case "unknown host" `Quick test_node_unknown_host_fails;
           Alcotest.test_case "fib index out of range" `Quick
             test_node_fib_out_of_range_fails;
+          Alcotest.test_case "released packet fails" `Quick
+            test_node_released_packet_fails;
           Alcotest.test_case "conflicting paths" `Quick test_topology_conflicting_paths;
           Alcotest.test_case "duplicate node" `Quick test_topology_duplicate_node;
           Alcotest.test_case "duplicate link" `Quick test_topology_duplicate_link;

@@ -62,7 +62,7 @@
     [lint: <token>] with the rule's token ([alloc-ok], [domain-ok],
     [rng-ok]). Parse the waiver sparingly and say what the site is —
     e.g. the [Some] per [Qdisc] dequeue is waived as the option-based
-    API the timer-wheel/packet-pool PR will remove.
+    dequeue API, whose [Some] dies young.
 
     Run it with [dune build @typelint]: the alias builds the [.cmt]
     files for every library under [lib/] (via dune's [check] alias)
