@@ -6,6 +6,14 @@ type selector_state =
   | Cache of Cache_selector.t
   | Stateless of Stateless_selector.t
 
+(* The last epoch's readings, in an all-float record: OCaml stores it
+   flat, so the per-epoch writes are unboxed stores. As mutable float
+   fields of the mixed record below, each write would box a float, and
+   the box would be promoted because the core record is old. *)
+type last = { mutable qavg : float; mutable fn : float }
+
+(* The queue average itself lives on the link ([Net.Link.queue_average]),
+   which integrates it at every queue change. *)
 type t = {
   params : Params.t;
   estimator : Congestion.t;
@@ -13,10 +21,8 @@ type t = {
   trace : Sim.Trace.t;
   send_feedback : Net.Packet.marker -> unit;
   selector : selector_state;
-  qlen : Sim.Stats.Time_weighted.t;
   mutable timer : Sim.Engine.handle option;
-  mutable last_qavg : float;
-  mutable last_fn : float;
+  last : last;
   mutable feedback_sent : int;
   mutable congested_epochs : int;
   mutable markers_seen : int;
@@ -25,9 +31,9 @@ type t = {
 
 let link t = t.link
 
-let last_qavg t = t.last_qavg
+let last_qavg t = t.last.qavg
 
-let last_fn t = t.last_fn
+let last_fn t = t.last.fn
 
 let feedback_sent t = t.feedback_sent
 
@@ -79,8 +85,8 @@ let[@corelite.hot] on_marker t pkt =
 
 let on_epoch t engine () =
   let now = Sim.Engine.now engine in
-  let qavg = Sim.Stats.Time_weighted.average t.qlen ~now in
-  Sim.Stats.Time_weighted.reset t.qlen ~now;
+  let qavg = Net.Link.queue_average t.link in
+  Net.Link.reset_queue_average t.link;
   let mu = Net.Link.capacity_pps t.link *. t.params.Params.core_epoch in
   let fn = Congestion.budget t.estimator ~mu ~qavg ~qthresh:t.params.Params.qthresh in
   if t.check then begin
@@ -91,8 +97,8 @@ let on_epoch t engine () =
       ~what:("Core " ^ t.link.Net.Link.name ^ ": negative feedback budget Fn")
       (fn >= 0.)
   end;
-  t.last_qavg <- qavg;
-  t.last_fn <- fn;
+  t.last.qavg <- qavg;
+  t.last.fn <- fn;
   (* Exactly one budget computation per core epoch per link — recorded
      before the selector acts, so the oracle can check both the 100 ms
      cadence and that every feedback burst follows a positive budget. *)
@@ -148,21 +154,17 @@ let reset t =
   | Cache cache -> Cache_selector.clear cache
   | Stateless sel -> Stateless_selector.reset sel);
   Congestion.reset t.estimator;
-  let now = Sim.Engine.now t.link.Net.Link.engine in
-  Sim.Stats.Time_weighted.set t.qlen ~now
-    (float_of_int (Net.Link.queue_length t.link));
-  Sim.Stats.Time_weighted.reset t.qlen ~now;
-  t.last_qavg <- 0.;
-  t.last_fn <- 0.
+  Net.Link.reset_queue_average t.link;
+  t.last.qavg <- 0.;
+  t.last.fn <- 0.
 
 let attach ?check_invariants ~params ~rng ~send_feedback link =
   let check =
     match check_invariants with Some b -> b | None -> Sim.Invariant.default ()
   in
-  if link.Net.Link.hooks <> None then
+  if Net.Link.has_hook link then
     invalid_arg ("Core.attach: link " ^ link.Net.Link.name ^ " already has hooks");
   let engine = link.Net.Link.engine in
-  let now = Sim.Engine.now engine in
   let selector =
     match params.Params.selector with
     | Params.Cache ->
@@ -172,10 +174,6 @@ let attach ?check_invariants ~params ~rng ~send_feedback link =
         (Stateless_selector.create ~rav_gain:params.Params.rav_gain
            ~wav_gain:params.Params.wav_gain ~pw_cap:params.Params.pw_cap ~rng)
   in
-  let qlen =
-    Sim.Stats.Time_weighted.create ~now
-      ~init:(float_of_int (Net.Link.queue_length link))
-  in
   let t =
     {
       params;
@@ -184,31 +182,22 @@ let attach ?check_invariants ~params ~rng ~send_feedback link =
       trace = Sim.Engine.trace engine;
       send_feedback;
       selector;
-      qlen;
       timer = None;
-      last_qavg = 0.;
-      last_fn = 0.;
+      last = { qavg = 0.; fn = 0. };
       feedback_sent = 0;
       congested_epochs = 0;
       markers_seen = 0;
       check;
     }
   in
+  (* The first epoch averages the queue from now. *)
+  Net.Link.reset_queue_average link;
   t.timer <-
     Some (Sim.Engine.every engine ~period:params.Params.core_epoch (on_epoch t engine));
-  let hooks =
-    {
-      Net.Link.on_arrival =
-        (fun pkt ->
-          if Net.Packet.has_marker pkt then on_marker t pkt;
-          Net.Link.Pass);
-      on_queue_change =
-        (fun qlen_now ->
-          Sim.Stats.Time_weighted.set t.qlen ~now:(Sim.Engine.now engine)
-            (float_of_int qlen_now));
-    }
-  in
-  link.Net.Link.hooks <- Some hooks;
+  link.Net.Link.on_arrival <-
+    (fun pkt ->
+      if Net.Packet.has_marker pkt then on_marker t pkt;
+      Net.Link.Pass);
   let m = Sim.Engine.metrics engine in
   let pfx = "corelite.core." ^ link.Net.Link.name ^ "." in
   Sim.Metrics.probe m (pfx ^ "feedback_sent")
@@ -221,12 +210,12 @@ let attach ?check_invariants ~params ~rng ~send_feedback link =
     ~help:"epochs with a positive budget, i.e. qavg above qthresh"
     (fun () -> float_of_int t.congested_epochs);
   Sim.Metrics.probe m (pfx ^ "qavg") ~help:"last epoch's average queue"
-    (fun () -> t.last_qavg);
+    (fun () -> t.last.qavg);
   Sim.Metrics.probe m (pfx ^ "fn") ~help:"last epoch's marker budget Fn"
-    (fun () -> t.last_fn);
+    (fun () -> t.last.fn);
   t
 
 let detach t =
   (match t.timer with Some h -> Sim.Engine.cancel h | None -> ());
   t.timer <- None;
-  t.link.Net.Link.hooks <- None
+  t.link.Net.Link.on_arrival <- Net.Link.admit_all

@@ -18,13 +18,17 @@ val attach :
   send_feedback:(Net.Packet.marker -> unit) ->
   Net.Link.t ->
   t
-(** Installs hooks on the link and starts the congestion-epoch timer.
+(** Installs the marker-observing admission hook on the link
+    ({!Net.Link.t.on_arrival}), starts a queue-average window on it
+    ({!Net.Link.reset_queue_average}) and starts the congestion-epoch
+    timer; each epoch reads and restarts the link's average.
     [check_invariants] (default {!Sim.Invariant.default}) audits the
     feedback budgets — per epoch the cache selector may return at most
     [ceil Fn] markers, per marker the stateless selector at most
     [ceil pw] copies — and non-negativity of [qavg] and [Fn], raising
     {!Sim.Invariant.Violation} on the first breach.
-    @raise Invalid_argument if the link already has hooks. *)
+    @raise Invalid_argument if the link already has a hook
+    ({!Net.Link.has_hook}). *)
 
 val link : t -> Net.Link.t
 
@@ -53,5 +57,6 @@ val markers_seen : t -> int
     lose the packets buffered at the router. *)
 val reset : t -> unit
 
-(** Stop the epoch timer and remove the link hooks. *)
+(** Stop the epoch timer and put back the link's {!Net.Link.admit_all}
+    hook. *)
 val detach : t -> unit

@@ -1,9 +1,14 @@
+(* [pw] sits in its own all-float record, which OCaml stores flat, so
+   the per-epoch write is an unboxed store; as a mutable float of the
+   mixed record below it would box, and the box be promoted. *)
+type pw_cell = { mutable pw : float }
+
 type t = {
   rng : Sim.Rng.t;
   pw_cap : float;
   rav : Sim.Stats.Ewma.t;
   wav : Sim.Stats.Ewma.t;
-  mutable pw : float;
+  cell : pw_cell;
   mutable deficit : int;
   mutable epoch_markers : int;
 }
@@ -15,14 +20,14 @@ let create ~rav_gain ~wav_gain ~pw_cap ~rng =
     pw_cap;
     rav = Sim.Stats.Ewma.create ~gain:rav_gain;
     wav = Sim.Stats.Ewma.create ~gain:wav_gain;
-    pw = 0.;
+    cell = { pw = 0. };
     deficit = 0;
     epoch_markers = 0;
   }
 
 let rav t = Sim.Stats.Ewma.value t.rav
 
-let pw t = t.pw
+let pw t = t.cell.pw
 
 let deficit t = t.deficit
 
@@ -30,13 +35,14 @@ let[@corelite.hot] observe t pkt =
   let rn = pkt.Net.Packet.floats.rate in
   t.epoch_markers <- t.epoch_markers + 1;
   Sim.Stats.Ewma.update t.rav rn;
-  if t.pw <= 0. then 0
+  let pw = t.cell.pw in
+  if pw <= 0. then 0
   else begin
     let eligible = rn >= rav t in
     let selections =
-      int_of_float t.pw
+      int_of_float pw
       (* lint: fault-ok -- the paper's probabilistic rounding, not loss *)
-      + (if Sim.Rng.bernoulli t.rng (t.pw -. Float.of_int (int_of_float t.pw)) then 1 else 0)
+      + (if Sim.Rng.bernoulli t.rng (pw -. Float.of_int (int_of_float pw)) then 1 else 0)
     in
     if selections > 0 then
       if eligible then selections
@@ -59,7 +65,7 @@ let[@corelite.hot] observe t pkt =
 let reset t =
   Sim.Stats.Ewma.reset t.rav;
   Sim.Stats.Ewma.reset t.wav;
-  t.pw <- 0.;
+  t.cell.pw <- 0.;
   t.deficit <- 0;
   t.epoch_markers <- 0
 
@@ -72,4 +78,5 @@ let on_epoch t ~fn =
   (* [pw] may exceed 1 (multiple feedback copies per marker); the cap
      bounds over-actuation of the delayed control loop and keeps a
      mis-estimated [wav] from triggering a feedback storm. *)
-  t.pw <- (if Sim.Floats.is_zero fn || wav <= 0. then 0. else Float.min t.pw_cap (fn /. wav))
+  t.cell.pw <-
+    (if Sim.Floats.is_zero fn || wav <= 0. then 0. else Float.min t.pw_cap (fn /. wav))

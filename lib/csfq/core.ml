@@ -2,6 +2,20 @@ let log = Logs.Src.create "csfq.core" ~doc:"CSFQ core-router logic"
 
 module Log = (val Logs.src_log log : Logs.LOG)
 
+(* The estimator's mutable floats, in an all-float record as
+   Rate_estimator keeps its own, [has_alpha] included (0. before the
+   first estimate, 1. after): OCaml stores it flat, so every write is
+   an unboxed store. As fields of the mixed record below, each write
+   would box a float ([tmp_alpha] on every uncongested arrival), and a
+   [float option] alpha a [Some] besides, each promoted because the
+   core record is old. *)
+type floats = {
+  mutable alpha : float;  (* meaningful once [has_alpha] *)
+  mutable has_alpha : float;
+  mutable window_start : float;
+  mutable tmp_alpha : float;  (* max label seen while uncongested *)
+}
+
 type t = {
   params : Params.t;
   link : Net.Link.t;
@@ -10,16 +24,14 @@ type t = {
   capacity : float;  (* pkt/s *)
   arrival : Rate_estimator.t;
   accepted : Rate_estimator.t;
-  mutable alpha : float option;
+  cell : floats;
   mutable congested : bool;
-  mutable window_start : float;
-  mutable tmp_alpha : float;  (* max label seen while uncongested *)
   mutable early_drops : int;
 }
 
 let link t = t.link
 
-let alpha t = t.alpha
+let alpha t = if t.cell.has_alpha > 0. then Some t.cell.alpha else None
 
 let congested t = t.congested
 
@@ -32,7 +44,8 @@ let early_drops t = t.early_drops
 (* Every revision of the fair-share estimate goes through here so the
    trace sees each [Alpha_update] exactly once. *)
 let set_alpha t ~now v =
-  t.alpha <- Some v;
+  t.cell.alpha <- v;
+  t.cell.has_alpha <- 1.;
   if Sim.Trace.want t.trace Sim.Trace.Alpha_update then
     Sim.Trace.record t.trace ~time:now Sim.Trace.Alpha_update
       ~a:t.link.Net.Link.id ~b:0 ~x:v ~y:0.
@@ -43,40 +56,43 @@ let estimate_alpha t ~now pkt =
   let label = pkt.Net.Packet.floats.label in
   let a = Rate_estimator.value t.arrival in
   let f = Rate_estimator.value t.accepted in
+  let c = t.cell in
   if a >= t.capacity then begin
     if not t.congested then begin
       t.congested <- true;
-      t.window_start <- now
+      c.window_start <- now
     end
-    else if now > t.window_start +. t.params.Params.k_link then begin
-      (match t.alpha with
-      | Some alpha when f > 0. ->
-        set_alpha t ~now (alpha *. t.capacity /. f);
-        Log.debug (fun m ->
-            m "t=%.3f link %s alpha %.2f -> %.2f (A=%.1f F=%.1f)" now
-              t.link.Net.Link.name alpha
-              (alpha *. t.capacity /. f)
-              a f)
-      | Some _ -> ()
-      | None ->
+    else if now > c.window_start +. t.params.Params.k_link then begin
+      if c.has_alpha > 0. then begin
+        if f > 0. then begin
+          let alpha = c.alpha in
+          set_alpha t ~now (alpha *. t.capacity /. f);
+          Log.debug (fun m ->
+              m "t=%.3f link %s alpha %.2f -> %.2f (A=%.1f F=%.1f)" now
+                t.link.Net.Link.name alpha
+                (alpha *. t.capacity /. f)
+                a f)
+        end
+      end
+      else if c.tmp_alpha > 0. then
         (* First congestion before any uncongested window: bootstrap
            from the labels seen so far. *)
-        if t.tmp_alpha > 0. then set_alpha t ~now t.tmp_alpha);
-      t.window_start <- now
+        set_alpha t ~now c.tmp_alpha;
+      c.window_start <- now
     end
   end
   else begin
     if t.congested then begin
       t.congested <- false;
-      t.window_start <- now;
-      t.tmp_alpha <- 0.
+      c.window_start <- now;
+      c.tmp_alpha <- 0.
     end
     else begin
-      t.tmp_alpha <- Float.max t.tmp_alpha label;
-      if now > t.window_start +. t.params.Params.k_link then begin
-        set_alpha t ~now t.tmp_alpha;
-        t.window_start <- now;
-        t.tmp_alpha <- 0.
+      c.tmp_alpha <- Float.max c.tmp_alpha label;
+      if now > c.window_start +. t.params.Params.k_link then begin
+        set_alpha t ~now c.tmp_alpha;
+        c.window_start <- now;
+        c.tmp_alpha <- 0.
       end
     end
   end
@@ -90,11 +106,10 @@ let on_arrival t pkt =
   let now = Sim.Engine.now t.link.Net.Link.engine in
   let label = pkt.Net.Packet.floats.label in
   ignore (Rate_estimator.update t.arrival ~now ~amount:1.);
-  let alpha_before = t.alpha in
+  let had_alpha = t.cell.has_alpha > 0. in
+  let alpha_before = t.cell.alpha in
   let drop_probability =
-    match alpha_before with
-    | Some alpha when label > 0. -> Float.max 0. (1. -. (alpha /. label))
-    | Some _ | None -> 0.
+    if had_alpha && label > 0. then Float.max 0. (1. -. (alpha_before /. label)) else 0.
   in
   let verdict =
     if Sim.Rng.bernoulli t.rng drop_probability then begin
@@ -107,21 +122,20 @@ let on_arrival t pkt =
     end
   in
   estimate_alpha t ~now pkt;
-  (match (verdict, alpha_before) with
-  | Net.Link.Pass, Some alpha when label > alpha -> pkt.Net.Packet.floats.label <- alpha
-  | (Net.Link.Pass | Net.Link.Drop), _ -> ());
+  (match verdict with
+  | Net.Link.Pass when had_alpha && label > alpha_before ->
+    pkt.Net.Packet.floats.label <- alpha_before
+  | Net.Link.Pass | Net.Link.Drop -> ());
   verdict
 
 let note_overflow t =
-  match t.alpha with
-  | Some alpha ->
+  if t.cell.has_alpha > 0. then
     set_alpha t
       ~now:(Sim.Engine.now t.link.Net.Link.engine)
-      (alpha *. t.params.Params.overflow_penalty)
-  | None -> ()
+      (t.cell.alpha *. t.params.Params.overflow_penalty)
 
 let attach ~params ~rng link =
-  if link.Net.Link.hooks <> None then
+  if Net.Link.has_hook link then
     invalid_arg ("Csfq.Core.attach: link " ^ link.Net.Link.name ^ " already has hooks");
   let t =
     {
@@ -132,19 +146,18 @@ let attach ~params ~rng link =
       capacity = Net.Link.capacity_pps link;
       arrival = Rate_estimator.create ~k:params.Params.k_link;
       accepted = Rate_estimator.create ~k:params.Params.k_link;
-      alpha = None;
+      cell =
+        {
+          alpha = 0.;
+          has_alpha = 0.;
+          window_start = Sim.Engine.now link.Net.Link.engine;
+          tmp_alpha = 0.;
+        };
       congested = false;
-      window_start = Sim.Engine.now link.Net.Link.engine;
-      tmp_alpha = 0.;
       early_drops = 0;
     }
   in
-  link.Net.Link.hooks <-
-    Some
-      {
-        Net.Link.on_arrival = (fun pkt -> on_arrival t pkt);
-        on_queue_change = (fun _ -> ());
-      };
+  link.Net.Link.on_arrival <- on_arrival t;
   let m = Sim.Engine.metrics link.Net.Link.engine in
   let pfx = "csfq.core." ^ link.Net.Link.name ^ "." in
   Sim.Metrics.probe m (pfx ^ "early_drops")
@@ -152,7 +165,7 @@ let attach ~params ~rng link =
     (fun () -> float_of_int t.early_drops);
   Sim.Metrics.probe m (pfx ^ "alpha")
     ~help:"fair-share estimate, pkt/s; -1 before the first estimate"
-    (fun () -> match t.alpha with Some a -> a | None -> -1.);
+    (fun () -> if t.cell.has_alpha > 0. then t.cell.alpha else -1.);
   t
 
-let detach t = t.link.Net.Link.hooks <- None
+let detach t = t.link.Net.Link.on_arrival <- Net.Link.admit_all

@@ -15,8 +15,10 @@
 type t
 
 val attach : params:Params.t -> rng:Sim.Rng.t -> Net.Link.t -> t
-(** Installs the drop/relabel hook on the link.
-    @raise Invalid_argument if the link already has hooks. *)
+(** Installs the drop/relabel admission hook on the link
+    ({!Net.Link.t.on_arrival}).
+    @raise Invalid_argument if the link already has a hook
+    ({!Net.Link.has_hook}). *)
 
 val link : t -> Net.Link.t
 

@@ -4,9 +4,14 @@ type drop_reason = Filtered | Queue_full | Injected | Down
 
 type fault_action = Forward | Lose | Strip
 
-type hooks = {
-  on_arrival : Packet.t -> verdict;
-  on_queue_change : int -> unit;
+(* The time-weighted queue length, integrated with the arithmetic of
+   [Sim.Stats.Time_weighted.set] at every queue change. All-float, so
+   OCaml stores it flat and the per-change update is unboxed stores. *)
+type queue_average = {
+  mutable window_start : float;
+  mutable last_change : float;
+  mutable current : float;  (* the queue length since [last_change] *)
+  mutable integral : float;  (* ∫ length dt over [window_start, last_change] *)
 }
 
 (* Hot-path layout: the packet being serialized sits in [in_service]
@@ -17,6 +22,12 @@ type hooks = {
    cancellation handles per packet. Propagation delay is constant per
    link, so in-flight packets leave the wire in FIFO order and one ring
    suffices.
+
+   One hop is flat: the admission hook is a closure field called
+   directly, the discipline a variant matched directly, and the link
+   itself records the Enqueue/Dequeue trace entries, runs the occupancy
+   audit and integrates the queue average, reading the time through
+   the engine's clock view rather than a boxed [Engine.now].
 
    Outages and router resets invalidate events already in the heap
    (a tx-done for a purged transmission, deliveries for a cleared
@@ -33,16 +44,19 @@ type t = {
   delay : float;
   qdisc : Qdisc.t;
   engine : Sim.Engine.t;
+  clock : Sim.Engine.clock;
   trace : Sim.Trace.t;
+  qavg : queue_average;
   mutable busy : bool;
   mutable in_service : Packet.t;
+  idle : Packet.t;
   wire : Packet.t Sim.Ring.t;
   mutable tx_done_ev : unit -> unit;
   mutable deliver_ev : unit -> unit;
   mutable up : bool;
   mutable generation : int;
   mutable fault : (Packet.t -> fault_action) option;
-  mutable hooks : hooks option;
+  mutable on_arrival : Packet.t -> verdict;
   mutable on_drop : (drop_reason -> Packet.t -> unit) option;
   mutable deliver : Packet.t -> unit;
   mutable arrivals : int;
@@ -52,23 +66,47 @@ type t = {
   check : bool;
 }
 
+let admit_all (_ : Packet.t) = Pass
+
+let has_hook t = t.on_arrival != admit_all
+
 let capacity_pps t = t.bandwidth /. float_of_int (8 * Packet.default_size)
 
-let[@corelite.hot] queue_length t = t.qdisc.Qdisc.length ()
+let[@corelite.hot] queue_length t = Qdisc.length t.qdisc
 
 let is_up t = t.up
 
-let[@corelite.hot] notify_queue_change t =
-  match t.hooks with
-  | Some h -> h.on_queue_change (queue_length t)
-  | None -> ()
+(* Fold the span since the last change into the integral at the
+   current value: [Time_weighted.set]'s [accumulate], term for term. *)
+let[@corelite.hot] accumulate t =
+  let a = t.qavg in
+  let now = t.clock.Sim.Engine.time in
+  a.integral <- a.integral +. ((now -. a.last_change) *. a.current);
+  a.last_change <- now
+
+(* The queue-average update, run after every enqueue, every served
+   dequeue and every purge. *)
+let[@corelite.hot] note_queue t =
+  accumulate t;
+  t.qavg.current <- float_of_int (queue_length t)
+
+let queue_average t =
+  accumulate t;
+  let a = t.qavg in
+  let span = a.last_change -. a.window_start in
+  if span <= 0. then a.current else a.integral /. span
+
+let reset_queue_average t =
+  accumulate t;
+  t.qavg.window_start <- t.qavg.last_change;
+  t.qavg.integral <- 0.
 
 let reason_code = function Filtered -> 0 | Queue_full -> 1 | Injected -> 2 | Down -> 3
 
 let[@corelite.hot] drop t reason pkt =
   t.drops <- t.drops + 1;
   if Sim.Trace.want t.trace Sim.Trace.Drop then
-    Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) Sim.Trace.Drop
+    Sim.Trace.record t.trace ~time:t.clock.Sim.Engine.time Sim.Trace.Drop
       ~a:t.id ~b:pkt.Packet.flow
       ~x:(float_of_int (reason_code reason))
       ~y:0.;
@@ -90,15 +128,52 @@ let check_conservation t =
         t.name t.arrivals t.departures t.drops queued in_service)
     (t.arrivals = t.departures + t.drops + queued + in_service)
 
+(* Queue operations: the discipline's, then the Enqueue/Dequeue trace
+   entry (link id, the packet's flow, the queue length after the
+   operation), then, when [check] is on, the occupancy audit. A refused
+   enqueue records nothing here: [drop] records the authoritative Drop
+   with its reason. *)
+let[@corelite.hot] enqueue t pkt =
+  let before = if t.check then queue_length t else 0 in
+  let action = Qdisc.enqueue t.qdisc pkt in
+  (match action with
+  | Qdisc.Enqueued ->
+    if Sim.Trace.want t.trace Sim.Trace.Enqueue then
+      Sim.Trace.record t.trace ~time:t.clock.Sim.Engine.time Sim.Trace.Enqueue
+        ~a:t.id ~b:pkt.Packet.flow
+        ~x:(float_of_int (queue_length t))
+        ~y:0.
+  | Qdisc.Dropped -> ());
+  if t.check then
+    Qdisc.audit_enqueue ~kind:(Qdisc.kind t.qdisc) action ~before ~after:(queue_length t)
+      ~bytes:(Qdisc.bytes t.qdisc);
+  action
+
+(* Returns [t.idle] when the discipline serves nothing. *)
+let[@corelite.hot] dequeue t =
+  let before = if t.check then queue_length t else 0 in
+  let pkt = Qdisc.dequeue t.qdisc ~empty:t.idle in
+  let served = pkt != t.idle in
+  if served && Sim.Trace.want t.trace Sim.Trace.Dequeue then
+    Sim.Trace.record t.trace ~time:t.clock.Sim.Engine.time Sim.Trace.Dequeue
+      ~a:t.id ~b:pkt.Packet.flow
+      ~x:(float_of_int (queue_length t))
+      ~y:0.;
+  if t.check then
+    Qdisc.audit_dequeue ~kind:(Qdisc.kind t.qdisc) ~served ~before ~after:(queue_length t)
+      ~bytes:(Qdisc.bytes t.qdisc);
+  pkt
+
 let[@corelite.hot] rec start_transmission t =
-  match t.qdisc.Qdisc.dequeue () with
-  | None -> t.busy <- false
-  | Some pkt ->
+  let pkt = dequeue t in
+  if pkt == t.idle then t.busy <- false
+  else begin
     t.busy <- true;
     t.in_service <- pkt;
-    notify_queue_change t;
+    note_queue t;
     let tx_time = float_of_int (8 * pkt.Packet.size) /. t.bandwidth in
     Sim.Engine.schedule_unit t.engine ~delay:tx_time t.tx_done_ev
+  end
 
 and[@corelite.hot] tx_done t =
   let pkt = t.in_service in
@@ -132,11 +207,11 @@ let purge t reason =
     drop t reason t.in_service
   end;
   let rec drain () =
-    match t.qdisc.Qdisc.dequeue () with
-    | Some pkt ->
+    let pkt = dequeue t in
+    if pkt != t.idle then begin
       drop t reason pkt;
       drain ()
-    | None -> ()
+    end
   in
   drain ();
   while not (Sim.Ring.is_empty t.wire) do
@@ -151,14 +226,14 @@ let purge t reason =
   Sim.Ring.clear t.wire;
   t.generation <- t.generation + 1;
   arm t;
-  notify_queue_change t;
+  note_queue t;
   if t.check then check_conservation t
 
 let set_up t up =
   if up <> t.up then begin
     t.up <- up;
     if Sim.Trace.want t.trace Sim.Trace.Fault then
-      Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine) Sim.Trace.Fault
+      Sim.Trace.record t.trace ~time:t.clock.Sim.Engine.time Sim.Trace.Fault
         ~a:t.id ~b:(-1)
         ~x:(if up then 3. else 2.)
         ~y:0.;
@@ -181,13 +256,12 @@ let create ?check_invariants ~engine ~id ~name ~src ~dst ~bandwidth ~delay ~qdis
   let check =
     match check_invariants with Some b -> b | None -> Sim.Invariant.default ()
   in
-  let trace = Sim.Engine.trace engine in
-  (* Trace first, invariants on top: the audit then covers the traced
-     closures, and both wrappers are allocated once per link. *)
-  let qdisc =
-    Qdisc.with_trace ~trace ~now:(fun () -> Sim.Engine.now engine) ~link:id qdisc
-  in
-  let qdisc = if check then Qdisc.with_invariants qdisc else qdisc in
+  let clock = Sim.Engine.clock engine in
+  let now = clock.Sim.Engine.time in
+  (* Placeholder occupying [in_service] while idle, never read then
+     ([busy] gates every access), and the discipline's "nothing
+     served" answer. *)
+  let idle = Packet.make ~id:(-1) ~flow:(-1) ~created:0. () in
   let t =
     {
       id;
@@ -198,18 +272,25 @@ let create ?check_invariants ~engine ~id ~name ~src ~dst ~bandwidth ~delay ~qdis
       delay;
       qdisc;
       engine;
-      trace;
+      clock;
+      trace = Sim.Engine.trace engine;
+      qavg =
+        {
+          window_start = now;
+          last_change = now;
+          current = float_of_int (Qdisc.length qdisc);
+          integral = 0.;
+        };
       busy = false;
-      (* Placeholder occupying [in_service] while idle; never read
-         ([busy] gates every access). *)
-      in_service = Packet.make ~id:(-1) ~flow:(-1) ~created:0. ();
+      in_service = idle;
+      idle;
       wire = Sim.Ring.create ();
       tx_done_ev = ignore;
       deliver_ev = ignore;
       up = true;
       generation = 0;
       fault = None;
-      hooks = None;
+      on_arrival = admit_all;
       on_drop = None;
       deliver = (fun _ -> failwith ("Link " ^ name ^ ": deliver not wired"));
       arrivals = 0;
@@ -246,8 +327,8 @@ let[@corelite.hot] send t pkt =
   (if not t.up then drop t Down pkt
    else
      let admitted =
-       (* Fault injection runs before the router's admission hooks:
-          a packet lost (or a marker corrupted) on the upstream wire is
+       (* Fault injection runs before the router's admission hook: a
+          packet lost (or a marker corrupted) on the upstream wire is
           never observed by the core logic attached to this link. *)
        match t.fault with
        | None -> true
@@ -257,7 +338,7 @@ let[@corelite.hot] send t pkt =
          | Strip ->
            Packet.clear_marker pkt;
            if Sim.Trace.want t.trace Sim.Trace.Fault then
-             Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine)
+             Sim.Trace.record t.trace ~time:t.clock.Sim.Engine.time
                Sim.Trace.Fault ~a:t.id ~b:pkt.Packet.flow ~x:1. ~y:0.;
            true
          | Lose ->
@@ -265,14 +346,13 @@ let[@corelite.hot] send t pkt =
            false)
      in
      if admitted then
-       (* A plain match: the [|> function] spelling builds a function
-          value per packet just to apply it once. *)
-       match (match t.hooks with Some h -> h.on_arrival pkt | None -> Pass) with
+       (* The direct arrival call: the core's closure, or [admit_all]. *)
+       match t.on_arrival pkt with
        | Drop -> drop t Filtered pkt
        | Pass -> (
-         match t.qdisc.Qdisc.enqueue pkt with
+         match enqueue t pkt with
          | Qdisc.Dropped -> drop t Queue_full pkt
          | Qdisc.Enqueued ->
-           notify_queue_change t;
+           note_queue t;
            if not t.busy then start_transmission t));
   if t.check then check_conservation t

@@ -2,9 +2,18 @@
 
     A link serializes packets at [bandwidth] bits/s out of its queue
     discipline, then delays each packet by [delay] seconds of propagation
-    before handing it to the downstream node. Hooks let per-link router
-    logic (Corelite core, CSFQ core) observe arrivals and queue changes
-    and veto admission.
+    before handing it to the downstream node. An admission hook
+    ({!field-on_arrival}) lets per-link router logic (Corelite core,
+    CSFQ core) observe arrivals and veto admission, and the link keeps
+    the time-weighted average of its own queue length for the Corelite
+    core's congestion epochs ({!queue_average}).
+
+    The per-hop datapath is flat: the hook is a closure field called
+    directly, the discipline a closed variant ({!Qdisc.t}) matched
+    directly, and the link itself records the [Enqueue]/[Dequeue] trace
+    entries, audits occupancy when its checks are on, and reads the
+    time through the engine's unboxed clock view
+    ({!Sim.Engine.clock}).
 
     Links also carry the failure surface the chaos experiments inject
     through: an up/down state ({!set_up}), a buffer purge for router
@@ -13,7 +22,7 @@
 
 type verdict = Pass | Drop
 
-(** Why a packet was lost: rejected by the admission hooks (e.g. a CSFQ
+(** Why a packet was lost: rejected by the admission hook (e.g. a CSFQ
     probabilistic drop), refused by the queue discipline (buffer
     overflow or an early AQM drop), destroyed by fault injection
     ([Injected]), or lost to a link outage / router reset ([Down] —
@@ -21,20 +30,15 @@ type verdict = Pass | Drop
     purged from the buffer and wire when it goes down). *)
 type drop_reason = Filtered | Queue_full | Injected | Down
 
-(** Verdict of the fault hook, evaluated before the admission hooks:
+(** Verdict of the fault hook, evaluated before the admission hook:
     [Forward] passes the packet untouched, [Lose] drops it
     ([Injected]), [Strip] removes its piggybacked marker but forwards
     the payload — pure control-plane loss. *)
 type fault_action = Forward | Lose | Strip
 
-type hooks = {
-  on_arrival : Packet.t -> verdict;
-      (** Runs before the queue discipline; may mutate the packet
-          (e.g. CSFQ relabelling) or reject it. *)
-  on_queue_change : int -> unit;
-      (** Called with the new number of waiting packets after every
-          enqueue or dequeue. *)
-}
+(** The link's time-weighted queue length (read with
+    {!queue_average}). *)
+type queue_average
 
 type t = {
   id : int;
@@ -45,13 +49,21 @@ type t = {
   delay : float;  (** propagation, seconds *)
   qdisc : Qdisc.t;
   engine : Sim.Engine.t;
+  clock : Sim.Engine.clock;
+      (** the engine's clock view, read unboxed on the per-hop path *)
   trace : Sim.Trace.t;
-      (** the engine's tracer, cached so drop/fault recording sites
-          need no indirection *)
+      (** the engine's tracer, cached so recording sites need no
+          indirection *)
+  qavg : queue_average;
+      (** integrated at every enqueue, served dequeue and purge *)
   mutable busy : bool;
   mutable in_service : Packet.t;
-      (** the packet being serialized; a placeholder (id [-1]) while
-          not [busy] — never read then *)
+      (** the packet being serialized; [idle] until the first
+          transmission, and never read while not [busy] *)
+  idle : Packet.t;
+      (** a placeholder packet (id [-1]): [in_service] before the
+          first transmission, and the [~empty] answer of
+          {!Qdisc.dequeue} *)
   wire : Packet.t Sim.Ring.t;
       (** packets in flight; constant propagation delay keeps them
           FIFO, so one ring per link suffices *)
@@ -67,7 +79,11 @@ type t = {
       (** bumped by every purge; stale heap events check it *)
   mutable fault : (Packet.t -> fault_action) option;
       (** pre-admission fault hook; set via {!set_fault} *)
-  mutable hooks : hooks option;
+  mutable on_arrival : Packet.t -> verdict;
+      (** The admission hook, called directly on every packet that
+          survives the fault hook and before the queue discipline; may
+          mutate the packet (CSFQ relabelling) or reject it
+          ([Filtered]). {!admit_all} while no core logic is attached. *)
   mutable on_drop : (drop_reason -> Packet.t -> unit) option;
       (** Fires for every packet lost on this link, whatever the
           {!drop_reason}. The link then releases the packet to its pool
@@ -80,10 +96,19 @@ type t = {
   check : bool;  (** audit packet conservation on every send/tx-done *)
 }
 
-(** [check_invariants] (default {!Sim.Invariant.default}) wraps the
-    queue discipline with {!Qdisc.with_invariants} and audits per-link
-    packet conservation — arrivals = departures + drops + queued +
-    in-service — at every stable point, raising
+(** The admission hook of a link with no core logic: passes every
+    packet. *)
+val admit_all : Packet.t -> verdict
+
+(** Whether core logic has replaced {!admit_all}: a core attaches only
+    to a link without a hook. *)
+val has_hook : t -> bool
+
+(** [check_invariants] (default {!Sim.Invariant.default}) runs the
+    discipline's occupancy audit ({!Qdisc.audit_enqueue},
+    {!Qdisc.audit_dequeue}) around every enqueue and dequeue and audits
+    per-link packet conservation — arrivals = departures + drops +
+    queued + in-service — at every stable point, raising
     {!Sim.Invariant.Violation} on the first broken account.
 
     @raise Invalid_argument when [bandwidth] is not finite and
@@ -102,9 +127,21 @@ val create :
   t
 
 (** Submit a packet for transmission. Runs the fault hook, then the
-    admission hooks, enqueues (or drops), and starts the transmitter if
+    admission hook, enqueues (or drops), and starts the transmitter if
     idle. While the link is down every packet is dropped with [Down]. *)
 val send : t -> Packet.t -> unit
+
+(** Time-weighted average of {!queue_length} over the current window,
+    up to now: the integral the link accumulates at every queue change
+    (with {!Sim.Stats.Time_weighted}'s arithmetic, term for term)
+    divided by the window's span, or the current length when the
+    window is empty. The window starts at link creation and at every
+    {!reset_queue_average}. *)
+val queue_average : t -> float
+
+(** Start a new averaging window now; the current length carries
+    over. *)
+val reset_queue_average : t -> unit
 
 (** Service rate in packets/s for [Packet.default_size] packets. *)
 val capacity_pps : t -> float

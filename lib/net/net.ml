@@ -8,8 +8,9 @@
     blasters (see {!Workload.Blaster}) and a Reno-style TCP.
 
     Scheme logic (Corelite, CSFQ) stays out of this layer: links expose
-    {!Link.hooks} for admission/observation and [on_drop] for loss
-    notification, and the schemes plug in from above. *)
+    an admission hook ({!Link.t.on_arrival}), their own queue average
+    ({!Link.queue_average}) and [on_drop] for loss notification, and
+    the schemes plug in from above. *)
 
 (** Packets: fixed-size data units carrying optional Corelite markers,
     CSFQ labels and micro-flow ids. *)
@@ -19,7 +20,7 @@ module Packet = Packet
     per-flow DRR. *)
 module Qdisc = Qdisc
 
-(** Unidirectional store-and-forward links with scheme hooks. *)
+(** Unidirectional store-and-forward links with a scheme admission hook. *)
 module Link = Link
 
 (** Deterministic fault injection: interprets {!Sim.Faultplan} plans

@@ -1,17 +1,11 @@
 type action = Enqueued | Dropped
 
-type t = {
-  enqueue : Packet.t -> action;
-  dequeue : unit -> Packet.t option;
-  length : unit -> int;
-  bytes : unit -> int;
-  kind : string;
-}
-
-(* A plain FIFO buffer shared by every discipline — a growable ring
-   ([Sim.Ring]) rather than [Stdlib.Queue], so steady-state enqueues
-   allocate nothing (a Queue cell per push is pure minor-GC pressure on
-   the per-packet path; lint rule L6 enforces the choice). *)
+(* A plain FIFO buffer shared by the multi-queue disciplines — a
+   growable ring ([Sim.Ring]) rather than [Stdlib.Queue], so
+   steady-state enqueues allocate nothing (a Queue cell per push is
+   pure minor-GC pressure on the per-packet path; lint rule L6 enforces
+   the choice). Droptail, the evaluation's discipline, keeps its ring
+   inline in its constructor instead (see [t] below). *)
 module Fifo = struct
   type nonrec t = { q : Packet.t Sim.Ring.t; mutable bytes : int }
 
@@ -21,11 +15,10 @@ module Fifo = struct
     Sim.Ring.push t.q pkt;
     t.bytes <- t.bytes + pkt.Packet.size
 
-  (* The option result is the one allocation this API keeps: callers
-     need the atomic empty-test-and-pop. It stays: the [Some] dies in
-     the minor heap within the dequeue, while a sentinel or handle
-     dequeue would change the element type every qdisc and link hook
-     shares. A known, waived cost inside the hot-path words budget. *)
+  (* The option result is the one allocation this API keeps: RED, FRED,
+     DRR and classful need the atomic empty-test-and-pop. Droptail, the
+     discipline every benchmark workload runs, does not go through it:
+     its dequeue in [dequeue] below pops its ring directly. *)
   let[@corelite.hot] pop t =
     if Sim.Ring.is_empty t.q then None
     else begin
@@ -41,24 +34,6 @@ module Fifo = struct
   let[@corelite.hot] length t = Sim.Ring.length t.q
   let[@corelite.hot] bytes t = t.bytes
 end
-
-let droptail ~capacity =
-  if capacity <= 0 then invalid_arg "Qdisc.droptail: capacity must be positive";
-  let fifo = Fifo.create () in
-  let enqueue pkt =
-    if Fifo.length fifo >= capacity then Dropped
-    else begin
-      Fifo.push fifo pkt;
-      Enqueued
-    end
-  in
-  {
-    enqueue;
-    dequeue = (fun () -> Fifo.pop fifo);
-    length = (fun () -> Fifo.length fifo);
-    bytes = (fun () -> Fifo.bytes fifo);
-    kind = "droptail";
-  }
 
 type red_params = {
   capacity : int;
@@ -79,7 +54,7 @@ let default_red_params =
     mean_pkt_time = 0.002;
   }
 
-(* Shared RED average-queue machinery; [fred] reuses it with its own
+(* Shared RED average-queue machinery; [Fred] reuses it with its own
    per-flow admission rule. *)
 module Red_state = struct
   (* The EWMA average lives in its own all-float record: OCaml stores
@@ -136,85 +111,274 @@ module Red_state = struct
     end
 end
 
-let red ?(params = default_red_params) ~rng ~now () =
-  let fifo = Fifo.create () in
-  let state = Red_state.create params in
-  let enqueue pkt =
-    Red_state.update_avg state ~now:(now ()) ~qlen:(Fifo.length fifo);
-    if Fifo.length fifo >= params.capacity then Dropped
-    else if Red_state.early_drop state rng then Dropped
-    else begin
-      Fifo.push fifo pkt;
-      Enqueued
-    end
-  in
-  let dequeue () =
-    let pkt = Fifo.pop fifo in
-    if Fifo.length fifo = 0 then Red_state.note_idle state ~now:(now ());
-    pkt
-  in
-  {
-    enqueue;
-    dequeue;
-    length = (fun () -> Fifo.length fifo);
-    bytes = (fun () -> Fifo.bytes fifo);
-    kind = "red";
+module Red = struct
+  type t = {
+    fifo : Fifo.t;
+    state : Red_state.t;
+    rng : Sim.Rng.t;
+    now : unit -> float;
   }
 
-let fred ?(params = default_red_params) ?(minq = 2) ~rng ~now () =
-  let fifo = Fifo.create () in
-  let state = Red_state.create params in
-  (* Per-flow state exists only while the flow has packets buffered. *)
-  let qlen : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let strikes : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let flow_qlen f = Option.value ~default:0 (Hashtbl.find_opt qlen f) in
-  let flow_strikes f = Option.value ~default:0 (Hashtbl.find_opt strikes f) in
-  let active () = Hashtbl.length qlen in
-  let enqueue pkt =
-    let flow = pkt.Packet.flow in
-    Red_state.update_avg state ~now:(now ()) ~qlen:(Fifo.length fifo);
-    let avgcq = if active () = 0 then state.Red_state.avg.Red_state.v else state.Red_state.avg.Red_state.v /. float_of_int (active ()) in
-    let avgcq = Float.max avgcq 1. in
-    let fq = float_of_int (flow_qlen flow) in
-    let maxq =
-      if state.Red_state.avg.Red_state.v >= params.max_thresh then Float.max (float_of_int minq) avgcq
-      else params.max_thresh
-    in
-    if Fifo.length fifo >= params.capacity then Dropped
-    else if fq >= maxq || (flow_strikes flow > 1 && fq >= 2. *. avgcq) then begin
-      Hashtbl.replace strikes flow (flow_strikes flow + 1);
-      Dropped
-    end
-    else if fq >= Float.max (float_of_int minq) avgcq && Red_state.early_drop state rng then Dropped
+  let enqueue t pkt =
+    Red_state.update_avg t.state ~now:(t.now ()) ~qlen:(Fifo.length t.fifo);
+    if Fifo.length t.fifo >= t.state.Red_state.p.capacity then Dropped
+    else if Red_state.early_drop t.state t.rng then Dropped
     else begin
-      Fifo.push fifo pkt;
-      Hashtbl.replace qlen flow (flow_qlen flow + 1);
+      Fifo.push t.fifo pkt;
       Enqueued
     end
-  in
-  let dequeue () =
-    match Fifo.pop fifo with
+
+  let dequeue t =
+    let pkt = Fifo.pop t.fifo in
+    if Fifo.length t.fifo = 0 then Red_state.note_idle t.state ~now:(t.now ());
+    pkt
+end
+
+module Fred = struct
+  (* Per-flow state exists only while the flow has packets buffered. *)
+  type t = {
+    fifo : Fifo.t;
+    state : Red_state.t;
+    rng : Sim.Rng.t;
+    now : unit -> float;
+    minq : int;
+    qlen : (int, int) Hashtbl.t;
+    strikes : (int, int) Hashtbl.t;
+  }
+
+  let flow_qlen t f = Option.value ~default:0 (Hashtbl.find_opt t.qlen f)
+
+  let flow_strikes t f = Option.value ~default:0 (Hashtbl.find_opt t.strikes f)
+
+  let enqueue t pkt =
+    let params = t.state.Red_state.p in
+    let avg = t.state.Red_state.avg in
+    let flow = pkt.Packet.flow in
+    Red_state.update_avg t.state ~now:(t.now ()) ~qlen:(Fifo.length t.fifo);
+    let active = Hashtbl.length t.qlen in
+    let avgcq = if active = 0 then avg.Red_state.v else avg.Red_state.v /. float_of_int active in
+    let avgcq = Float.max avgcq 1. in
+    let fq = float_of_int (flow_qlen t flow) in
+    let maxq =
+      if avg.Red_state.v >= params.max_thresh then Float.max (float_of_int t.minq) avgcq
+      else params.max_thresh
+    in
+    if Fifo.length t.fifo >= params.capacity then Dropped
+    else if fq >= maxq || (flow_strikes t flow > 1 && fq >= 2. *. avgcq) then begin
+      Hashtbl.replace t.strikes flow (flow_strikes t flow + 1);
+      Dropped
+    end
+    else if fq >= Float.max (float_of_int t.minq) avgcq && Red_state.early_drop t.state t.rng
+    then Dropped
+    else begin
+      Fifo.push t.fifo pkt;
+      Hashtbl.replace t.qlen flow (flow_qlen t flow + 1);
+      Enqueued
+    end
+
+  let dequeue t =
+    match Fifo.pop t.fifo with
     | None -> None
     | Some pkt ->
       let flow = pkt.Packet.flow in
-      let n = flow_qlen flow - 1 in
+      let n = flow_qlen t flow - 1 in
       if n <= 0 then begin
-        Hashtbl.remove qlen flow;
-        Hashtbl.remove strikes flow
+        Hashtbl.remove t.qlen flow;
+        Hashtbl.remove t.strikes flow
       end
-      else Hashtbl.replace qlen flow n;
-      if Fifo.length fifo = 0 then Red_state.note_idle state ~now:(now ());
+      else Hashtbl.replace t.qlen flow n;
+      if Fifo.length t.fifo = 0 then Red_state.note_idle t.state ~now:(t.now ());
       Some pkt
-  in
-  {
-    enqueue;
-    dequeue;
-    length = (fun () -> Fifo.length fifo);
-    bytes = (fun () -> Fifo.bytes fifo);
-    kind = "fred";
-  }
+end
 
 type scheduler = Priority | Weighted_round_robin of int array
+
+module Classful = struct
+  type t = {
+    classify : Packet.t -> int;
+    scheduler : scheduler;
+    capacity : int;
+    queues : Fifo.t array;
+    (* WRR state: the class currently holding the token and its
+       remaining quantum. *)
+    mutable current : int;
+    mutable remaining : int;
+  }
+
+  let enqueue t pkt =
+    let classes = Array.length t.queues in
+    let cls = t.classify pkt in
+    if cls < 0 || cls >= classes then invalid_arg "Qdisc.classful: classify out of range";
+    if Fifo.length t.queues.(cls) >= t.capacity then Dropped
+    else begin
+      Fifo.push t.queues.(cls) pkt;
+      Enqueued
+    end
+
+  let dequeue_priority t =
+    let rec scan cls =
+      if cls >= Array.length t.queues then None
+      else
+        match Fifo.pop t.queues.(cls) with
+        | Some pkt -> Some pkt
+        | None -> scan (cls + 1)
+    in
+    scan 0
+
+  (* Visit at most [classes] queues: move the token when the current
+     class is empty or its quantum is spent. *)
+  let dequeue_wrr t quanta =
+    let classes = Array.length t.queues in
+    let rec scan visited =
+      if visited >= classes then None
+      else if Fifo.length t.queues.(t.current) = 0 || t.remaining <= 0 then begin
+        t.current <- (t.current + 1) mod classes;
+        t.remaining <- quanta.(t.current);
+        scan (visited + 1)
+      end
+      else begin
+        t.remaining <- t.remaining - 1;
+        Fifo.pop t.queues.(t.current)
+      end
+    in
+    scan 0
+
+  let dequeue t =
+    match t.scheduler with
+    | Priority -> dequeue_priority t
+    | Weighted_round_robin quanta -> dequeue_wrr t quanta
+
+  let total f t = Array.fold_left (fun acc q -> acc + f q) 0 t.queues
+end
+
+module Drr = struct
+  (* Per-flow state (that is the point of this comparator): queue,
+     banked deficit, and membership in the active round-robin ring. *)
+  type t = {
+    weight : int -> float;
+    quantum_unit : int;
+    capacity : int;
+    queues : (int, Fifo.t) Hashtbl.t;
+    banked : (int, int) Hashtbl.t;
+    ring : int Sim.Ring.t;
+    (* The flow currently holding the service token and its remaining
+       deficit for this round. *)
+    mutable current : (int * int) option;
+    mutable total_len : int;
+    mutable total_bytes : int;
+  }
+
+  let quantum t flow =
+    let w = t.weight flow in
+    if not (Float.is_finite w) || w <= 0. then
+      invalid_arg
+        (Printf.sprintf "Qdisc.drr: weight of flow %d must be finite and positive (got %h)"
+           flow w);
+    Stdlib.max 1 (int_of_float (w *. float_of_int t.quantum_unit))
+
+  let retire t flow =
+    Hashtbl.remove t.queues flow;
+    Hashtbl.remove t.banked flow
+
+  let enqueue t pkt =
+    let flow = pkt.Packet.flow in
+    let q =
+      match Hashtbl.find_opt t.queues flow with
+      | Some q -> q
+      | None ->
+        let q = Fifo.create () in
+        Hashtbl.add t.queues flow q;
+        q
+    in
+    if Fifo.length q >= t.capacity then Dropped
+    else begin
+      (* Newly backlogged: join the ring. An empty queue can never hold
+         the service token (it is retired on drain), so no clash. *)
+      if Fifo.length q = 0 then begin
+        Sim.Ring.push t.ring flow;
+        Hashtbl.replace t.banked flow 0
+      end;
+      Fifo.push q pkt;
+      t.total_len <- t.total_len + 1;
+      t.total_bytes <- t.total_bytes + pkt.Packet.size;
+      Enqueued
+    end
+
+  (* Serve under the token: a flow keeps it until its quantum for the
+     round is spent or its queue drains (classic DRR). One packet is
+     emitted per [dequeue] call; the token persists across calls. *)
+  let rec dequeue t =
+    match t.current with
+    | Some (flow, deficit) -> (
+      match Hashtbl.find_opt t.queues flow with
+      | None ->
+        t.current <- None;
+        dequeue t
+      | Some q -> (
+        match Fifo.peek q with
+        | None ->
+          retire t flow;
+          t.current <- None;
+          dequeue t
+        | Some pkt when pkt.Packet.size <= deficit ->
+          ignore (Fifo.pop q);
+          t.total_len <- t.total_len - 1;
+          t.total_bytes <- t.total_bytes - pkt.Packet.size;
+          if Fifo.length q = 0 then begin
+            (* Emptied within its round: state vanishes entirely. *)
+            retire t flow;
+            t.current <- None
+          end
+          else t.current <- Some (flow, deficit - pkt.Packet.size);
+          Some pkt
+        | Some _ ->
+          (* Quantum spent: bank the remainder, go to the ring tail. *)
+          Hashtbl.replace t.banked flow deficit;
+          Sim.Ring.push t.ring flow;
+          t.current <- None;
+          dequeue t))
+    | None ->
+      if Sim.Ring.is_empty t.ring then None
+      else begin
+        let flow = Sim.Ring.pop_exn t.ring in
+        if Hashtbl.mem t.queues flow then begin
+          let carried = Option.value ~default:0 (Hashtbl.find_opt t.banked flow) in
+          t.current <- Some (flow, carried + quantum t flow);
+          dequeue t
+        end
+        else dequeue t
+      end
+end
+
+(* A closed variant: the link dispatches with one [match] and reaches
+   droptail's ring through a single block — no record of closures, no
+   wrapper layers. Droptail keeps its ring, byte count and capacity
+   inline in its constructor. *)
+type t =
+  | Droptail of { q : Packet.t Sim.Ring.t; mutable bytes : int; capacity : int }
+  | Red of Red.t
+  | Fred of Fred.t
+  | Drr of Drr.t
+  | Classful of Classful.t
+
+let droptail ~capacity =
+  if capacity <= 0 then invalid_arg "Qdisc.droptail: capacity must be positive";
+  Droptail { q = Sim.Ring.create (); bytes = 0; capacity }
+
+let red ?(params = default_red_params) ~rng ~now () =
+  Red { Red.fifo = Fifo.create (); state = Red_state.create params; rng; now }
+
+let fred ?(params = default_red_params) ?(minq = 2) ~rng ~now () =
+  Fred
+    {
+      Fred.fifo = Fifo.create ();
+      state = Red_state.create params;
+      rng;
+      now;
+      minq;
+      qlen = Hashtbl.create 16;
+      strikes = Hashtbl.create 16;
+    }
 
 let classful ~classes ~classify ~scheduler ~capacity () =
   if classes <= 0 then invalid_arg "Qdisc.classful: classes must be positive";
@@ -227,239 +391,117 @@ let classful ~classes ~classify ~scheduler ~capacity () =
       (fun q -> if q <= 0 then invalid_arg "Qdisc.classful: quanta must be positive")
       quanta
   | Priority -> ());
-  let queues = Array.init classes (fun _ -> Fifo.create ()) in
-  (* WRR state: the class currently holding the token and its remaining
-     quantum. *)
-  let current = ref 0 in
-  let remaining =
-    ref (match scheduler with Weighted_round_robin q -> q.(0) | Priority -> 0)
-  in
-  let enqueue pkt =
-    let cls = classify pkt in
-    if cls < 0 || cls >= classes then
-      invalid_arg "Qdisc.classful: classify out of range";
-    if Fifo.length queues.(cls) >= capacity then Dropped
-    else begin
-      Fifo.push queues.(cls) pkt;
-      Enqueued
-    end
-  in
-  let dequeue_priority () =
-    let rec scan cls =
-      if cls >= classes then None
-      else
-        match Fifo.pop queues.(cls) with
-        | Some pkt -> Some pkt
-        | None -> scan (cls + 1)
-    in
-    scan 0
-  in
-  let dequeue_wrr quanta =
-    (* Visit at most [classes] queues: move the token when the current
-       class is empty or its quantum is spent. *)
-    let rec scan visited =
-      if visited >= classes then None
-      else if Fifo.length queues.(!current) = 0 || !remaining <= 0 then begin
-        current := (!current + 1) mod classes;
-        remaining := quanta.(!current);
-        scan (visited + 1)
-      end
-      else begin
-        decr remaining;
-        Fifo.pop queues.(!current)
-      end
-    in
-    scan 0
-  in
-  let dequeue () =
-    match scheduler with
-    | Priority -> dequeue_priority ()
-    | Weighted_round_robin quanta -> dequeue_wrr quanta
-  in
-  let total f = Array.fold_left (fun acc q -> acc + f q) 0 queues in
-  {
-    enqueue;
-    dequeue;
-    length = (fun () -> total Fifo.length);
-    bytes = (fun () -> total Fifo.bytes);
-    kind = "classful";
-  }
+  Classful
+    {
+      Classful.classify;
+      scheduler;
+      capacity;
+      queues = Array.init classes (fun _ -> Fifo.create ());
+      current = 0;
+      remaining = (match scheduler with Weighted_round_robin q -> q.(0) | Priority -> 0);
+    }
 
 let drr ~weight ?(quantum_unit = Packet.default_size) ~capacity () =
   if capacity <= 0 then invalid_arg "Qdisc.drr: capacity must be positive";
   if quantum_unit <= 0 then invalid_arg "Qdisc.drr: quantum must be positive";
-  (* Per-flow state (that is the point of this comparator): queue,
-     banked deficit, and membership in the active round-robin ring. *)
-  let queues : (int, Fifo.t) Hashtbl.t = Hashtbl.create 16 in
-  let banked : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let ring : int Sim.Ring.t = Sim.Ring.create () in
-  (* The flow currently holding the service token and its remaining
-     deficit for this round. *)
-  let current = ref None in
-  let total_len = ref 0 in
-  let total_bytes = ref 0 in
-  let quantum flow =
-    let w = weight flow in
-    if not (Float.is_finite w) || w <= 0. then
-      invalid_arg
-        (Printf.sprintf "Qdisc.drr: weight of flow %d must be finite and positive (got %h)"
-           flow w);
-    Stdlib.max 1 (int_of_float (w *. float_of_int quantum_unit))
-  in
-  let retire flow =
-    Hashtbl.remove queues flow;
-    Hashtbl.remove banked flow
-  in
-  let enqueue pkt =
-    let flow = pkt.Packet.flow in
-    let q =
-      match Hashtbl.find_opt queues flow with
-      | Some q -> q
-      | None ->
-        let q = Fifo.create () in
-        Hashtbl.add queues flow q;
-        q
-    in
-    if Fifo.length q >= capacity then Dropped
+  Drr
+    {
+      Drr.weight;
+      quantum_unit;
+      capacity;
+      queues = Hashtbl.create 16;
+      banked = Hashtbl.create 16;
+      ring = Sim.Ring.create ();
+      current = None;
+      total_len = 0;
+      total_bytes = 0;
+    }
+
+let[@corelite.hot] enqueue t pkt =
+  match t with
+  | Droptail d ->
+    if Sim.Ring.length d.q >= d.capacity then Dropped
     else begin
-      (* Newly backlogged: join the ring. An empty queue can never hold
-         the service token (it is retired on drain), so no clash. *)
-      if Fifo.length q = 0 then begin
-        Sim.Ring.push ring flow;
-        Hashtbl.replace banked flow 0
-      end;
-      Fifo.push q pkt;
-      incr total_len;
-      total_bytes := !total_bytes + pkt.Packet.size;
+      Sim.Ring.push d.q pkt;
+      d.bytes <- d.bytes + pkt.Packet.size;
       Enqueued
     end
-  in
-  (* Serve under the token: a flow keeps it until its quantum for the
-     round is spent or its queue drains (classic DRR). One packet is
-     emitted per [dequeue] call; the token persists across calls. *)
-  let rec dequeue () =
-    match !current with
-    | Some (flow, deficit) -> (
-      match Hashtbl.find_opt queues flow with
-      | None ->
-        current := None;
-        dequeue ()
-      | Some q -> (
-        match Fifo.peek q with
-        | None ->
-          retire flow;
-          current := None;
-          dequeue ()
-        | Some pkt when pkt.Packet.size <= deficit ->
-          ignore (Fifo.pop q);
-          decr total_len;
-          total_bytes := !total_bytes - pkt.Packet.size;
-          if Fifo.length q = 0 then begin
-            (* Emptied within its round: state vanishes entirely. *)
-            retire flow;
-            current := None
-          end
-          else current := Some (flow, deficit - pkt.Packet.size);
-          Some pkt
-        | Some _ ->
-          (* Quantum spent: bank the remainder, go to the ring tail. *)
-          Hashtbl.replace banked flow deficit;
-          Sim.Ring.push ring flow;
-          current := None;
-          dequeue ()))
-    | None ->
-      if Sim.Ring.is_empty ring then None
-      else begin
-        let flow = Sim.Ring.pop_exn ring in
-        if Hashtbl.mem queues flow then begin
-          let carried = Option.value ~default:0 (Hashtbl.find_opt banked flow) in
-          current := Some (flow, carried + quantum flow);
-          dequeue ()
-        end
-        else dequeue ()
-      end
-  in
-  {
-    enqueue;
-    dequeue;
-    length = (fun () -> !total_len);
-    bytes = (fun () -> !total_bytes);
-    kind = "drr";
-  }
+  | Red r -> Red.enqueue r pkt
+  | Fred f -> Fred.enqueue f pkt
+  | Drr d -> Drr.enqueue d pkt
+  | Classful c -> Classful.enqueue c pkt
+
+let[@corelite.hot] or_empty served ~empty =
+  match served with Some pkt -> pkt | None -> empty
+
+(* Droptail pops its ring directly, so the link's dequeue allocates
+   nothing; the other disciplines answer through their option dequeue,
+   whose [Some] dies in the minor heap right here. *)
+let[@corelite.hot] dequeue t ~empty =
+  match t with
+  | Droptail d ->
+    if Sim.Ring.is_empty d.q then empty
+    else begin
+      let pkt = Sim.Ring.pop_exn d.q in
+      d.bytes <- d.bytes - pkt.Packet.size;
+      pkt
+    end
+  | Red r -> or_empty (Red.dequeue r) ~empty
+  | Fred f -> or_empty (Fred.dequeue f) ~empty
+  | Drr d -> or_empty (Drr.dequeue d) ~empty
+  | Classful c -> or_empty (Classful.dequeue c) ~empty
+
+let[@corelite.hot] length t =
+  match t with
+  | Droptail d -> Sim.Ring.length d.q
+  | Red r -> Fifo.length r.Red.fifo
+  | Fred f -> Fifo.length f.Fred.fifo
+  | Drr d -> d.Drr.total_len
+  | Classful c -> Classful.total Fifo.length c
+
+let bytes t =
+  match t with
+  | Droptail d -> d.bytes
+  | Red r -> Fifo.bytes r.Red.fifo
+  | Fred f -> Fifo.bytes f.Fred.fifo
+  | Drr d -> d.Drr.total_bytes
+  | Classful c -> Classful.total Fifo.bytes c
+
+let kind = function
+  | Droptail _ -> "droptail"
+  | Red _ -> "red"
+  | Fred _ -> "fred"
+  | Drr _ -> "drr"
+  | Classful _ -> "classful"
 
 (* ------------------------------------------------------------------ *)
-(* Invariant auditing *)
+(* Occupancy audit *)
 
-let with_invariants t =
-  let nonneg after =
-    Sim.Invariant.requiref
-      ~what:(fun () ->
-        Printf.sprintf "Qdisc(%s): negative occupancy (%d packets, %d bytes)"
-          t.kind after (t.bytes ()))
-      (after >= 0 && t.bytes () >= 0)
-  in
-  let enqueue pkt =
-    let before = t.length () in
-    let action = t.enqueue pkt in
-    let after = t.length () in
-    (match action with
-    | Enqueued ->
-      Sim.Invariant.require
-        ~what:("Qdisc(" ^ t.kind ^ "): Enqueued must grow the queue by exactly one")
-        (after = before + 1)
-    | Dropped ->
-      Sim.Invariant.require
-        ~what:("Qdisc(" ^ t.kind ^ "): Dropped must leave the queue unchanged")
-        (after = before));
-    nonneg after;
-    action
-  in
-  let dequeue () =
-    let before = t.length () in
-    let pkt = t.dequeue () in
-    let after = t.length () in
-    (match pkt with
-    | Some _ ->
-      Sim.Invariant.require
-        ~what:("Qdisc(" ^ t.kind ^ "): dequeue must shrink the queue by exactly one")
-        (after = before - 1)
-    | None ->
-      Sim.Invariant.require
-        ~what:("Qdisc(" ^ t.kind ^ "): empty dequeue must leave the queue unchanged")
-        (after = before));
-    nonneg after;
-    pkt
-  in
-  { t with enqueue; dequeue }
+let nonneg ~kind ~after ~bytes =
+  Sim.Invariant.requiref
+    ~what:(fun () ->
+      Printf.sprintf "Qdisc(%s): negative occupancy (%d packets, %d bytes)" kind after bytes)
+    (after >= 0 && bytes >= 0)
 
-(* Trace wrapping composes under [with_invariants] (Link applies trace
-   first, invariants on top), so the audited view includes the traced
-   closures. The [want] guards make the wrapped closures cost two loads
-   and a branch over the bare discipline while tracing is off — nothing
-   is allocated either way, keeping the §7 hot-path budget intact. *)
-let with_trace ~trace ~now ~link t =
-  let enqueue pkt =
-    let action = t.enqueue pkt in
-    (match action with
-    | Enqueued ->
-      if Sim.Trace.want trace Sim.Trace.Enqueue then
-        Sim.Trace.record trace ~time:(now ()) Sim.Trace.Enqueue
-          ~a:link ~b:pkt.Packet.flow
-          ~x:(float_of_int (t.length ()))
-          ~y:0.
-    | Dropped -> ());
-    action
-  in
-  let dequeue () =
-    let pkt = t.dequeue () in
-    (match pkt with
-    | Some p ->
-      if Sim.Trace.want trace Sim.Trace.Dequeue then
-        Sim.Trace.record trace ~time:(now ()) Sim.Trace.Dequeue
-          ~a:link ~b:p.Packet.flow
-          ~x:(float_of_int (t.length ()))
-          ~y:0.
-    | None -> ());
-    pkt
-  in
-  { t with enqueue; dequeue }
+let audit_enqueue ~kind action ~before ~after ~bytes =
+  (match action with
+  | Enqueued ->
+    Sim.Invariant.require
+      ~what:("Qdisc(" ^ kind ^ "): Enqueued must grow the queue by exactly one")
+      (after = before + 1)
+  | Dropped ->
+    Sim.Invariant.require
+      ~what:("Qdisc(" ^ kind ^ "): Dropped must leave the queue unchanged")
+      (after = before));
+  nonneg ~kind ~after ~bytes
+
+let audit_dequeue ~kind ~served ~before ~after ~bytes =
+  if served then
+    Sim.Invariant.require
+      ~what:("Qdisc(" ^ kind ^ "): dequeue must shrink the queue by exactly one")
+      (after = before - 1)
+  else
+    Sim.Invariant.require
+      ~what:("Qdisc(" ^ kind ^ "): empty dequeue must leave the queue unchanged")
+      (after = before);
+  nonneg ~kind ~after ~bytes

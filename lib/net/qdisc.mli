@@ -4,22 +4,25 @@
     transmission (the packet currently being serialized on the link is
     not counted). The Corelite and CSFQ experiments use {!droptail} with
     a 40-packet buffer (paper Section 4); {!red} and {!fred} implement
-    the related-work comparators of Section 5 for the ablation benches. *)
+    the related-work comparators of Section 5 for the ablation benches,
+    {!drr} the per-flow scheduler Corelite approximates, and
+    {!classful} a multi-queue router.
+
+    A discipline is one case of a closed variant, and {!enqueue},
+    {!dequeue}, {!length}, {!bytes} and {!kind} dispatch on it with a
+    [match]: {!Link} reaches droptail's ring through a single block,
+    with no closure in between. Tracing and the occupancy audit are the
+    link's business ({!Link.create}); {!audit_enqueue} and
+    {!audit_dequeue} are the audit it runs. *)
 
 type action = Enqueued | Dropped
 
-type t = {
-  enqueue : Packet.t -> action;
-  dequeue : unit -> Packet.t option;
-  length : unit -> int;  (** packets waiting *)
-  bytes : unit -> int;  (** bytes waiting *)
-  kind : string;
-}
+type t
 
-(** The FIFO packet buffer every discipline builds on: a growable ring
-    ({!Sim.Ring}) with a running byte count, so steady-state pushes
-    allocate nothing. Exposed for the model tests that check it against
-    a [Stdlib.Queue] reference. *)
+(** The FIFO packet buffer the multi-queue disciplines build on: a
+    growable ring ({!Sim.Ring}) with a running byte count, so
+    steady-state pushes allocate nothing. Exposed for the model tests
+    that check it against a [Stdlib.Queue] reference. *)
 module Fifo : sig
   type t
 
@@ -38,7 +41,32 @@ module Fifo : sig
   val bytes : t -> int
 end
 
-(** FIFO with tail drop when more than [capacity] packets wait. *)
+(** Offer a packet to the discipline: [Enqueued] when it now waits in
+    the buffer, [Dropped] when the discipline refused it (the caller
+    owns it again). *)
+val enqueue : t -> Packet.t -> action
+
+(** [dequeue t ~empty] removes and returns the next packet to
+    transmit, or returns [empty] itself — compare with [==] — when the
+    discipline serves nothing. The sentinel keeps the link's droptail
+    dequeue free of an option allocation. A discipline may serve
+    nothing while packets wait: a weighted-round-robin {!classful}
+    scan stops after one token move per class, so it gives up just
+    before it would serve a class whose quantum it had spent and has
+    refilled. *)
+val dequeue : t -> empty:Packet.t -> Packet.t
+
+(** Packets waiting. *)
+val length : t -> int
+
+(** Bytes waiting. *)
+val bytes : t -> int
+
+(** ["droptail"], ["red"], ["fred"], ["drr"] or ["classful"]. *)
+val kind : t -> string
+
+(** FIFO with tail drop when more than [capacity] packets wait.
+    @raise Invalid_argument on a non-positive capacity. *)
 val droptail : capacity:int -> t
 
 type red_params = {
@@ -88,7 +116,7 @@ type scheduler =
 (** Multi-queue link discipline — the paper notes core routers "may
     have multiple packet queues depending on [their] forwarding
     behavior" while congestion detection uses only the aggregate
-    backlog, which is what [length]/[bytes] report. [classify] maps a
+    backlog, which is what {!length}/{!bytes} report. [classify] maps a
     packet to its class in [0, classes); each class has its own
     [capacity]-packet DropTail buffer.
     @raise Invalid_argument on nonsensical class counts, capacities or
@@ -102,21 +130,19 @@ val classful :
   unit ->
   t
 
-(** [with_invariants t] wraps [t] so every enqueue/dequeue audits the
-    occupancy accounting (non-negative length and bytes; [Enqueued]
-    grows the queue by exactly one, a successful dequeue shrinks it by
-    exactly one) and raises {!Sim.Invariant.Violation} on the first
-    inconsistency. {!Link.create} applies this automatically when its
-    [check_invariants] flag is on. *)
-val with_invariants : t -> t
+(** {1 Occupancy audit}
 
-(** [with_trace ~trace ~now ~link t] wraps [t] so every successful
-    enqueue and dequeue records a [Sim.Trace.Enqueue]/[Dequeue] event
-    (link id [link], the packet's flow, queue length after the
-    operation) when the tracer wants those kinds. Failed enqueues are
-    not recorded here — {!Link} records the authoritative [Drop] event
-    with its reason. Costs two loads and a branch per operation while
-    tracing is off; allocates nothing either way. {!Link.create}
-    applies this automatically. *)
-val with_trace :
-  trace:Sim.Trace.t -> now:(unit -> float) -> link:int -> t -> t
+    What {!Link} checks around every enqueue and dequeue when its
+    invariant checks are on. Each is a function of the outcome, the
+    discipline's {!length} before and after the operation and its
+    {!bytes} after it, so a lying discipline can be modelled by its
+    numbers alone. Both raise {!Sim.Invariant.Violation}, naming
+    [kind], on the first inconsistency: a negative length or byte
+    count, an [Enqueued] that did not grow the queue by exactly one, a
+    [Dropped] that changed it, a served dequeue that did not shrink it
+    by exactly one, or an empty one that changed it. *)
+
+val audit_enqueue : kind:string -> action -> before:int -> after:int -> bytes:int -> unit
+
+(** [served] is whether the dequeue returned a packet. *)
+val audit_dequeue : kind:string -> served:bool -> before:int -> after:int -> bytes:int -> unit

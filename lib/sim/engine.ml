@@ -53,6 +53,8 @@ let reset ?check_invariants t =
 
 let now t = t.clock.time
 
+let clock t = t.clock
+
 let trace t = t.trace
 
 let metrics t = t.metrics

@@ -43,6 +43,15 @@ val reset : ?check_invariants:bool -> t -> unit
 (** Current virtual time in seconds. *)
 val now : t -> float
 
+(** A read-only view of the engine's clock. The clock is an all-float
+    record, so a component that keeps the view reads the time with one
+    unboxed load, while {!now} returns its float boxed whenever the call
+    is not inlined — always in dune's dev profile, which compiles with
+    [-opaque]. The view stays valid across {!reset}. *)
+type clock = private { mutable time : float }
+
+val clock : t -> clock
+
 (** The engine's event tracer — one per engine, disabled until
     [Sim.Trace.enable]; components grab it at construction and guard
     every recording site with [Sim.Trace.want]. {!reset} returns it to

@@ -401,16 +401,11 @@ let test_edge_probes_follow_auto_probes () =
 let test_edge_marker_cadence () =
   let engine, _, agent, (l1, _, _) = edge_fixture ~weight:2. () in
   let markers = ref 0 and data = ref 0 in
-  l1.Net.Link.hooks <-
-    Some
-      {
-        Net.Link.on_arrival =
-          (fun p ->
-            incr data;
-            if Net.Packet.has_marker p then incr markers;
-            Net.Link.Pass);
-        on_queue_change = (fun _ -> ());
-      };
+  l1.Net.Link.on_arrival <-
+    (fun p ->
+      incr data;
+      if Net.Packet.has_marker p then incr markers;
+      Net.Link.Pass);
   Corelite.Edge.start agent;
   Sim.Engine.run_until engine 20.;
   Corelite.Edge.stop agent;
@@ -422,24 +417,18 @@ let test_edge_marker_cadence () =
 let test_edge_marker_rn_is_normalized_rate () =
   let engine, _, agent, (l1, _, _) = edge_fixture ~weight:2. () in
   let checked = ref 0 in
-  l1.Net.Link.hooks <-
-    Some
-      {
-        Net.Link.on_arrival =
-          (fun p ->
-            (match Net.Packet.marker p with
-            | Some m ->
-              incr checked;
-              (* rn must equal the agent's current rate / weight. *)
-              if
-                Float.abs
-                  (m.Net.Packet.normalized_rate -. (Corelite.Edge.rate agent /. 2.))
-                > 1e-9
-              then Alcotest.fail "rn mismatch"
-            | None -> ());
-            Net.Link.Pass);
-        on_queue_change = (fun _ -> ());
-      };
+  l1.Net.Link.on_arrival <-
+    (fun p ->
+      (match Net.Packet.marker p with
+      | Some m ->
+        incr checked;
+        (* rn must equal the agent's current rate / weight. *)
+        if
+          Float.abs (m.Net.Packet.normalized_rate -. (Corelite.Edge.rate agent /. 2.))
+          > 1e-9
+        then Alcotest.fail "rn mismatch"
+      | None -> ());
+      Net.Link.Pass);
   Corelite.Edge.start agent;
   Sim.Engine.run_until engine 10.;
   Alcotest.(check bool) "saw markers" true (!checked > 0)
@@ -549,7 +538,7 @@ let test_core_no_feedback_without_congestion () =
 let test_core_detach_restores_link () =
   let _, _, _, core, _, (_, l2, _) = core_fixture () in
   Corelite.Core.detach core;
-  Alcotest.(check bool) "hooks removed" true (l2.Net.Link.hooks = None)
+  Alcotest.(check bool) "hook removed" false (Net.Link.has_hook l2)
 
 let test_core_detects_congestion_under_load () =
   (* Drive the core link above capacity with a hand-made blaster that
@@ -614,6 +603,122 @@ let test_core_reset_no_feedback_burst () =
   Sim.Engine.run_until engine 15.;
   (* Epochs keep ticking on an idle, rebuilt core: nothing to say. *)
   Alcotest.(check int) "no feedback burst" after_reset (List.length !feedback)
+
+(* The link owns the queue average the core reads each epoch. Drive a
+   small link with a core attached through a random schedule of sends,
+   engine steps, clock advances, purges and core resets, and replay the
+   link's Enqueue/Dequeue trace (queue length after each operation) into
+   a [Sim.Stats.Time_weighted], with the purges (where the link reads its
+   emptied queue) and the resets (where the core restarts the window) at
+   their places in the record stream. Every Epoch record's qavg must
+   equal the replayed window average bit for bit. *)
+type qavg_op = Send of int | Steps of int | Advance of int | Purge | Reset
+
+let show_qavg_op = function
+  | Send k -> Printf.sprintf "Send %d" k
+  | Steps n -> Printf.sprintf "Steps %d" n
+  | Advance k -> Printf.sprintf "Advance %d" k
+  | Purge -> "Purge"
+  | Reset -> "Reset"
+
+let qavg_ops =
+  QCheck.make
+    ~print:(QCheck.Print.list show_qavg_op)
+    QCheck.Gen.(
+      list_size (int_range 1 60)
+        (frequency
+           [
+             (4, map (fun k -> Send k) (int_range 1 6));
+             (3, map (fun n -> Steps n) (int_range 1 30));
+             (3, map (fun k -> Advance k) (int_range 1 40));
+             (1, return Purge);
+             (1, return Reset);
+           ]))
+
+let prop_link_qavg_matches_trace =
+  QCheck.Test.make ~count:200 ~name:"link queue average = Time_weighted over its trace"
+    qavg_ops (fun ops ->
+      let engine = Sim.Engine.create () in
+      let trace = Sim.Engine.trace engine in
+      Sim.Trace.enable ~capacity:(1 lsl 16)
+        ~kinds:Sim.Trace.[ Enqueue; Dequeue; Epoch ]
+        trace;
+      let topology = Net.Topology.create engine in
+      let a = Net.Topology.add_node topology ~kind:Net.Node.Core "A" in
+      let b = Net.Topology.add_node topology ~kind:Net.Node.Edge "B" in
+      let link =
+        Net.Topology.add_link topology ~src:a ~dst:b ~bandwidth:400_000. ~delay:0.01
+          ~qdisc:(Net.Qdisc.droptail ~capacity:8)
+      in
+      Net.Topology.route_paths topology [ [ a; b ] ];
+      Net.Topology.set_flow_sink topology ~flow:1 ignore;
+      let core =
+        Corelite.Core.attach ~params:Corelite.Params.default ~rng:(Sim.Rng.create 3)
+          ~send_feedback:ignore link
+      in
+      (* (records before it, time, is a purge) for each purge and reset *)
+      let marks = ref [] in
+      let mark purge =
+        marks := (Sim.Trace.recorded trace, Sim.Engine.now engine, purge) :: !marks
+      in
+      let id = ref 0 in
+      List.iter
+        (function
+          | Send k ->
+            for _ = 1 to k do
+              incr id;
+              let p =
+                Net.Packet.make ~id:!id ~flow:1 ~created:(Sim.Engine.now engine) ()
+              in
+              p.Net.Packet.dst <- 0;
+              Net.Link.send link p
+            done
+          | Steps n ->
+            for _ = 1 to n do
+              ignore (Sim.Engine.step engine)
+            done
+          | Advance k ->
+            Sim.Engine.run_until engine (Sim.Engine.now engine +. (float_of_int k *. 0.007))
+          | Purge ->
+            Net.Link.reset link;
+            mark true
+          | Reset ->
+            Corelite.Core.reset core;
+            mark false)
+        ops;
+      (* Three more epochs at least. *)
+      Sim.Engine.run_until engine (Sim.Engine.now engine +. 0.35);
+      if Sim.Trace.dropped_events trace > 0 then QCheck.Test.fail_report "trace ring overflowed";
+      let tw = Sim.Stats.Time_weighted.create ~now:0. ~init:0. in
+      let marks = ref (List.rev !marks) in
+      let rec apply_marks i =
+        match !marks with
+        | (at, now, purge) :: rest when at = i ->
+          if purge then Sim.Stats.Time_weighted.set tw ~now 0.
+          else Sim.Stats.Time_weighted.reset tw ~now;
+          marks := rest;
+          apply_marks i
+        | _ -> ()
+      in
+      let epochs = ref 0 in
+      for i = 0 to Sim.Trace.length trace - 1 do
+        apply_marks i;
+        let ev = Sim.Trace.get trace i in
+        match ev.Sim.Trace.kind with
+        | Sim.Trace.Enqueue | Sim.Trace.Dequeue ->
+          Sim.Stats.Time_weighted.set tw ~now:ev.Sim.Trace.time ev.Sim.Trace.x
+        | Sim.Trace.Epoch ->
+          incr epochs;
+          let now = ev.Sim.Trace.time in
+          let want = Sim.Stats.Time_weighted.average tw ~now in
+          Sim.Stats.Time_weighted.reset tw ~now;
+          if not (Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float ev.Sim.Trace.x))
+          then
+            QCheck.Test.fail_reportf "epoch at %h: link qavg %h, replayed %h" now
+              ev.Sim.Trace.x want
+        | _ -> QCheck.Test.fail_report "unexpected trace kind"
+      done;
+      !epochs >= 3)
 
 let test_edge_reset_restarts_adaptation () =
   let engine, _, agent, _ = edge_fixture () in
@@ -873,6 +978,7 @@ let () =
             test_core_detects_congestion_under_load;
           Alcotest.test_case "reset: no feedback burst" `Quick
             test_core_reset_no_feedback_burst;
+          qt prop_link_qavg_matches_trace;
         ] );
       ( "convergence",
         [

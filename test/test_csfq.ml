@@ -181,7 +181,7 @@ let test_core_attach_rejects_hooked_link () =
 let test_core_detach () =
   let _, link, core, _ = core_fixture () in
   Csfq.Core.detach core;
-  Alcotest.(check bool) "hooks removed" true (link.Net.Link.hooks = None)
+  Alcotest.(check bool) "hook removed" false (Net.Link.has_hook link)
 
 let test_core_unlabelled_packets_pass () =
   let engine, link, core, delivered = core_fixture () in
@@ -239,19 +239,14 @@ let test_edge_probes_follow_auto_probes () =
 let test_edge_labels_with_normalized_rate () =
   let engine, agent, l1 = edge_fixture ~weight:2. () in
   let checked = ref 0 in
-  l1.Net.Link.hooks <-
-    Some
-      {
-        Net.Link.on_arrival =
-          (fun p ->
-            incr checked;
-            (* Label must be the flow's estimated rate / weight: after a
-               few packets the estimate tracks the paced rate, so the
-               label stays within a factor of the actual. *)
-            if p.Net.Packet.floats.label <= 0. then Alcotest.fail "unlabelled packet";
-            Net.Link.Pass);
-        on_queue_change = (fun _ -> ());
-      };
+  l1.Net.Link.on_arrival <-
+    (fun p ->
+      incr checked;
+      (* Label must be the flow's estimated rate / weight: after a few
+         packets the estimate tracks the paced rate, so the label stays
+         within a factor of the actual. *)
+      if p.Net.Packet.floats.label <= 0. then Alcotest.fail "unlabelled packet";
+      Net.Link.Pass);
   Csfq.Edge.start agent;
   Sim.Engine.run_until engine 10.;
   Alcotest.(check bool) "packets checked" true (!checked > 10);

@@ -261,15 +261,10 @@ let test_plain_deployment_has_no_relabelling () =
   let network = Workload.Network.single_bottleneck ~engine ~weights:(fun _ -> 1.) 1 in
   let labels = ref [] in
   let link = List.hd network.Workload.Network.core_links in
-  link.Net.Link.hooks <-
-    Some
-      {
-        Net.Link.on_arrival =
-          (fun p ->
-            labels := p.Net.Packet.floats.label :: !labels;
-            Net.Link.Pass);
-        on_queue_change = (fun _ -> ());
-      };
+  link.Net.Link.on_arrival <-
+    (fun p ->
+      labels := p.Net.Packet.floats.label :: !labels;
+      Net.Link.Pass);
   let d =
     Csfq.Deployment.build ~attach_cores:false ~params:Csfq.Params.default
       ~rng:(Sim.Rng.create 9) ~topology:network.Workload.Network.topology

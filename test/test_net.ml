@@ -120,36 +120,42 @@ let test_pool_unpooled_release () =
 (* ------------------------------------------------------------------ *)
 (* Qdisc: droptail *)
 
+(* The option view of [Qdisc.dequeue]'s sentinel answer. *)
+let dequeue q =
+  let none = mk_packet ~id:(-1) () in
+  let pkt = Net.Qdisc.dequeue q ~empty:none in
+  if pkt == none then None else Some pkt
+
 let test_droptail_fifo () =
   let q = Net.Qdisc.droptail ~capacity:10 in
   List.iter
-    (fun i -> ignore (q.Net.Qdisc.enqueue (mk_packet ~id:i ())))
+    (fun i -> ignore (Net.Qdisc.enqueue q (mk_packet ~id:i ())))
     [ 1; 2; 3 ];
   let ids =
     List.init 3 (fun _ ->
-        match q.Net.Qdisc.dequeue () with
+        match dequeue q with
         | Some p -> p.Net.Packet.id
         | None -> -1)
   in
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] ids;
-  Alcotest.(check bool) "drained" true (q.Net.Qdisc.dequeue () = None)
+  Alcotest.(check bool) "drained" true (dequeue q = None)
 
 let test_droptail_capacity () =
   let q = Net.Qdisc.droptail ~capacity:2 in
-  Alcotest.(check bool) "1 in" true (q.Net.Qdisc.enqueue (mk_packet ()) = Net.Qdisc.Enqueued);
-  Alcotest.(check bool) "2 in" true (q.Net.Qdisc.enqueue (mk_packet ()) = Net.Qdisc.Enqueued);
-  Alcotest.(check bool) "3 dropped" true (q.Net.Qdisc.enqueue (mk_packet ()) = Net.Qdisc.Dropped);
-  Alcotest.(check int) "length" 2 (q.Net.Qdisc.length ());
-  ignore (q.Net.Qdisc.dequeue ());
-  Alcotest.(check bool) "room again" true (q.Net.Qdisc.enqueue (mk_packet ()) = Net.Qdisc.Enqueued)
+  Alcotest.(check bool) "1 in" true (Net.Qdisc.enqueue q (mk_packet ()) = Net.Qdisc.Enqueued);
+  Alcotest.(check bool) "2 in" true (Net.Qdisc.enqueue q (mk_packet ()) = Net.Qdisc.Enqueued);
+  Alcotest.(check bool) "3 dropped" true (Net.Qdisc.enqueue q (mk_packet ()) = Net.Qdisc.Dropped);
+  Alcotest.(check int) "length" 2 (Net.Qdisc.length q);
+  ignore (dequeue q);
+  Alcotest.(check bool) "room again" true (Net.Qdisc.enqueue q (mk_packet ()) = Net.Qdisc.Enqueued)
 
 let test_droptail_bytes () =
   let q = Net.Qdisc.droptail ~capacity:10 in
-  ignore (q.Net.Qdisc.enqueue (mk_packet ~size:100 ()));
-  ignore (q.Net.Qdisc.enqueue (mk_packet ~size:200 ()));
-  Alcotest.(check int) "bytes" 300 (q.Net.Qdisc.bytes ());
-  ignore (q.Net.Qdisc.dequeue ());
-  Alcotest.(check int) "bytes after dequeue" 200 (q.Net.Qdisc.bytes ())
+  ignore (Net.Qdisc.enqueue q (mk_packet ~size:100 ()));
+  ignore (Net.Qdisc.enqueue q (mk_packet ~size:200 ()));
+  Alcotest.(check int) "bytes" 300 (Net.Qdisc.bytes q);
+  ignore (dequeue q);
+  Alcotest.(check int) "bytes after dequeue" 200 (Net.Qdisc.bytes q)
 
 let test_droptail_rejects_bad_capacity () =
   Alcotest.check_raises "capacity 0"
@@ -226,7 +232,7 @@ let test_red_accepts_below_min () =
     Alcotest.(check bool)
       (Printf.sprintf "packet %d accepted" i)
       true
-      (q.Net.Qdisc.enqueue (mk_packet ()) = Net.Qdisc.Enqueued)
+      (Net.Qdisc.enqueue q (mk_packet ()) = Net.Qdisc.Enqueued)
   done
 
 let test_red_drops_above_max () =
@@ -238,7 +244,7 @@ let test_red_drops_above_max () =
   let q, _ = red_qdisc ~params () in
   let dropped = ref 0 in
   for _ = 1 to 50 do
-    if q.Net.Qdisc.enqueue (mk_packet ()) = Net.Qdisc.Dropped then incr dropped
+    if Net.Qdisc.enqueue q (mk_packet ()) = Net.Qdisc.Dropped then incr dropped
   done;
   Alcotest.(check bool) "some early drops" true (!dropped > 0)
 
@@ -247,7 +253,7 @@ let test_red_hard_limit () =
   let q, _ = red_qdisc ~params () in
   let accepted = ref 0 in
   for _ = 1 to 20 do
-    if q.Net.Qdisc.enqueue (mk_packet ()) = Net.Qdisc.Enqueued then incr accepted
+    if Net.Qdisc.enqueue q (mk_packet ()) = Net.Qdisc.Enqueued then incr accepted
   done;
   Alcotest.(check bool) "never exceeds capacity" true (!accepted <= 5)
 
@@ -258,15 +264,15 @@ let test_red_idle_decay () =
   let q, now = red_qdisc ~params () in
   (* Build up the average... *)
   for _ = 1 to 30 do
-    ignore (q.Net.Qdisc.enqueue (mk_packet ()))
+    ignore (Net.Qdisc.enqueue q (mk_packet ()))
   done;
-  while q.Net.Qdisc.dequeue () <> None do
+  while dequeue q <> None do
     ()
   done;
   (* ...then stay idle long enough for it to decay away. *)
   now := !now +. 10.;
   Alcotest.(check bool) "accepted after idle" true
-    (q.Net.Qdisc.enqueue (mk_packet ()) = Net.Qdisc.Enqueued)
+    (Net.Qdisc.enqueue q (mk_packet ()) = Net.Qdisc.Enqueued)
 
 (* ------------------------------------------------------------------ *)
 (* Qdisc: FRED *)
@@ -278,26 +284,26 @@ let test_fred_bounds_hog_flow () =
      below the hard capacity once its per-flow count passes maxq. *)
   let accepted = ref 0 in
   for i = 1 to 40 do
-    if q.Net.Qdisc.enqueue (mk_packet ~id:i ~flow:1 ()) = Net.Qdisc.Enqueued then
+    if Net.Qdisc.enqueue q (mk_packet ~id:i ~flow:1 ()) = Net.Qdisc.Enqueued then
       incr accepted
   done;
   Alcotest.(check bool) "hog bounded" true (!accepted < 40);
   (* A newcomer with nothing queued still gets in (protected share). *)
   Alcotest.(check bool) "newcomer accepted" true
-    (q.Net.Qdisc.enqueue (mk_packet ~id:100 ~flow:2 ()) = Net.Qdisc.Enqueued)
+    (Net.Qdisc.enqueue q (mk_packet ~id:100 ~flow:2 ()) = Net.Qdisc.Enqueued)
 
 let test_fred_forgets_inactive_flows () =
   let now = ref 0. in
   let q = Net.Qdisc.fred ~rng:(Sim.Rng.create 3) ~now:(fun () -> !now) () in
   for i = 1 to 3 do
-    ignore (q.Net.Qdisc.enqueue (mk_packet ~id:i ~flow:1 ()))
+    ignore (Net.Qdisc.enqueue q (mk_packet ~id:i ~flow:1 ()))
   done;
-  while q.Net.Qdisc.dequeue () <> None do
+  while dequeue q <> None do
     ()
   done;
   (* After draining, flow 1 has no per-flow state and is a newcomer. *)
   Alcotest.(check bool) "re-admitted" true
-    (q.Net.Qdisc.enqueue (mk_packet ~id:9 ~flow:1 ()) = Net.Qdisc.Enqueued)
+    (Net.Qdisc.enqueue q (mk_packet ~id:9 ~flow:1 ()) = Net.Qdisc.Enqueued)
 
 (* ------------------------------------------------------------------ *)
 (* Qdisc: classful (multi-queue) *)
@@ -312,13 +318,13 @@ let test_classful_priority_order () =
   in
   (* Low-priority first into the buffer, then high priority: the high
      class is always served first. *)
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:1 ~micro:1 ()));
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:2 ~micro:0 ()));
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:3 ~micro:1 ()));
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:4 ~micro:0 ()));
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:1 ~micro:1 ()));
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:2 ~micro:0 ()));
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:3 ~micro:1 ()));
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:4 ~micro:0 ()));
   let order =
     List.init 4 (fun _ ->
-        match q.Net.Qdisc.dequeue () with Some p -> p.Net.Packet.id | None -> -1)
+        match dequeue q with Some p -> p.Net.Packet.id | None -> -1)
   in
   Alcotest.(check (list int)) "class 0 first" [ 2; 4; 1; 3 ] order
 
@@ -329,14 +335,14 @@ let test_classful_wrr_proportions () =
       ~capacity:100 ()
   in
   for i = 1 to 30 do
-    ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:i ~micro:0 ()));
-    ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:(100 + i) ~micro:1 ()))
+    ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:i ~micro:0 ()));
+    ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:(100 + i) ~micro:1 ()))
   done;
   (* While both classes are backlogged, the 2:1 quanta give class 0 two
      thirds of the service. *)
   let class0 = ref 0 in
   for _ = 1 to 30 do
-    match q.Net.Qdisc.dequeue () with
+    match dequeue q with
     | Some p -> if p.Net.Packet.micro = 0 then incr class0
     | None -> Alcotest.fail "queue drained early"
   done;
@@ -346,22 +352,22 @@ let test_classful_aggregate_length () =
   let q =
     Net.Qdisc.classful ~classes:3 ~classify ~scheduler:Net.Qdisc.Priority ~capacity:5 ()
   in
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:1 ~micro:0 ()));
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:2 ~micro:1 ()));
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:3 ~micro:2 ()));
-  Alcotest.(check int) "aggregate backlog" 3 (q.Net.Qdisc.length ());
-  Alcotest.(check int) "aggregate bytes" 3000 (q.Net.Qdisc.bytes ())
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:1 ~micro:0 ()));
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:2 ~micro:1 ()));
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:3 ~micro:2 ()));
+  Alcotest.(check int) "aggregate backlog" 3 (Net.Qdisc.length q);
+  Alcotest.(check int) "aggregate bytes" 3000 (Net.Qdisc.bytes q)
 
 let test_classful_per_class_capacity () =
   let q =
     Net.Qdisc.classful ~classes:2 ~classify ~scheduler:Net.Qdisc.Priority ~capacity:2 ()
   in
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:1 ~micro:0 ()));
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:2 ~micro:0 ()));
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:1 ~micro:0 ()));
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:2 ~micro:0 ()));
   Alcotest.(check bool) "class 0 full" true
-    (q.Net.Qdisc.enqueue (mk_class_pkt ~id:3 ~micro:0 ()) = Net.Qdisc.Dropped);
+    (Net.Qdisc.enqueue q (mk_class_pkt ~id:3 ~micro:0 ()) = Net.Qdisc.Dropped);
   Alcotest.(check bool) "class 1 unaffected" true
-    (q.Net.Qdisc.enqueue (mk_class_pkt ~id:4 ~micro:1 ()) = Net.Qdisc.Enqueued)
+    (Net.Qdisc.enqueue q (mk_class_pkt ~id:4 ~micro:1 ()) = Net.Qdisc.Enqueued)
 
 let test_classful_wrr_skips_empty_classes () =
   let q =
@@ -369,11 +375,11 @@ let test_classful_wrr_skips_empty_classes () =
       ~scheduler:(Net.Qdisc.Weighted_round_robin [| 5; 5; 5 |])
       ~capacity:10 ()
   in
-  ignore (q.Net.Qdisc.enqueue (mk_class_pkt ~id:7 ~micro:2 ()));
-  (match q.Net.Qdisc.dequeue () with
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:7 ~micro:2 ()));
+  (match dequeue q with
   | Some p -> Alcotest.(check int) "served from the only busy class" 7 p.Net.Packet.id
   | None -> Alcotest.fail "nothing served");
-  Alcotest.(check bool) "then empty" true (q.Net.Qdisc.dequeue () = None)
+  Alcotest.(check bool) "then empty" true (dequeue q = None)
 
 let test_classful_validation () =
   Alcotest.check_raises "classes" (Invalid_argument "Qdisc.classful: classes must be positive")
@@ -445,13 +451,8 @@ let test_link_hook_filter_drop () =
   Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> ());
   let reasons = ref [] in
   link.Net.Link.on_drop <- Some (fun reason _ -> reasons := reason :: !reasons);
-  link.Net.Link.hooks <-
-    Some
-      {
-        Net.Link.on_arrival =
-          (fun p -> if p.Net.Packet.id mod 2 = 0 then Net.Link.Drop else Net.Link.Pass);
-        on_queue_change = (fun _ -> ());
-      };
+  link.Net.Link.on_arrival <-
+    (fun p -> if p.Net.Packet.id mod 2 = 0 then Net.Link.Drop else Net.Link.Pass);
   for i = 1 to 4 do
     Net.Link.send link (mk_packet ~id:i ())
   done;
@@ -461,23 +462,24 @@ let test_link_hook_filter_drop () =
     (List.for_all (fun r -> r = Net.Link.Filtered) !reasons)
 
 let test_link_queue_change_hook () =
+  (* The link integrates its queue length at every change. Three
+     packets at t = 0 on a 1 s transmission time: two wait through
+     [0, 1), one through [1, 2), none after, so over [0, 4] the
+     average is 3 / 4. *)
   let engine, topology, _, _, link = simple_net () in
   Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> ());
-  let lengths = ref [] in
-  link.Net.Link.hooks <-
-    Some
-      {
-        Net.Link.on_arrival = (fun _ -> Net.Link.Pass);
-        on_queue_change = (fun n -> lengths := n :: !lengths);
-      };
   for i = 1 to 3 do
     Net.Link.send link (mk_packet ~id:i ())
   done;
-  Sim.Engine.run engine;
-  (* First packet: enqueue (1) then immediate dequeue (0); then two
-     enqueues while busy, then their dequeues. *)
-  Alcotest.(check int) "final queue empty" 0 (List.hd !lengths);
-  Alcotest.(check bool) "observed buildup" true (List.mem 2 !lengths)
+  Sim.Engine.run_until engine 4.;
+  check_float "time-weighted queue" 0.75 (Net.Link.queue_average link);
+  Net.Link.reset_queue_average link;
+  check_float "an empty window reads the current length" 0.
+    (Net.Link.queue_average link);
+  Net.Link.send link (mk_packet ~id:4 ());
+  Net.Link.send link (mk_packet ~id:5 ());
+  Sim.Engine.run_until engine 4.5;
+  check_float "a new window sees only its own changes" 1. (Net.Link.queue_average link)
 
 let test_link_capacity_pps () =
   let _, _, _, _, link = simple_net ~bandwidth:4_000_000. () in
@@ -801,12 +803,12 @@ let test_drr_weighted_service () =
   (* Backlog flows 1 and 2 (weights 1:2), then drain: long-run service
      must split 1:2. *)
   for i = 1 to 30 do
-    ignore (q.Net.Qdisc.enqueue (mk_packet ~id:i ~flow:1 ()));
-    ignore (q.Net.Qdisc.enqueue (mk_packet ~id:(100 + i) ~flow:2 ()))
+    ignore (Net.Qdisc.enqueue q (mk_packet ~id:i ~flow:1 ()));
+    ignore (Net.Qdisc.enqueue q (mk_packet ~id:(100 + i) ~flow:2 ()))
   done;
   let flow2 = ref 0 in
   for _ = 1 to 30 do
-    match q.Net.Qdisc.dequeue () with
+    match dequeue q with
     | Some p -> if p.Net.Packet.flow = 2 then incr flow2
     | None -> Alcotest.fail "drained early"
   done;
@@ -815,24 +817,24 @@ let test_drr_weighted_service () =
 let test_drr_fifo_within_flow () =
   let q = Net.Qdisc.drr ~weight:(fun _ -> 1.) ~capacity:10 () in
   for i = 1 to 3 do
-    ignore (q.Net.Qdisc.enqueue (mk_packet ~id:i ~flow:7 ()))
+    ignore (Net.Qdisc.enqueue q (mk_packet ~id:i ~flow:7 ()))
   done;
   let order =
     List.init 3 (fun _ ->
-        match q.Net.Qdisc.dequeue () with Some p -> p.Net.Packet.id | None -> -1)
+        match dequeue q with Some p -> p.Net.Packet.id | None -> -1)
   in
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] order;
-  Alcotest.(check bool) "empty" true (q.Net.Qdisc.dequeue () = None)
+  Alcotest.(check bool) "empty" true (dequeue q = None)
 
 let test_drr_per_flow_capacity () =
   let q = Net.Qdisc.drr ~weight:(fun _ -> 1.) ~capacity:2 () in
-  ignore (q.Net.Qdisc.enqueue (mk_packet ~id:1 ~flow:1 ()));
-  ignore (q.Net.Qdisc.enqueue (mk_packet ~id:2 ~flow:1 ()));
+  ignore (Net.Qdisc.enqueue q (mk_packet ~id:1 ~flow:1 ()));
+  ignore (Net.Qdisc.enqueue q (mk_packet ~id:2 ~flow:1 ()));
   Alcotest.(check bool) "flow 1 full" true
-    (q.Net.Qdisc.enqueue (mk_packet ~id:3 ~flow:1 ()) = Net.Qdisc.Dropped);
+    (Net.Qdisc.enqueue q (mk_packet ~id:3 ~flow:1 ()) = Net.Qdisc.Dropped);
   Alcotest.(check bool) "flow 2 has its own queue" true
-    (q.Net.Qdisc.enqueue (mk_packet ~id:4 ~flow:2 ()) = Net.Qdisc.Enqueued);
-  Alcotest.(check int) "aggregate length" 3 (q.Net.Qdisc.length ())
+    (Net.Qdisc.enqueue q (mk_packet ~id:4 ~flow:2 ()) = Net.Qdisc.Enqueued);
+  Alcotest.(check int) "aggregate length" 3 (Net.Qdisc.length q)
 
 let test_drr_fractional_weight () =
   (* Weight 0.5 vs 1: quantum 500 vs 1000 bytes with 1000-byte packets:
@@ -841,12 +843,12 @@ let test_drr_fractional_weight () =
     Net.Qdisc.drr ~weight:(fun flow -> if flow = 1 then 0.5 else 1.) ~capacity:100 ()
   in
   for i = 1 to 30 do
-    ignore (q.Net.Qdisc.enqueue (mk_packet ~id:i ~flow:1 ()));
-    ignore (q.Net.Qdisc.enqueue (mk_packet ~id:(100 + i) ~flow:2 ()))
+    ignore (Net.Qdisc.enqueue q (mk_packet ~id:i ~flow:1 ()));
+    ignore (Net.Qdisc.enqueue q (mk_packet ~id:(100 + i) ~flow:2 ()))
   done;
   let flow1 = ref 0 in
   for _ = 1 to 30 do
-    match q.Net.Qdisc.dequeue () with
+    match dequeue q with
     | Some p -> if p.Net.Packet.flow = 1 then incr flow1
     | None -> Alcotest.fail "drained early"
   done;
@@ -862,12 +864,12 @@ let test_drr_validation () =
      service token, so bad weights surface at dequeue. *)
   let reject name w =
     let q = Net.Qdisc.drr ~weight:(fun _ -> w) ~capacity:1 () in
-    ignore (q.Net.Qdisc.enqueue (mk_packet ~id:1 ~flow:1 ()));
+    ignore (Net.Qdisc.enqueue q (mk_packet ~id:1 ~flow:1 ()));
     Alcotest.check_raises name
       (Invalid_argument
          (Printf.sprintf
             "Qdisc.drr: weight of flow 1 must be finite and positive (got %h)" w))
-      (fun () -> ignore (q.Net.Qdisc.dequeue ()))
+      (fun () -> ignore (dequeue q))
   in
   reject "zero weight" 0.;
   reject "negative weight" (-1.);
@@ -1516,17 +1518,6 @@ let prop_source_timers_match_every =
 (* ------------------------------------------------------------------ *)
 (* Invariant auditing *)
 
-(* A qdisc whose bookkeeping lies: it claims [Enqueued] without growing
-   the queue and hands out packets it never stored. *)
-let lying_qdisc () =
-  {
-    Net.Qdisc.enqueue = (fun _ -> Net.Qdisc.Enqueued);
-    dequeue = (fun () -> Some (mk_packet ()));
-    length = (fun () -> 0);
-    bytes = (fun () -> 0);
-    kind = "lying";
-  }
-
 let expect_violation what f =
   match f () with
   | exception Sim.Invariant.Violation msg ->
@@ -1536,23 +1527,64 @@ let expect_violation what f =
       (String.length msg > 0)
   | _ -> Alcotest.fail (what ^ ": expected Sim.Invariant.Violation")
 
+(* A discipline whose bookkeeping lies claims [Enqueued] without growing
+   the queue and hands out packets it never stored. The audit the link
+   runs sees only the outcome and the lengths around it, so the lies are
+   those numbers. *)
 let test_qdisc_invariants_catch_lies () =
-  let q = Net.Qdisc.with_invariants (lying_qdisc ()) in
-  expect_violation "phantom enqueue" (fun () -> q.Net.Qdisc.enqueue (mk_packet ()));
-  expect_violation "phantom dequeue" (fun () -> q.Net.Qdisc.dequeue ())
+  let kind = "lying" in
+  expect_violation "phantom enqueue" (fun () ->
+      Net.Qdisc.audit_enqueue ~kind Net.Qdisc.Enqueued ~before:0 ~after:0 ~bytes:0);
+  expect_violation "phantom dequeue" (fun () ->
+      Net.Qdisc.audit_dequeue ~kind ~served:true ~before:0 ~after:0 ~bytes:0);
+  expect_violation "drop that grew the queue" (fun () ->
+      Net.Qdisc.audit_enqueue ~kind Net.Qdisc.Dropped ~before:1 ~after:2 ~bytes:2000);
+  expect_violation "empty dequeue that shrank the queue" (fun () ->
+      Net.Qdisc.audit_dequeue ~kind ~served:false ~before:2 ~after:1 ~bytes:1000);
+  expect_violation "negative bytes" (fun () ->
+      Net.Qdisc.audit_dequeue ~kind ~served:true ~before:1 ~after:0 ~bytes:(-1));
+  expect_violation "negative length" (fun () ->
+      Net.Qdisc.audit_dequeue ~kind ~served:true ~before:0 ~after:(-1) ~bytes:0)
 
+(* Every discipline behind a checked link, through service, queueing,
+   overflow and a purge: the occupancy audit runs on each enqueue and
+   dequeue and stays silent. *)
 let test_qdisc_invariants_pass_honest_queue () =
-  (* A real droptail under the auditor behaves identically. *)
-  let q = Net.Qdisc.with_invariants (Net.Qdisc.droptail ~capacity:2) in
-  Alcotest.(check bool) "enqueue ok" true
-    (q.Net.Qdisc.enqueue (mk_packet ~id:1 ()) = Net.Qdisc.Enqueued);
-  Alcotest.(check bool) "enqueue ok" true
-    (q.Net.Qdisc.enqueue (mk_packet ~id:2 ()) = Net.Qdisc.Enqueued);
-  Alcotest.(check bool) "overflow dropped" true
-    (q.Net.Qdisc.enqueue (mk_packet ~id:3 ()) = Net.Qdisc.Dropped);
-  Alcotest.(check int) "two queued" 2 (q.Net.Qdisc.length ());
-  Alcotest.(check bool) "fifo out" true
-    (match q.Net.Qdisc.dequeue () with Some p -> p.Net.Packet.id = 1 | None -> false)
+  let disciplines =
+    [
+      Net.Qdisc.droptail ~capacity:2;
+      Net.Qdisc.red ~rng:(Sim.Rng.create 1) ~now:(fun () -> 0.) ();
+      Net.Qdisc.fred ~rng:(Sim.Rng.create 2) ~now:(fun () -> 0.) ();
+      Net.Qdisc.drr ~weight:(fun _ -> 1.) ~capacity:2 ();
+      Net.Qdisc.classful ~classes:2
+        ~classify:(fun p -> p.Net.Packet.id mod 2)
+        ~scheduler:(Net.Qdisc.Weighted_round_robin [| 1; 2 |])
+        ~capacity:2 ();
+    ]
+  in
+  List.iter
+    (fun qdisc ->
+      let engine = Sim.Engine.create () in
+      let link =
+        Net.Link.create ~check_invariants:true ~engine ~id:0 ~name:"audited" ~src:0 ~dst:1
+          ~bandwidth:8000. ~delay:0.1 ~qdisc ()
+      in
+      link.Net.Link.deliver <- ignore;
+      let before = Sim.Invariant.checks_run () in
+      for i = 1 to 6 do
+        Net.Link.send link (mk_packet ~id:i ())
+      done;
+      Sim.Engine.run_until engine 1.5;
+      Net.Link.reset link;
+      Alcotest.(check int)
+        (Net.Qdisc.kind qdisc ^ ": accounting closes")
+        link.Net.Link.arrivals
+        (link.Net.Link.departures + link.Net.Link.drops);
+      Alcotest.(check bool)
+        (Net.Qdisc.kind qdisc ^ ": auditing ran")
+        true
+        (Sim.Invariant.checks_run () > before))
+    disciplines
 
 let test_link_conservation_audited () =
   (* Push a checked link through service, queueing and overflow; the
