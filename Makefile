@@ -15,7 +15,7 @@ test:
 	dune runtest
 
 lint:
-	dune build @lint @typelint
+	dune build @lint
 
 # Line-coverage report (text summary + HTML under _coverage/). The
 # reporter discovers the *.coverage files dune leaves under _build.

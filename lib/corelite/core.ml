@@ -66,8 +66,8 @@ let[@corelite.hot] on_marker t pkt =
     if t.check then
       (* Per-marker feedback budget: at most ceil(pw) copies, whether
          they come from this marker's own draw or the swap deficit. *)
-      Sim.Invariant.requiref (* lint: alloc-ok -- diagnostic closure, gated by t.check *)
-        ~what:(fun () ->
+      Sim.Invariant.requiref
+        ~what:(fun () -> (* lint: alloc-ok -- diagnostic closure, gated by t.check *)
           Printf.sprintf
             "Core %s: stateless selector returned %d copies for one marker \
              (pw=%.3f allows at most %d)"

@@ -29,15 +29,11 @@ type t = {
   mutable early_drops : int;
 }
 
-let link t = t.link
-
 let alpha t = if t.cell.has_alpha > 0. then Some t.cell.alpha else None
 
 let congested t = t.congested
 
 let arrival_rate t = Rate_estimator.value t.arrival
-
-let accepted_rate t = Rate_estimator.value t.accepted
 
 let early_drops t = t.early_drops
 

@@ -20,8 +20,6 @@ val attach : params:Params.t -> rng:Sim.Rng.t -> Net.Link.t -> t
     @raise Invalid_argument if the link already has a hook
     ({!Net.Link.has_hook}). *)
 
-val link : t -> Net.Link.t
-
 (** Current fair-share estimate, normalized pkt/s; [None] before the
     first estimation window completes. *)
 val alpha : t -> float option
@@ -29,10 +27,8 @@ val alpha : t -> float option
 (** Whether the estimator currently believes the link is congested. *)
 val congested : t -> bool
 
-(** Estimated aggregate arrival / accepted rates, pkt/s. *)
+(** Estimated aggregate arrival rate, pkt/s. *)
 val arrival_rate : t -> float
-
-val accepted_rate : t -> float
 
 (** Packets dropped by the probabilistic filter. *)
 val early_drops : t -> int

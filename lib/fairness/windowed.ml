@@ -37,10 +37,6 @@ let throughput ts ~from ~until ~window =
       let t0 = bounds.(i) and t1 = bounds.(i + 1) in
       (t0, (cumulative_at ts t1 -. cumulative_at ts t0) /. (t1 -. t0)))
 
-let normalized ts ~weight ~from ~until ~window =
-  if weight <= 0. then invalid_arg "Windowed.normalized: non-positive weight";
-  Array.map (fun (t, r) -> (t, r /. weight)) (throughput ts ~from ~until ~window)
-
 (* Per-window weighted Jain. A flow participates in a window only if it
    delivered anything there: under churn most flows are absent from
    most windows, and counting them as zero-rate participants would

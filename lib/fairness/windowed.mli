@@ -24,17 +24,6 @@ val boundaries : from:float -> until:float -> window:float -> float array
 val throughput :
   Sim.Timeseries.t -> from:float -> until:float -> window:float -> (float * float) array
 
-(** {!throughput} divided by the flow's weight — the per-epoch
-    normalized throughput the paper's fairness claim is stated in.
-    @raise Invalid_argument on a non-positive weight. *)
-val normalized :
-  Sim.Timeseries.t ->
-  weight:float ->
-  from:float ->
-  until:float ->
-  window:float ->
-  (float * float) array
-
 (** Per-window weighted Jain index across flows, given [(weight,
     cumulative series)] per flow: [(window start, jain, active)] where
     [active] counts the flows that delivered anything in the window —

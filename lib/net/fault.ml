@@ -13,15 +13,12 @@ type link_state = {
 }
 
 type t = {
-  plan : Sim.Faultplan.t;
   by_link : (int, link_state) Hashtbl.t;
   mutable injected_drops : int;
   mutable stripped_markers : int;
   mutable feedback_losses : int;
   mutable flaps_fired : int;
 }
-
-let plan t = t.plan
 
 let injected_drops t = t.injected_drops
 
@@ -45,22 +42,18 @@ let draw_loss st =
 
 (* The per-packet verdict. Loss draws advance the stream only for
    packets the target covers, so e.g. a marker-only fault's replay is
-   a function of the marker sequence alone. Every destroyed marker is
-   declared to the Sim.Invariant ledger so conservation-style checks
-   can account for injected loss. *)
+   a function of the marker sequence alone. *)
 let action t st pkt =
   match st.spec.Sim.Faultplan.target with
   | Sim.Faultplan.All_packets ->
     if draw_loss st then begin
       t.injected_drops <- t.injected_drops + 1;
-      if Packet.has_marker pkt then Sim.Invariant.note_marker_loss ();
       Link.Lose
     end
     else Link.Forward
   | Sim.Faultplan.Markers_only ->
     if Packet.has_marker pkt && draw_loss st then begin
       t.stripped_markers <- t.stripped_markers + 1;
-      Sim.Invariant.note_marker_loss ();
       Link.Strip
     end
     else Link.Forward
@@ -77,7 +70,6 @@ let feedback_lost t link =
   | Some st ->
     if Sim.Rng.bernoulli st.feedback_rng st.spec.Sim.Faultplan.feedback_loss then begin
       t.feedback_losses <- t.feedback_losses + 1;
-      Sim.Invariant.note_feedback_loss ();
       true
     end
     else false
@@ -101,7 +93,6 @@ let install t engine st =
 let apply ~topology plan =
   let t =
     {
-      plan;
       by_link = Hashtbl.create 16;
       injected_drops = 0;
       stripped_markers = 0;

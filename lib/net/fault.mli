@@ -24,15 +24,13 @@ type t
     entries resolve to the same link. *)
 val apply : topology:Topology.t -> Sim.Faultplan.t -> t
 
-val plan : t -> Sim.Faultplan.t
-
 (** Draw from [link]'s feedback-loss channel: [true] means this
     feedback marker is lost in transit and must not reach the edge.
     Corelite feedback is delivered by direct callback rather than
     through the packet path, so deployments consult this at each
     feedback send. Links the plan doesn't cover never lose feedback
-    (and consume no draws). Increments the loss counters (including
-    {!Sim.Invariant.note_feedback_loss}) when it fires. *)
+    (and consume no draws). Increments {!feedback_losses} when it
+    fires. *)
 val feedback_lost : t -> Link.t -> bool
 
 (** Packets destroyed by injected loss ([Lose] verdicts). *)

@@ -225,16 +225,18 @@ module Classful = struct
     in
     scan 0
 
-  (* Visit at most [classes] queues: move the token when the current
-     class is empty or its quantum is spent. *)
+  (* Move the token when the current class is empty or its quantum is
+     spent. After [classes] moves the token is back where it started
+     with a fresh quantum, so every class has been offered service:
+     nothing is served only when every class is empty. *)
   let dequeue_wrr t quanta =
     let classes = Array.length t.queues in
-    let rec scan visited =
-      if visited >= classes then None
+    let rec scan moves =
+      if moves > classes then None
       else if Fifo.length t.queues.(t.current) = 0 || t.remaining <= 0 then begin
         t.current <- (t.current + 1) mod classes;
         t.remaining <- quanta.(t.current);
-        scan (visited + 1)
+        scan (moves + 1)
       end
       else begin
         t.remaining <- t.remaining - 1;

@@ -48,12 +48,8 @@ val enqueue : t -> Packet.t -> action
 
 (** [dequeue t ~empty] removes and returns the next packet to
     transmit, or returns [empty] itself — compare with [==] — when the
-    discipline serves nothing. The sentinel keeps the link's droptail
-    dequeue free of an option allocation. A discipline may serve
-    nothing while packets wait: a weighted-round-robin {!classful}
-    scan stops after one token move per class, so it gives up just
-    before it would serve a class whose quantum it had spent and has
-    refilled. *)
+    discipline holds no packet. The sentinel keeps the link's droptail
+    dequeue free of an option allocation. *)
 val dequeue : t -> empty:Packet.t -> Packet.t
 
 (** Packets waiting. *)

@@ -244,8 +244,6 @@ let create ~engine ?(id = -1) ?(epoch_offset = 0.) ~params ~emit ~collect () =
 
 let set_active t active = t.active <- active
 
-let active t = t.active
-
 let stop t = t.running <- false
 
 let start t =

@@ -133,5 +133,3 @@ val emitted : t -> int
     nothing and freezes rate adaptation — an idle application must not
     probe for bandwidth it will not use. Default: active. *)
 val set_active : t -> bool -> unit
-
-val active : t -> bool

@@ -39,7 +39,6 @@ module Sender = struct
     (* Karn's rule: RTT-sample one un-retransmitted segment at a time. *)
     mutable sample_seq : int;
     mutable sample_time : float;
-    mutable transmitted : int;
     mutable retransmits : int;
     mutable timeouts : int;
   }
@@ -65,7 +64,6 @@ module Sender = struct
       rto_timer = None;
       sample_seq = 0;
       sample_time = 0.;
-      transmitted = 0;
       retransmits = 0;
       timeouts = 0;
     }
@@ -73,8 +71,6 @@ module Sender = struct
   let cwnd t = t.cwnd
 
   let ssthresh t = t.ssthresh
-
-  let transmitted t = t.transmitted
 
   let retransmits t = t.retransmits
 
@@ -96,7 +92,6 @@ module Sender = struct
   let emit t ~seq ~retransmission =
     let now = Sim.Engine.now t.engine in
     let pkt = Packet.make ~id:seq ~flow:t.flow ~micro:t.micro ~created:now () in
-    t.transmitted <- t.transmitted + 1;
     if retransmission then t.retransmits <- t.retransmits + 1
     else if t.sample_seq = 0 then begin
       t.sample_seq <- seq;

@@ -57,9 +57,6 @@ module Sender : sig
 
   val ssthresh : t -> float
 
-  (** Segments handed to [transmit], including retransmissions. *)
-  val transmitted : t -> int
-
   val retransmits : t -> int
 
   val timeouts : t -> int

@@ -61,8 +61,6 @@ let nodes t = List.rev t.nodes_rev
 
 let links t = List.rev t.links_rev
 
-let find_node t name = Hashtbl.find_opt t.by_name name
-
 let find_link t ~src ~dst = Hashtbl.find_opt t.link_index (src.Node.id, dst.Node.id)
 
 let path_links t path =

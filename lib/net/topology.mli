@@ -30,8 +30,6 @@ val nodes : t -> Node.t list
 
 val links : t -> Link.t list
 
-val find_node : t -> string -> Node.t option
-
 val find_link : t -> src:Node.t -> dst:Node.t -> Link.t option
 
 (** Links traversed by a path of nodes, in order.

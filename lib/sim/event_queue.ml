@@ -159,6 +159,7 @@ let lanes q = q.lanes
    the internal layout. Float [=] on keys is exact on purpose: equal
    simulation times must compare equal for FIFO tie-breaking. *)
 let[@inline] [@corelite.hot] before q a b =
+  (* lint: float-eq-ok -- equal times must tie-break on seq, see above *)
   q.keys.(a) < q.keys.(b) || (q.keys.(a) = q.keys.(b) && q.seqs.(a) < q.seqs.(b))
 
 (* Sifts move a hole: [node] is the entry being placed, [i] the hole. *)
@@ -335,6 +336,7 @@ let[@inline] [@corelite.hot] hash delay mask =
 let[@corelite.hot] rec probe q delay slot =
   let lane = q.table.(slot) in
   if lane < 0 then -1 - slot
+  (* lint: float-eq-ok -- a lane is keyed by its exact delay *)
   else if q.lane_delay.(lane) = delay then lane
   else probe q delay ((slot + 1) land (Array.length q.table - 1))
 
@@ -377,6 +379,7 @@ let[@corelite.hot] add_delayed q ~delay ~key ~seq value =
   if lane < 0 then add q ~key ~seq value
   else begin
     let tail = q.lane_tail.(lane) in
+    (* lint: float-eq-ok -- the (key, seq) order of [before] *)
     if tail >= 0 && (key < q.keys.(tail) || (key = q.keys.(tail) && seq <= q.seqs.(tail))) then
       invalid_arg "Event_queue.add_delayed: key before the lane's tail";
     let last = q.lane_last.(lane) in

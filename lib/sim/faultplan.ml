@@ -62,7 +62,7 @@ let link_fault ?loss ?(target = All_packets) ?(feedback_loss = 0.) ?(flaps = [])
   check_prob "link_fault.feedback_loss" feedback_loss;
   (* Flaps may be given in any order, but they must not overlap: a link
      cannot go down while already down. *)
-  let sorted = List.sort (fun a b -> compare a.down_at b.down_at) flaps in
+  let sorted = List.sort (fun a b -> Float.compare a.down_at b.down_at) flaps in
   let rec disjoint = function
     | a :: (b :: _ as rest) ->
       if b.down_at < a.up_at then

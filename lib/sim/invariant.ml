@@ -21,32 +21,12 @@ let requiref ~what cond =
   Atomic.incr checks;
   if not cond then raise (Violation (what ()))
 
-(* Injected-fault ledger. Under a fault plan, markers vanish from the
-   data path on purpose (dropped with their packet, stripped in flight,
-   or lost on the feedback channel). Conservation-style checks — "every
-   marker an edge attached was seen or accounted" — would fire
-   spuriously under injected loss unless the injector declares each
-   loss here. [Net.Fault] is the only writer; the counters are global
-   (atomic, like [checks]) because markers cross module boundaries that
-   share no state. *)
-let marker_losses = Atomic.make 0
-
-let feedback_losses = Atomic.make 0
-
-let note_marker_loss () = Atomic.incr marker_losses
-
-let note_feedback_loss () = Atomic.incr feedback_losses
-
-let marker_losses_noted () = Atomic.get marker_losses
-
-let feedback_losses_noted () = Atomic.get feedback_losses
-
 (* Flow-table ledger. Dynamic (churn) deployments create per-flow edge
    state on first packet and retire it on completion or soft-state
    expiry. The ledger counts both sides so a churn oracle can prove the
    table never leaks: created = retired + live at every stable point.
    Writers are the corelite/csfq dynamic deployments; counters are
-   process-wide and atomic for the same reason as the fault ledger. *)
+   process-wide and atomic, like [checks]. *)
 let flow_creations = Atomic.make 0
 
 let flow_retirements = Atomic.make 0

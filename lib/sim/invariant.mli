@@ -1,5 +1,5 @@
 (** Runtime invariant auditing — the dynamic complement of the static
-    lint pass ([tools/lint]).
+    lint pass ([tools/typelint]).
 
     Components that maintain accounting the paper's results depend on
     (the engine's clock, link packet conservation, core feedback
@@ -34,25 +34,6 @@ val requiref : what:(unit -> string) -> bool -> unit
 (** Number of invariant checks executed so far in this process — lets
     tests assert that auditing actually ran. *)
 val checks_run : unit -> int
-
-(** {1 Injected-fault ledger}
-
-    Fault injection deliberately destroys markers (with their packet,
-    by stripping them in flight, or on the feedback channel). So that
-    marker-conservation checks hold under injected loss — attached =
-    observed + accounted — the injector declares every such loss here.
-    [Net.Fault] is the only intended writer. Counters are process-wide
-    and atomic, mirroring {!checks_run}. *)
-
-(** Record one forward marker destroyed by fault injection. *)
-val note_marker_loss : unit -> unit
-
-(** Record one feedback marker destroyed by fault injection. *)
-val note_feedback_loss : unit -> unit
-
-val marker_losses_noted : unit -> int
-
-val feedback_losses_noted : unit -> int
 
 (** {1 Flow-table ledger}
 

@@ -163,34 +163,3 @@ let rows t =
                    kind = "histogram"; value = float_of_int c; help })
                (bucket_counts h)))
     names
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let pp_value v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.9g" v
-
-let to_jsonl t =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"value\":%s,\"help\":\"%s\"}\n"
-           (json_escape r.name) (json_escape r.kind) (pp_value r.value)
-           (json_escape r.help)))
-    (rows t);
-  Buffer.contents b

@@ -13,7 +13,7 @@
     same-shaped components on one engine), re-registering a probe
     replaces it, and a name collision across kinds raises.
 
-    Exports ({!rows}, {!to_jsonl}) are sorted by name and printed with
+    Exports ({!rows}) are sorted by name and printed with
     fixed formats, so they are byte-deterministic; CSV rendering —
     which needs quoting — lives in [Workload.Csv.of_metrics]. *)
 
@@ -92,6 +92,3 @@ type row = { name : string; kind : string; value : float; help : string }
     [name.sum] and one [name.le_<bound>] row per bucket; probes are
     sampled here. *)
 val rows : t -> row list
-
-(** JSON Lines export of {!rows} with escaped strings. *)
-val to_jsonl : t -> string

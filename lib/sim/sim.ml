@@ -42,7 +42,7 @@ module Invariant = Invariant
     [Net.Fault] and the scheme deployments). *)
 module Faultplan = Faultplan
 
-(** Time-weighted averages, EWMA, Welford, P² quantiles. *)
+(** Time-weighted averages, EWMA, Welford. *)
 module Stats = Stats
 
 (** Append-only (time, value) series with windows and smoothing. *)

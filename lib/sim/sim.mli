@@ -8,7 +8,7 @@
     events fire in FIFO order, every random draw descends from the
     run's root seed via {!Rng.split}, and wall-clock time never enters
     the simulation. The contract is enforced mechanically — the static
-    lint pass ([tools/lint], [dune build @lint]) bans raw randomness
+    lint pass ([tools/typelint], [dune build @lint]) bans raw randomness
     and wall-clock reads outside {!Rng}, and {!Invariant} audits the
     runtime side when [?check_invariants] flags are on. Re-running any
     experiment with the same seed reproduces it bit for bit. *)
@@ -37,7 +37,7 @@ module Invariant = Invariant
     [Net.Fault] and the scheme deployments). *)
 module Faultplan = Faultplan
 
-(** Time-weighted averages, EWMA, Welford, P² quantiles. *)
+(** Time-weighted averages, EWMA, Welford. *)
 module Stats = Stats
 
 (** Append-only (time, value) series with windows and smoothing. *)

@@ -81,106 +81,3 @@ module Welford = struct
 
   let stddev t = sqrt (variance t)
 end
-
-module Quantile = struct
-  type t = {
-    q : float;
-    heights : float array;  (* marker heights (5) *)
-    positions : float array;  (* actual marker positions (1-based) *)
-    desired : float array;  (* desired marker positions *)
-    increments : float array;  (* desired-position increments per obs *)
-    mutable n : int;
-  }
-
-  let create ~q =
-    if q <= 0. || q >= 1. then invalid_arg "Quantile.create: q out of (0, 1)";
-    {
-      q;
-      heights = Array.make 5 0.;
-      positions = [| 1.; 2.; 3.; 4.; 5. |];
-      desired = [| 1.; 1. +. (2. *. q); 1. +. (4. *. q); 3. +. (2. *. q); 5. |];
-      increments = [| 0.; q /. 2.; q; (1. +. q) /. 2.; 1. |];
-      n = 0;
-    }
-
-  let count t = t.n
-
-  (* Piecewise-parabolic (P2) height adjustment of marker [i] by
-     direction [d] (+1 or -1). *)
-  let parabolic t i d =
-    let h = t.heights and p = t.positions in
-    h.(i)
-    +. d
-       /. (p.(i + 1) -. p.(i - 1))
-       *. (((p.(i) -. p.(i - 1) +. d) *. (h.(i + 1) -. h.(i)) /. (p.(i + 1) -. p.(i)))
-          +. ((p.(i + 1) -. p.(i) -. d) *. (h.(i) -. h.(i - 1)) /. (p.(i) -. p.(i - 1))))
-
-  let linear t i d =
-    let h = t.heights and p = t.positions in
-    h.(i) +. (d *. (h.(i + int_of_float d) -. h.(i)) /. (p.(i + int_of_float d) -. p.(i)))
-
-  let add t x =
-    t.n <- t.n + 1;
-    if t.n <= 5 then begin
-      (* Initialization: keep the first five observations sorted. *)
-      t.heights.(t.n - 1) <- x;
-      let sorted = Array.sub t.heights 0 t.n in
-      Array.sort compare sorted;
-      Array.blit sorted 0 t.heights 0 t.n
-    end
-    else begin
-      let h = t.heights and p = t.positions in
-      (* Locate the cell containing x and bump marker positions. *)
-      let k =
-        if x < h.(0) then begin
-          h.(0) <- x;
-          0
-        end
-        else if x >= h.(4) then begin
-          h.(4) <- x;
-          3
-        end
-        else begin
-          let rec find i = if x < h.(i + 1) then i else find (i + 1) in
-          find 0
-        end
-      in
-      for i = k + 1 to 4 do
-        p.(i) <- p.(i) +. 1.
-      done;
-      for i = 0 to 4 do
-        t.desired.(i) <- t.desired.(i) +. t.increments.(i)
-      done;
-      (* Adjust the interior markers towards their desired positions. *)
-      for i = 1 to 3 do
-        let d = t.desired.(i) -. p.(i) in
-        if
-          (d >= 1. && p.(i + 1) -. p.(i) > 1.)
-          || (d <= -1. && p.(i - 1) -. p.(i) < -1.)
-        then begin
-          let d = if d >= 0. then 1. else -1. in
-          let candidate = parabolic t i d in
-          let candidate =
-            if h.(i - 1) < candidate && candidate < h.(i + 1) then candidate
-            else linear t i d
-          in
-          h.(i) <- candidate;
-          p.(i) <- p.(i) +. d
-        end
-      done
-    end
-
-  let estimate t =
-    if t.n = 0 then 0.
-    else if t.n < 5 then begin
-      (* Exact small-sample quantile over the sorted prefix. *)
-      let sorted = Array.sub t.heights 0 t.n in
-      Array.sort compare sorted;
-      let index =
-        Stdlib.min (t.n - 1)
-          (int_of_float (Float.round (t.q *. float_of_int (t.n - 1))))
-      in
-      sorted.(index)
-    end
-    else t.heights.(2)
-end

@@ -45,26 +45,6 @@ module Ewma : sig
   val reset : t -> unit
 end
 
-(** Streaming quantile estimation without storing samples — the P²
-    algorithm (Jain & Chlamtac, CACM 1985): five markers whose heights
-    are adjusted with a piecewise-parabolic fit as observations
-    arrive. Accurate to a few percent for the tail quantiles the
-    delay metrics report. *)
-module Quantile : sig
-  type t
-
-  (** [create ~q] estimates the [q]-quantile, [0 < q < 1]. *)
-  val create : q:float -> t
-
-  val add : t -> float -> unit
-
-  val count : t -> int
-
-  (** Current estimate. Exact while fewer than five observations have
-      arrived (falls back to the sorted sample); [0.] when empty. *)
-  val estimate : t -> float
-end
-
 (** Streaming mean/variance (Welford's algorithm). *)
 module Welford : sig
   type t

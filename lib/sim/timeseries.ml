@@ -29,8 +29,6 @@ let add t time value =
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let to_array t = Array.init t.size (fun i -> (t.times.(i), t.values.(i)))
 
 let last t = if t.size = 0 then None else Some (t.times.(t.size - 1), t.values.(t.size - 1))

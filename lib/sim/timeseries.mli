@@ -10,8 +10,6 @@ val add : t -> float -> float -> unit
 
 val length : t -> int
 
-val is_empty : t -> bool
-
 (** Samples in insertion order. *)
 val to_array : t -> (float * float) array
 

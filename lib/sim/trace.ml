@@ -172,8 +172,6 @@ let enable ?(capacity = 1 lsl 16) ?(kinds = all_kinds) t =
 
 let apply t s = enable ~capacity:s.capacity ~kinds:s.kinds t
 
-let disable t = t.on <- false
-
 let reset t =
   t.on <- false;
   t.mask <- 0;

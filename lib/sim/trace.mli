@@ -103,9 +103,6 @@ val enable : ?capacity:int -> ?kinds:kind list -> t -> unit
 (** [apply t spec] = [enable] with the spec's settings. *)
 val apply : t -> spec -> unit
 
-(** Stop recording; retained events remain available for export. *)
-val disable : t -> unit
-
 (** Return to the freshly-created state: disabled, storage released,
     counts zeroed. Called by {!Engine.reset} so pooled workers start
     every scenario with a pristine tracer. *)

@@ -6,8 +6,6 @@
 
 let n_hosts k = k * k * k / 4
 
-let n_switches k = 5 * k * k / 4
-
 let n_edges k = 3 * k * k * k / 4
 
 let build k =

@@ -12,8 +12,4 @@ val build : int -> Graph.t
 (** Closed-form size helpers (the structural invariants the property
     tests pin down). *)
 
-val n_hosts : int -> int
-
-val n_switches : int -> int
-
 val n_edges : int -> int

@@ -13,12 +13,9 @@
 
 type t = {
   n_nodes : int;
-  n_hosts : int;
   next : int array;  (* h * n + v -> directed link id, -1 at the host itself *)
   dist : int array;  (* h * n + v -> hops from v to host h *)
 }
-
-let n_hosts t = t.n_hosts
 
 (* SplitMix-style avalanche on the (node, host) pair; only used to pick
    among equal-cost next hops, so quality requirements are mild. *)
@@ -68,15 +65,13 @@ let compute g =
       end
     done
   done;
-  { n_nodes = n; n_hosts = nh; next; dist }
+  { n_nodes = n; next; dist }
 
 let next_hop t ~node ~host = t.next.((host * t.n_nodes) + node)
 
 let hops t ~node ~host =
   let d = t.dist.((host * t.n_nodes) + node) in
   if d = max_int then -1 else d
-
-let reachable t ~node ~host = t.dist.((host * t.n_nodes) + node) <> max_int
 
 (* Node path from one host to another by following [next]; the step
    bound turns a routing loop (impossible for BFS tables, but the

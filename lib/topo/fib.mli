@@ -11,16 +11,12 @@ type t
 
 val compute : Graph.t -> t
 
-val n_hosts : t -> int
-
 (** Directed link id to take at [node] toward [host]; [-1] at the
     host's own node (deliver locally) and for unreachable pairs. *)
 val next_hop : t -> node:int -> host:int -> int
 
 (** Hop distance from [node] to [host]; [-1] when unreachable. *)
 val hops : t -> node:int -> host:int -> int
-
-val reachable : t -> node:int -> host:int -> bool
 
 (** Node-id path from one host to another by following the table.
     @raise Invalid_argument if the hosts coincide.

@@ -81,18 +81,6 @@ let iter_out t v f =
     f t.out_links.(i)
   done
 
-let find_link t ~src ~dst =
-  (* Binary search within [src]'s CSR segment (sorted by dst). *)
-  let lo = ref t.out_off.(src) and hi = ref (t.out_off.(src + 1) - 1) in
-  let found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let l = t.out_links.(mid) in
-    let d = t.link_dst.(l) in
-    if d = dst then found := l else if d < dst then lo := mid + 1 else hi := mid - 1
-  done;
-  if !found < 0 then None else Some !found
-
 let label t v =
   let prefix =
     match t.kinds.(v) with

@@ -46,9 +46,6 @@ val out_degree : t -> int -> int
 (** Iterate the out-link ids of a node, ascending destination order. *)
 val iter_out : t -> int -> (int -> unit) -> unit
 
-(** The directed link [src -> dst], if present. *)
-val find_link : t -> src:int -> dst:int -> int option
-
 (** Unique printable node name ("h12", "e129", "c1340", "r7"). *)
 val label : t -> int -> string
 

@@ -23,8 +23,6 @@ type scheme = Scale.scheme = Corelite | Csfq | Drr
 
 type variant = Static | Dynamic | Adversarial | Faulty
 
-val variant_name : variant -> string
-
 type point = {
   label : string;
   scheme : string;
@@ -41,8 +39,6 @@ type point = {
   core_drops : int;
   injected_drops : int;
 }
-
-val default_fault_seed : int
 
 (** Run one point. [quick] shortens the run from 80 to 40 simulated
     seconds (CI smoke). [engine] substitutes a caller-owned (fresh)
@@ -67,19 +63,6 @@ val point_job :
   variant:variant ->
   unit ->
   point Pool.job
-
-val variants : variant list
-
-val schemes : scheme list
-
-(** The battery as pool jobs, one group per scheme, each group running
-    every variant in order (static first). *)
-val jobs :
-  ?seed:int ->
-  ?quick:bool ->
-  ?fault_seed:int ->
-  unit ->
-  (string * point Pool.job list) list
 
 (** Run the battery as one {!Pool.map_groups} batch on up to
     [domains] workers (default {!Pool.default_domains}). The payloads

@@ -26,11 +26,6 @@ val parse : string -> string list list
     through {!field}; the output round-trips through {!parse}. *)
 val of_metrics : Sim.Metrics.t -> string
 
-(** [to_string series] renders a wide CSV: first column [time], one
-    column per flow (header [flowN]). All series must share the
-    sampling grid (the {!Runner} guarantees this). *)
-val to_string : (int * Sim.Timeseries.t) list -> string
-
 (** The three per-result payloads, as [(kind, csv)] pairs with kinds
     ["rates"], ["goodput"] and ["cumulative"]. *)
 val result_strings : Runner.result -> (string * string) list

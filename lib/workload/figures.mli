@@ -37,9 +37,6 @@ type spec = {
 
 val fig3 : unit -> spec
 
-val fig4 : unit -> spec
-(** Same run as {!fig3}; consumers read [result.cumulative]. *)
-
 val fig5 : unit -> spec
 
 val fig6 : unit -> spec
@@ -58,15 +55,6 @@ val all : unit -> spec list
     and [metrics] arm the run's engine as in {!Runner.run}; export from
     [result.network.engine] afterwards. *)
 val run : ?seed:int -> ?trace:Sim.Trace.spec -> ?metrics:bool -> spec -> Runner.result
-
-(** The same run packaged as a pool job (id = [spec.id]). The figure
-    keeps its historical RNG derivation — [Sim.Rng.create seed] — so
-    pooled regeneration is bit-identical to the serial tables already
-    published in EXPERIMENTS.md. Each job builds its own engine, so
-    per-scenario traces never mix whether the pool runs jobs serially
-    or across domains. *)
-val job :
-  ?seed:int -> ?trace:Sim.Trace.spec -> ?metrics:bool -> spec -> Runner.result Pool.job
 
 (** [run_all ~domains specs] runs the specs through {!Pool.map} and
     pairs each with its result, in submission order. *)

@@ -7,8 +7,6 @@ type chained = {
 type t = {
   chains : (int, chained) Hashtbl.t;
   locals : (int, Corelite.Edge.t) Hashtbl.t;  (* flows living in one cloud only *)
-  deployment_a : Corelite.Deployment.t;
-  deployment_b : Corelite.Deployment.t;
 }
 
 let build ?(params = Corelite.Params.default) ?(seed = 42) ?(handoff_capacity = 64)
@@ -94,19 +92,15 @@ let build ?(params = Corelite.Params.default) ?(seed = 42) ?(handoff_capacity = 
       Hashtbl.replace agents_a id agent_a;
       Hashtbl.replace agents_b id (Corelite.Aggregate.edge aggregate_b))
     shared;
-  let deployment_a =
-    Corelite.Deployment.of_agents ~params ~rng ~topology:cloud_a.Network.topology
-      ~agents:agents_a ~core_links:cloud_a.Network.core_links ()
-  in
-  let deployment_b =
-    Corelite.Deployment.of_agents ~params ~rng ~topology:cloud_b.Network.topology
-      ~agents:agents_b ~core_links:cloud_b.Network.core_links ()
-  in
-  { chains; locals; deployment_a; deployment_b }
-
-let deployment_a t = t.deployment_a
-
-let deployment_b t = t.deployment_b
+  (* Each cloud's cores live on in the hooks they install on its core
+     links; nothing reads the deployments afterwards. *)
+  ignore
+    (Corelite.Deployment.of_agents ~params ~rng ~topology:cloud_a.Network.topology
+       ~agents:agents_a ~core_links:cloud_a.Network.core_links ());
+  ignore
+    (Corelite.Deployment.of_agents ~params ~rng ~topology:cloud_b.Network.topology
+       ~agents:agents_b ~core_links:cloud_b.Network.core_links ());
+  { chains; locals }
 
 let chain t flow =
   match Hashtbl.find_opt t.chains flow with
@@ -139,5 +133,3 @@ let local_agent t ~flow =
   match Hashtbl.find_opt t.locals flow with
   | Some agent -> agent
   | None -> raise Not_found
-
-let aggregate_b t ~flow = (chain t flow).aggregate_b

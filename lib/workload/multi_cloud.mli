@@ -38,12 +38,6 @@ val build :
 (** Start every flow in both clouds. *)
 val start : t -> unit
 
-(** The per-cloud Corelite deployments (A holds chain heads and A-local
-    flows, B the chained aggregates and B-local flows). *)
-val deployment_a : t -> Corelite.Deployment.t
-
-val deployment_b : t -> Corelite.Deployment.t
-
 val stop : t -> unit
 
 (** Packets delivered end-to-end (out of cloud B) per flow. *)
@@ -54,9 +48,6 @@ val handoff_drops : t -> flow:int -> int
 
 (** The cloud-A edge agent of a flow (rates, counters). *)
 val agent_a : t -> flow:int -> Corelite.Edge.t
-
-(** The cloud-B hand-off aggregate of a flow. *)
-val aggregate_b : t -> flow:int -> Corelite.Aggregate.t
 
 (** The agent of a single-cloud (local) flow.
     @raise Not_found if the flow is chained or unknown. *)

@@ -7,7 +7,6 @@ type t = {
   network : Network.t;
   aggregates : (int, Corelite.Aggregate.t) Hashtbl.t;
   connections : (int * int, connection) Hashtbl.t;  (* (flow, micro) *)
-  deployment : Corelite.Deployment.t;
 }
 
 let build ?(params = Corelite.Params.default) ?(tcp_params = Net.Tcp.default_params)
@@ -60,18 +59,12 @@ let build ?(params = Corelite.Params.default) ?(tcp_params = Net.Tcp.default_par
         Hashtbl.add connections (flow_id, micro) { sender; receiver }
       done)
     network.Network.flows;
-  let deployment =
-    Corelite.Deployment.of_agents ~params ~rng ~topology ~agents
-      ~core_links:network.Network.core_links ()
-  in
-  { network; aggregates; connections; deployment }
-
-let deployment t = t.deployment
-
-let aggregate t flow_id =
-  match Hashtbl.find_opt t.aggregates flow_id with
-  | Some a -> a
-  | None -> raise Not_found
+  (* The cores live on in the hooks they install on the core links;
+     nothing reads the deployment afterwards. *)
+  ignore
+    (Corelite.Deployment.of_agents ~params ~rng ~topology ~agents
+       ~core_links:network.Network.core_links ());
+  { network; aggregates; connections }
 
 let start t =
   Hashtbl.iter (fun _ a -> Corelite.Aggregate.start a) t.aggregates;

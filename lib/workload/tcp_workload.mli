@@ -29,12 +29,6 @@ val start : t -> unit
 
 val stop : t -> unit
 
-val aggregate : t -> int -> Corelite.Aggregate.t
-
-(** The underlying Corelite deployment carrying the aggregates. *)
-val deployment : t -> Corelite.Deployment.t
-(** @raise Not_found for an unknown flow id. *)
-
 (** In-order segments delivered to a micro-flow's receiver. *)
 val goodput : t -> flow:int -> micro:int -> int
 

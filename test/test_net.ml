@@ -381,6 +381,23 @@ let test_classful_wrr_skips_empty_classes () =
   | None -> Alcotest.fail "nothing served");
   Alcotest.(check bool) "then empty" true (dequeue q = None)
 
+let test_classful_wrr_refills_lone_class () =
+  (* The token leaves class 0 when its quantum is spent, finds class 1
+     empty and comes back with a fresh quantum: the second packet is
+     served at once, not after an idle dequeue. *)
+  let q =
+    Net.Qdisc.classful ~classes:2 ~classify
+      ~scheduler:(Net.Qdisc.Weighted_round_robin [| 1; 1 |])
+      ~capacity:10 ()
+  in
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:1 ~micro:0 ()));
+  ignore (Net.Qdisc.enqueue q (mk_class_pkt ~id:2 ~micro:0 ()));
+  let order =
+    List.init 3 (fun _ ->
+        match dequeue q with Some p -> p.Net.Packet.id | None -> -1)
+  in
+  Alcotest.(check (list int)) "both packets, then nothing" [ 1; 2; -1 ] order
+
 let test_classful_validation () =
   Alcotest.check_raises "classes" (Invalid_argument "Qdisc.classful: classes must be positive")
     (fun () ->
@@ -1696,6 +1713,8 @@ let () =
           Alcotest.test_case "aggregate length" `Quick test_classful_aggregate_length;
           Alcotest.test_case "per-class capacity" `Quick test_classful_per_class_capacity;
           Alcotest.test_case "wrr skips empty" `Quick test_classful_wrr_skips_empty_classes;
+          Alcotest.test_case "wrr refills a lone class" `Quick
+            test_classful_wrr_refills_lone_class;
           Alcotest.test_case "validation" `Quick test_classful_validation;
         ] );
       ( "routing",

@@ -1,6 +1,7 @@
-(* corelite-typelint: run the typed rules over directories of .cmt files.
+(* corelite-typelint: run the project's static-analysis rules over
+   directories of .cmt files.
 
-   Usage: corelite-typelint [PATH ...]   (defaults to lib)
+   Usage: corelite-typelint [PATH ...]   (defaults to lib bin bench test)
 
    PATHs are walked recursively for .cmt/.cmti files (dune hides them
    under .<lib>.objs/byte/). Prints one machine-readable line per
@@ -9,7 +10,7 @@
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let roots = match args with [] -> [ "lib" ] | _ -> args in
+  let roots = match args with [] -> [ "lib"; "bin"; "bench"; "test" ] | _ -> args in
   let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
   List.iter
     (fun r -> prerr_endline ("corelite-typelint: no such path: " ^ r))
