@@ -1,11 +1,11 @@
 (** Packet-level network substrate — the ns-2 replacement.
 
     Store-and-forward links with transmission and propagation delay,
-    pluggable queue disciplines, per-flow static routing over explicit
-    topologies, shortest-path routing for generated ones, and the
-    traffic endpoints the evaluation needs: rate-adaptive paced sources
-    (the edge agents' engine), on/off burst drivers, unresponsive
-    blasters (see {!Workload.Blaster}) and a Reno-style TCP.
+    pluggable queue disciplines, destination forwarding over
+    hand-built and generated topologies, and the traffic endpoints the
+    evaluation needs: rate-adaptive paced sources (the edge agents'
+    engine), on/off burst drivers, unresponsive blasters (see
+    {!Workload.Blaster}) and a Reno-style TCP.
 
     Scheme logic (Corelite, CSFQ) stays out of this layer: links expose
     an admission hook ({!Link.t.on_arrival}), their own queue average
@@ -35,9 +35,6 @@ module Topology = Topology
 
 (** Edge-to-edge flows (id, weight, node path). *)
 module Flow = Flow
-
-(** Delay-shortest paths over a topology. *)
-module Routing = Routing
 
 (** The shared rate-adaptive paced source (slow-start + LIMD). *)
 module Source = Source

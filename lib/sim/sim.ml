@@ -18,8 +18,7 @@
       Sim.Engine.run_until engine 100.
     ]} *)
 
-(** Binary min-heap of timestamped entries (also usable as a plain
-    priority queue, e.g. inside Dijkstra). *)
+(** Binary min-heap of timestamped entries. *)
 module Event_queue = Event_queue
 
 (** Growable circular FIFO buffer — the allocation-free [Stdlib.Queue]

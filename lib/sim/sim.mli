@@ -13,8 +13,7 @@
     runtime side when [?check_invariants] flags are on. Re-running any
     experiment with the same seed reproduces it bit for bit. *)
 
-(** Binary min-heap of timestamped entries (also usable as a plain
-    priority queue, e.g. inside Dijkstra). *)
+(** Binary min-heap of timestamped entries. *)
 module Event_queue = Event_queue
 
 (** Growable circular FIFO buffer — the allocation-free [Stdlib.Queue]

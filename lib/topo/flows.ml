@@ -34,6 +34,6 @@ let generate ~seed ~label ~graph ~n ?(max_weight = 4) () =
 let equal a b =
   count a = count b
   && a.src = b.src && a.dst = b.dst
-  (* lint: float-eq-ok — bit-exact regeneration check, not a tolerance
-     comparison: the generators promise byte-identical replay. *)
+  (* Bit-exact regeneration check, not a tolerance comparison: the
+     generators promise byte-identical replay. *)
   && Array.for_all2 Float.equal a.weight b.weight

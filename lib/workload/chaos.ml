@@ -203,7 +203,7 @@ let all ?domains ?seed ?quick ?fault_seed () =
 
 (* CSV render of the whole battery — the byte-level currency of the
    serial-vs-parallel and run-to-run determinism checks, and the body
-   of results/BENCH_chaos tables. *)
+   of results/chaos_battery.csv. *)
 let csv_of_points points =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf

@@ -9,8 +9,8 @@
     counters. The whole battery is deterministic: every fault draw
     descends from [(fault_seed, point label)], so serial and pooled
     runs (and any two runs with the same seeds) produce byte-identical
-    {!csv_of_groups} output — the chaos bench and the CI chaos-smoke
-    job assert exactly that. *)
+    {!csv_of_groups} output — test_chaos asserts that over the quick
+    battery, and [results/chaos_battery.csv] pins the full one. *)
 
 type point = {
   label : string;
@@ -36,7 +36,7 @@ val default_fault_seed : int
 val recovery_params : Corelite.Params.t
 
 (** The battery as pool jobs, grouped by scenario family. [quick]
-    shortens each run from 80 to 32 simulated seconds (CI smoke);
+    shortens each run from 80 to 32 simulated seconds;
     [seed] is the workload seed (default 42), [fault_seed] the plan
     seed (default {!default_fault_seed}). The first marker-loss point
     ([marker_loss=0]) is the fault-free baseline degradation is
@@ -60,11 +60,9 @@ val all :
   unit ->
   (string * point list) list
 
-(** CSV of one group (header + one line per point, [%.6f] metrics) —
-    the byte-level currency of the determinism checks. *)
-val csv_of_points : point list -> string
-
-(** Concatenated {!csv_of_points} of every group. *)
+(** CSV of the battery: per group, a header and one line per point
+    ([%.6f] metrics) — the byte-level currency of the determinism
+    checks. *)
 val csv_of_groups : (string * point list) list -> string
 
 val pp_points : Format.formatter -> string * point list -> unit

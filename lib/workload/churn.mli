@@ -16,8 +16,9 @@
 
     Determinism: every draw descends from [(seed, label)] or
     [(fault_seed, label)] scenario streams, so {!csv_of_groups} is
-    byte-identical serial or pooled — the churn bench and the CI
-    churn-smoke job assert exactly that. *)
+    byte-identical serial or pooled — [results/churn_battery.csv] pins
+    the full battery, which [dune runtest] regenerates on one domain
+    and CI on two. *)
 
 type scheme = Scale.scheme = Corelite | Csfq | Drr
 
@@ -41,7 +42,7 @@ type point = {
 }
 
 (** Run one point. [quick] shortens the run from 80 to 40 simulated
-    seconds (CI smoke). [engine] substitutes a caller-owned (fresh)
+    seconds. [engine] substitutes a caller-owned (fresh)
     engine — the trace oracle passes one with the tracer armed to
     replay lifecycle events; with it omitted the point is a pure
     function of the remaining parameters. *)

@@ -99,67 +99,6 @@ let topology1 ~engine ?(bandwidth = default_bandwidth) ?(delay = default_delay)
   in
   chain ~engine ~bandwidth ~delay ~queue_capacity ?core_qdisc ~cores:4 ~specs ()
 
-let random ~engine ~rng ?(bandwidth = default_bandwidth) ?(delay = default_delay)
-    ?(queue_capacity = 40) ~cores:n_cores ~extra_links ~flows () =
-  if n_cores < 2 then invalid_arg "Network.random: need at least two cores";
-  let topology = Net.Topology.create engine in
-  let qdisc () = Net.Qdisc.droptail ~capacity:queue_capacity in
-  let add_link ~src ~dst =
-    match Net.Topology.find_link topology ~src ~dst with
-    | Some link -> link
-    | None ->
-      Net.Topology.add_link topology ~src ~dst ~bandwidth ~delay ~qdisc:(qdisc ())
-  in
-  let cores =
-    Array.init n_cores (fun i ->
-        Net.Topology.add_node topology ~kind:Net.Node.Core (Printf.sprintf "C%d" (i + 1)))
-  in
-  (* Bidirectional chain guarantees connectivity; chords add path
-     diversity. *)
-  for i = 0 to n_cores - 2 do
-    ignore (add_link ~src:cores.(i) ~dst:cores.(i + 1));
-    ignore (add_link ~src:cores.(i + 1) ~dst:cores.(i))
-  done;
-  for _ = 1 to extra_links do
-    let a = Sim.Rng.int rng n_cores and b = Sim.Rng.int rng n_cores in
-    if a <> b then ignore (add_link ~src:cores.(a) ~dst:cores.(b))
-  done;
-  let flows =
-    List.map
-      (fun (flow_id, weight) ->
-        let entry = Sim.Rng.int rng n_cores in
-        let exit =
-          let rec draw () =
-            let candidate = Sim.Rng.int rng n_cores in
-            if candidate = entry then draw () else candidate
-          in
-          draw ()
-        in
-        let ingress =
-          Net.Topology.add_node topology ~kind:Net.Node.Edge
-            (Printf.sprintf "E%d" flow_id)
-        in
-        let egress =
-          Net.Topology.add_node topology ~kind:Net.Node.Edge
-            (Printf.sprintf "D%d" flow_id)
-        in
-        ignore (add_link ~src:ingress ~dst:cores.(entry));
-        ignore (add_link ~src:cores.(exit) ~dst:egress);
-        let core_path =
-          match
-            Net.Routing.shortest_path topology ~src:cores.(entry) ~dst:cores.(exit)
-          with
-          | Some path -> path
-          | None -> assert false (* chain keeps the graph connected *)
-        in
-        Net.Flow.make ~id:flow_id ~weight ~path:((ingress :: core_path) @ [ egress ]))
-      flows
-  in
-  Net.Topology.route_paths topology (List.map (fun f -> f.Net.Flow.path) flows);
-  (* Police every link: random flows may bottleneck anywhere, including
-     their access links. *)
-  { engine; topology; flows; core_links = Net.Topology.links topology }
-
 let of_topo ~engine ?(bandwidth = default_bandwidth) ?(delay = default_delay)
     ?(queue_capacity = 40) ?core_qdisc ~graph ~fib ~flows:pop () =
   let topology = Net.Topology.create engine in
@@ -214,8 +153,8 @@ let of_topo ~engine ?(bandwidth = default_bandwidth) ?(delay = default_delay)
         in
         Net.Flow.make ~id:(i + 1) ~weight:pop.Topo.Flows.weight.(i) ~path)
   in
-  (* Police every link, as in [random]: generated flows may bottleneck
-     anywhere, most often on their access links. *)
+  (* Police every link: generated flows may bottleneck anywhere, most
+     often on their access links. *)
   { engine; topology; flows; core_links = Array.to_list links }
 
 let single_bottleneck ~engine ?(bandwidth = default_bandwidth) ?(delay = default_delay)

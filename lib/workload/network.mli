@@ -9,7 +9,7 @@
     [core_qdisc] substitutes a different queue discipline on the
     congested links (RED/FRED for the related-work ablation).
 
-    The hand-built networks ({!topology1}, {!chain}, {!random},
+    The hand-built networks ({!topology1}, {!chain},
     {!single_bottleneck}) route their flows through
     {!Net.Topology.route_paths}; each flow's egress is its own host. *)
 
@@ -68,26 +68,6 @@ val chain :
   ?core_qdisc:(unit -> Net.Qdisc.t) ->
   cores:int ->
   specs:(int * float * int * int) list ->
-  unit ->
-  t
-
-(** [random ~engine ~rng ~cores ~extra_links ~flows ()] generates a
-    random connected core network: a bidirectional chain of [cores]
-    core routers plus [extra_links] random directed chords, with each
-    flow entering and leaving at random distinct cores through its own
-    edge routers. Flow paths are delay-shortest ({!Net.Routing}).
-    Every link (access links included) is returned in [core_links] so
-    schemes police the whole cloud. Used by the randomized end-to-end
-    fairness property tests. *)
-val random :
-  engine:Sim.Engine.t ->
-  rng:Sim.Rng.t ->
-  ?bandwidth:float ->
-  ?delay:float ->
-  ?queue_capacity:int ->
-  cores:int ->
-  extra_links:int ->
-  flows:(int * float) list ->
   unit ->
   t
 

@@ -1,7 +1,7 @@
 (** The evaluation layer: networks, scenarios, runners and analyses.
 
     {!Network} builds the paper's Topology 1, generic chains, single
-    bottlenecks and random graphs; {!Runner} executes a start/stop
+    bottlenecks and generated graphs; {!Runner} executes a start/stop
     schedule under a scheme (Corelite, weighted CSFQ, or plain
     loss-driven sources) and samples the series the figures plot;
     {!Figures} encodes Figures 3-10 of the paper with their

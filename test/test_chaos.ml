@@ -1,6 +1,7 @@
 (* Tests for the deterministic fault-injection layer: plan validation,
-   injector wiring, and the chaos battery's determinism guarantees
-   (serial = pooled, passive plan = no plan, replay from seeds). *)
+   injector wiring, the chaos battery's determinism guarantees
+   (serial = pooled, passive plan = no plan, replay from seeds), and
+   the gates of the chaos and churn batteries in full mode. *)
 
 let check_float = Alcotest.(check (float 0.))
 
@@ -189,14 +190,14 @@ let test_faulted_run_replays_from_seed () =
   Alcotest.(check bool) "different seed diverges" true (faulted 1 <> faulted 2)
 
 (* The battery's own currency: pooled execution must produce CSV bytes
-   equal to serial execution. One group is enough for a unit test; the
-   chaos bench asserts it over the whole battery. *)
+   equal to serial execution, over the whole quick battery. The full
+   battery's pooled CSV is pinned by results/chaos_battery.csv, which
+   bin/experiments.exe regenerates on 2 domains. *)
 let test_battery_serial_equals_pooled () =
-  let groups = Workload.Chaos.jobs ~quick:true () in
-  let name, jobs = List.nth groups 2 (* link flaps: the cheapest group *) in
-  Alcotest.(check string) ("group " ^ name)
-    (Workload.Chaos.csv_of_points (List.map (fun j -> j.Workload.Pool.run ()) jobs))
-    (Workload.Chaos.csv_of_points (Workload.Pool.map ~domains:2 jobs))
+  let csv domains =
+    Workload.Chaos.csv_of_groups (Workload.Chaos.all ~domains ~quick:true ())
+  in
+  Alcotest.(check string) "quick battery CSV" (csv 1) (csv 2)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos + churn composition *)
@@ -204,8 +205,8 @@ let test_battery_serial_equals_pooled () =
 (* A fault plan applied to a churn scenario must replay byte-
    identically: the injector is installed before the first arrival is
    scheduled, the plan's draws descend from (fault_seed, label) and the
-   workload's from (seed, label), never interleaved. The cmp currency
-   is the battery CSV, same as the churn bench. *)
+   workload's from (seed, label), never interleaved. The currency is
+   the battery CSV, as in results/churn_battery.csv. *)
 let test_churn_faults_replay () =
   let csv fault_seed =
     Workload.Churn.csv_of_points
@@ -230,6 +231,53 @@ let test_churn_serial_equals_pooled () =
     (Workload.Churn.csv_of_points
        (List.map (fun j -> j.Workload.Pool.run ()) (jobs ())))
     (Workload.Churn.csv_of_points (Workload.Pool.map ~domains:2 (jobs ())))
+
+(* ------------------------------------------------------------------ *)
+(* Battery gates (full mode) *)
+
+(* At 10% uniform marker loss the weighted Jain index keeps at least
+   90% of its loss-free value; only the two points the gate reads run.
+   The index is the battery's: Jain of the rates the edges allow over
+   the steady window. It cannot see the marker-loss runaway
+   (EXPERIMENTS.md, "Chaos runs"): under marker loss the silence
+   restore inflates every flow's allowed rate far past what the links
+   carry, and Jain of the inflated rates stays near 1 while delivered
+   fairness collapses. *)
+let test_chaos_marker_loss_gate () =
+  let jobs = List.assoc "marker loss" (Workload.Chaos.jobs ()) in
+  let jain label =
+    match List.find_opt (fun j -> String.equal j.Workload.Pool.id label) jobs with
+    | Some j -> (j.Workload.Pool.run ()).Workload.Chaos.jain
+    | None -> Alcotest.failf "no chaos point %s" label
+  in
+  let free = jain "marker_loss=0" and lossy = jain "marker_loss=0.1" in
+  Alcotest.(check bool)
+    (Printf.sprintf "jain at 10%% marker loss %.6f >= 0.9 x loss-free %.6f" lossy free)
+    true
+    (lossy >= 0.9 *. free)
+
+(* The full churn battery on one domain, shared by the two churn gates. *)
+let churn_battery = lazy (Workload.Churn.all ~domains:1 ())
+
+(* Corelite's windowed Jain under churn, under the CLEF-style adversary
+   and under churn with faults keeps at least 85% of its static
+   baseline. *)
+let test_churn_fairness_gate () =
+  List.iter
+    (fun (variant, jain, baseline, pass) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "corelite %s windowed jain %.6f >= 0.85 x static %.6f" variant
+           jain baseline)
+        true pass)
+    (Workload.Churn.gate ~ratio:0.85 (List.assoc "corelite" (Lazy.force churn_battery)))
+
+(* No point of the battery, whatever the scheme, leaves a flow's edge
+   soft state behind after the drain. *)
+let test_churn_nothing_leaks () =
+  List.iter
+    (fun (pt : Workload.Churn.point) ->
+      Alcotest.(check int) (pt.label ^ " leaked flows") 0 pt.leaked)
+    (List.concat_map snd (Lazy.force churn_battery))
 
 let () =
   Alcotest.run "chaos"
@@ -267,5 +315,12 @@ let () =
             test_churn_faults_replay;
           Alcotest.test_case "churn+faults serial = pooled" `Slow
             test_churn_serial_equals_pooled;
+        ] );
+      ( "gates",
+        [
+          Alcotest.test_case "chaos marker-loss jain >= 0.9" `Slow
+            test_chaos_marker_loss_gate;
+          Alcotest.test_case "churn corelite jain >= 0.85" `Slow test_churn_fairness_gate;
+          Alcotest.test_case "churn leaks no flow state" `Slow test_churn_nothing_leaks;
         ] );
     ]

@@ -135,28 +135,25 @@ let test_churn_recovers_fairness () =
     (Printf.sprintf "jain after churn %.4f > 0.99" jain)
     true (jain > 0.99)
 
-(* Randomized end-to-end fairness: on arbitrary topologies with
-   shortest-path routing, Corelite's allocation should track the exact
-   weighted max-min reference. A few generated instances, each checked
-   coarsely (the LIMD ramp only gets 300 s). *)
+(* Randomized end-to-end fairness: on generated AS-like topologies
+   with shortest-path forwarding, Corelite's allocation should track
+   the exact weighted max-min reference. A few generated instances,
+   each checked coarsely (the LIMD ramp only gets 300 s). *)
 let test_random_topologies_approach_maxmin () =
   List.iter
     (fun seed ->
       let engine = Sim.Engine.create () in
-      let rng = Sim.Rng.create seed in
-      let n_flows = 4 + Sim.Rng.int rng 4 in
-      let flows =
-        List.init n_flows (fun i -> (i + 1, float_of_int (1 + Sim.Rng.int rng 3)))
-      in
+      let label = "integration/random-topology" in
+      let graph = Topo.Asgraph.build ~seed ~label ~nodes:8 ~m:1 () in
+      let flows = Topo.Flows.generate ~seed ~label ~graph ~n:6 ~max_weight:3 () in
       let network =
-        Workload.Network.random ~engine ~rng:(Sim.Rng.split rng) ~cores:4
-          ~extra_links:3 ~flows ()
+        Workload.Network.of_topo ~engine ~graph ~fib:(Topo.Fib.compute graph) ~flows ()
       in
-      let schedule = List.map (fun (id, _) -> (0., Workload.Runner.Start id)) flows in
+      let active = List.map (fun f -> f.Net.Flow.id) network.Workload.Network.flows in
+      let schedule = List.map (fun id -> (0., Workload.Runner.Start id)) active in
       let result =
         Workload.Runner.run ~scheme:corelite ~network ~seed ~schedule ~duration:300. ()
       in
-      let active = List.map fst flows in
       let reference = Workload.Network.expected_rates network ~active in
       List.iter
         (fun id ->

@@ -944,75 +944,6 @@ let test_probe_validation () =
     (fun () -> ignore (Net.Probe.attach ~engine ~period:0. link))
 
 (* ------------------------------------------------------------------ *)
-(* Routing *)
-
-(* A diamond with asymmetric delays:
-     a -> b (10ms) -> d (10ms)   total 20ms, 2 hops
-     a -> c (5ms)  -> d (5ms)    total 10ms, 2 hops
-     a -> d (50ms)               1 hop but slow *)
-let diamond () =
-  let engine = Sim.Engine.create () in
-  let topology = Net.Topology.create engine in
-  let n name = Net.Topology.add_node topology ~kind:Net.Node.Core name in
-  let a = n "a" and b = n "b" and c = n "c" and d = n "d" in
-  let link ~src ~dst delay =
-    ignore
-      (Net.Topology.add_link topology ~src ~dst ~bandwidth:1e6 ~delay
-         ~qdisc:(Net.Qdisc.droptail ~capacity:10))
-  in
-  link ~src:a ~dst:b 0.010;
-  link ~src:b ~dst:d 0.010;
-  link ~src:a ~dst:c 0.005;
-  link ~src:c ~dst:d 0.005;
-  link ~src:a ~dst:d 0.050;
-  (topology, a, b, c, d)
-
-let path_names = function
-  | Some nodes -> String.concat "-" (List.map (fun n -> n.Net.Node.name) nodes)
-  | None -> "(none)"
-
-let test_routing_picks_min_delay () =
-  let topology, a, _, _, d = diamond () in
-  Alcotest.(check string) "via c" "a-c-d"
-    (path_names (Net.Routing.shortest_path topology ~src:a ~dst:d))
-
-let test_routing_trivial_and_unreachable () =
-  let topology, a, b, _, d = diamond () in
-  Alcotest.(check string) "self" "a" (path_names (Net.Routing.shortest_path topology ~src:a ~dst:a));
-  (* No link enters [a]. *)
-  Alcotest.(check string) "unreachable" "(none)"
-    (path_names (Net.Routing.shortest_path topology ~src:d ~dst:a));
-  Alcotest.(check string) "one hop" "b-d"
-    (path_names (Net.Routing.shortest_path topology ~src:b ~dst:d))
-
-let test_routing_hop_tiebreak () =
-  (* Equal delay, different hop counts: prefer fewer hops. *)
-  let engine = Sim.Engine.create () in
-  let topology = Net.Topology.create engine in
-  let n name = Net.Topology.add_node topology ~kind:Net.Node.Core name in
-  let a = n "a" and b = n "b" and c = n "c" in
-  let link ~src ~dst delay =
-    ignore
-      (Net.Topology.add_link topology ~src ~dst ~bandwidth:1e6 ~delay
-         ~qdisc:(Net.Qdisc.droptail ~capacity:10))
-  in
-  link ~src:a ~dst:c 0.010;
-  link ~src:a ~dst:b 0.005;
-  link ~src:b ~dst:c 0.005;
-  Alcotest.(check string) "direct link wins the tie" "a-c"
-    (path_names (Net.Routing.shortest_path topology ~src:a ~dst:c))
-
-let test_routing_paths_from_consistent () =
-  let topology, a, b, c, d = diamond () in
-  let route = Net.Routing.paths_from topology ~src:a in
-  List.iter
-    (fun dst ->
-      Alcotest.(check string) ("to " ^ dst.Net.Node.name)
-        (path_names (Net.Routing.shortest_path topology ~src:a ~dst))
-        (path_names (route dst)))
-    [ a; b; c; d ]
-
-(* ------------------------------------------------------------------ *)
 (* Source *)
 
 let make_source ?(params = Net.Source.default_params) ?epoch_offset ~collect engine =
@@ -1716,15 +1647,6 @@ let () =
           Alcotest.test_case "wrr refills a lone class" `Quick
             test_classful_wrr_refills_lone_class;
           Alcotest.test_case "validation" `Quick test_classful_validation;
-        ] );
-      ( "routing",
-        [
-          Alcotest.test_case "min delay" `Quick test_routing_picks_min_delay;
-          Alcotest.test_case "trivial and unreachable" `Quick
-            test_routing_trivial_and_unreachable;
-          Alcotest.test_case "hop tiebreak" `Quick test_routing_hop_tiebreak;
-          Alcotest.test_case "paths_from consistent" `Quick
-            test_routing_paths_from_consistent;
         ] );
       ( "source",
         [

@@ -1,8 +1,8 @@
 (* Tests for the typed rules T1-T3 of the static-analysis pass
    (tools/typelint): accepting and rejecting fixtures per rule, waiver
-   handling, cmt read errors, the directory walker and report format,
-   and a self-check that the shipped lib/ tree is clean. The rules
-   L1-L9 are in test_lint. *)
+   handling, cmt read errors, the directory walker and report format.
+   The rules L1-L9 are in test_lint; the shipped tree itself is checked
+   by `dune build @lint`, which `dune runtest` depends on. *)
 
 open Lint_fixture
 
@@ -260,6 +260,18 @@ let test_check_paths_walks_and_sorts () =
       && Filename.basename b.Typelint.file = "b.ml"
     | _ -> false)
 
+let test_empty_root_rejected () =
+  (* A root whose sources were never compiled yields no .cmt, and a
+     missing root yields nothing at all: an error naming the root, not
+     a clean verdict. *)
+  let root = fixture [ ("lib/net/fix.ml", "let x = Some 1\n") ] in
+  let missing = Filename.concat root "absent" in
+  List.iter
+    (fun r ->
+      Alcotest.check_raises r (Failure ("no .cmt or .cmti file under " ^ r)) (fun () ->
+          ignore (Typelint.check_paths [ r ])))
+    [ root; missing ]
+
 let test_report_format () =
   let vs = typelint_one "lib/net/fix.ml" "let[@corelite.hot] wrap x = Some x\n" in
   let text = Format.asprintf "%a" Typelint.report vs in
@@ -270,50 +282,6 @@ let test_report_format () =
       String.starts_with ~prefix text && contains text "[T1/zero-alloc]"
     | _ -> false)
 
-(* ------------------------------------------------------------------ *)
-(* Self-check: the shipped lib/ tree stays clean. The test runs from
-   _build/default/test with the check alias built (see test/dune), so
-   the built lib tree with its .cmt files sits one level up. *)
-
-let rec count_cmts path acc =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc e -> count_cmts (Filename.concat path e) acc)
-      acc (Sys.readdir path)
-  else if
-    Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti"
-  then acc + 1
-  else acc
-
-let test_lib_tree_clean () =
-  (* Under `dune runtest` the cwd is _build/default/test; under
-     `dune exec` it is the invocation directory. Try both shapes, and
-     guard against vacuous success: an empty walk proves nothing. *)
-  let candidates =
-    [
-      Filename.concat (Filename.dirname (Sys.getcwd ())) "lib";
-      Filename.concat (Sys.getcwd ()) "_build/default/lib";
-    ]
-  in
-  let libdir =
-    match
-      List.find_opt
-        (fun d ->
-          Sys.file_exists d && Sys.is_directory d && count_cmts d 0 > 0)
-        candidates
-    with
-    | Some d -> d
-    | None ->
-      Alcotest.failf "built lib tree with .cmt files not found (tried %s)"
-        (String.concat ", " candidates)
-  in
-  let vs = Typelint.check_paths [ libdir ] in
-  Alcotest.(check (list string)) "zero unwaived violations in lib/" []
-    (List.map
-       (fun v ->
-         Printf.sprintf "%s:%d [%s] %s" v.Typelint.file v.Typelint.line
-           (Typelint.rule_name v.Typelint.rule) v.Typelint.message)
-       vs)
 let () =
   Alcotest.run "typelint"
     [
@@ -360,8 +328,7 @@ let () =
           Alcotest.test_case "ppx output scoped as its source" `Quick
             test_preprocessed_source;
           Alcotest.test_case "walk + sort" `Quick test_check_paths_walks_and_sorts;
+          Alcotest.test_case "empty root rejected" `Quick test_empty_root_rejected;
           Alcotest.test_case "report format" `Quick test_report_format;
         ] );
-      ( "self_check",
-        [ Alcotest.test_case "lib/ tree clean" `Quick test_lib_tree_clean ] );
     ]

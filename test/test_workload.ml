@@ -117,32 +117,6 @@ let test_link_capacities () =
     (fun (_, c) -> check_float "500 pkt/s each" 500. c)
     (Workload.Network.link_capacities net)
 
-let test_random_network_structure () =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create 7 in
-  let flows = [ (1, 1.); (2, 2.); (3, 1.5) ] in
-  let net = Workload.Network.random ~engine ~rng ~cores:5 ~extra_links:4 ~flows () in
-  Alcotest.(check int) "3 flows" 3 (List.length net.Workload.Network.flows);
-  (* Every flow's path is wired: consecutive nodes are linked, ingress
-     and egress are edge nodes, intermediates are cores. *)
-  List.iter
-    (fun flow ->
-      let path = flow.Net.Flow.path in
-      Alcotest.(check bool) "path installs" true
-        (List.length (Net.Topology.path_links net.Workload.Network.topology path) >= 2);
-      Alcotest.(check bool) "ingress is edge" true (Net.Node.is_edge (Net.Flow.ingress flow));
-      Alcotest.(check bool) "egress is edge" true (Net.Node.is_edge (Net.Flow.egress flow)))
-    net.Workload.Network.flows;
-  (* All links are policed in random networks. *)
-  Alcotest.(check int) "core_links covers everything"
-    (List.length (Net.Topology.links net.Workload.Network.topology))
-    (List.length net.Workload.Network.core_links);
-  Alcotest.check_raises "needs 2 cores"
-    (Invalid_argument "Network.random: need at least two cores") (fun () ->
-      ignore
-        (Workload.Network.random ~engine:(Sim.Engine.create ()) ~rng ~cores:1
-           ~extra_links:0 ~flows ()))
-
 (* ------------------------------------------------------------------ *)
 (* Runner *)
 
@@ -891,8 +865,6 @@ let () =
           Alcotest.test_case "fib linear in path length" `Quick
             test_single_bottleneck_fib_linear;
           Alcotest.test_case "link capacities" `Quick test_link_capacities;
-          Alcotest.test_case "random network structure" `Quick
-            test_random_network_structure;
         ] );
       ( "runner",
         [

@@ -947,7 +947,14 @@ let rec walk path acc =
   else acc
 
 let check_paths roots =
-  let files = List.fold_left (fun acc root -> walk root acc) [] roots in
+  let files =
+    List.fold_left
+      (fun acc root ->
+        match if Sys.file_exists root then walk root [] else [] with
+        | [] -> failwith ("no .cmt or .cmti file under " ^ root)
+        | found -> found @ acc)
+      [] roots
+  in
   List.sort compare_violation (List.concat_map (check_unit ~coverage:true) files)
 
 let report ppf violations =

@@ -159,7 +159,9 @@ val check_cmt : string -> violation list
 (** [check_paths roots] walks [roots] for [*.cmt]/[*.cmti] files
     (dune hides them under [.<lib>.objs/byte/]; dot-directories are
     searched), runs {!check_cmt} on each plus L4 on each [lib/]
-    implementation, and sorts the result by file, line and column. *)
+    implementation, and sorts the result by file, line and column.
+    @raise Failure naming the root if a root is missing or holds no
+    [.cmt] or [.cmti] file: an empty walk proves nothing. *)
 val check_paths : string list -> violation list
 
 (** One line per violation: [file:line:col: [RULE] message]. *)
