@@ -213,51 +213,41 @@ let replication () =
         stats.Workload.Replication.convergence)
     [ Workload.Figures.fig5 (); Workload.Figures.fig6 () ]
 
-(* A small battery through Pool.run_scenarios: same Figure 5 workload
-   under all three schemes, each scenario drawing from its own
-   (seed, label)-derived RNG stream on a pool-owned (reused, reset)
-   engine. The numbers differ slightly from the fig5/fig6 tables above
-   because the stream differs from the historical root seed — that is
-   the point: adding or reordering scenarios here cannot perturb any
-   other scenario's draw sequence. *)
+(* A small battery of pool jobs: same Figure 5 workload under all
+   three schemes, each scenario on its own engine, drawing from an RNG
+   stream derived from (seed, label). The numbers differ
+   slightly from the fig5/fig6 tables above because the stream differs
+   from the historical root seed — that is the point: adding or
+   reordering scenarios here cannot perturb any other scenario's draw
+   sequence. *)
 let scenario_battery () =
   hr "Pooled scenario battery (per-scenario RNG streams, seed 42)";
-  let scheme_scenario label scheme =
-    {
-      Workload.Pool.label;
-      scenario =
-        (fun ~engine ~rng ->
-          let network =
-            Workload.Network.topology1 ~engine
-              ~flow_ids:(List.init 10 (fun i -> i + 1))
-              ~weights:Workload.Figures.weights_s42 ()
-          in
-          let result =
-            Workload.Runner.run ~scheme ~network ~rng
-              ~schedule:(List.init 10 (fun i -> (0., Workload.Runner.Start (i + 1))))
-              ~duration:80. ()
-          in
-          ( Workload.Runner.jain result ~from:50. ~until:80.,
-            result.Workload.Runner.core_drops,
-            Sim.Engine.executed engine ))
-    }
+  let job (label, scheme) =
+    Workload.Pool.job ~id:label (fun () ->
+        let engine = Sim.Engine.create () in
+        let network =
+          Workload.Network.topology1 ~engine
+            ~flow_ids:(List.init 10 (fun i -> i + 1))
+            ~weights:Workload.Figures.weights_s42 ()
+        in
+        let result =
+          Workload.Runner.run ~scheme ~network
+            ~rng:(Sim.Rng.scenario ~seed:42 ~id:label)
+            ~schedule:(List.init 10 (fun i -> (0., Workload.Runner.Start (i + 1))))
+            ~duration:80. ()
+        in
+        Printf.sprintf "%-18s jain=%.4f drops=%5d events=%d\n" label
+          (Workload.Runner.jain result ~from:50. ~until:80.)
+          result.Workload.Runner.core_drops (Sim.Engine.executed engine))
   in
-  let scenarios =
-    [
-      scheme_scenario "battery/corelite"
-        (Workload.Runner.Corelite Corelite.Params.default);
-      scheme_scenario "battery/csfq" (Workload.Runner.Csfq Csfq.Params.default);
-      scheme_scenario "battery/plain" (Workload.Runner.Plain Csfq.Params.default);
-    ]
-  in
-  let results =
-    Workload.Pool.run_scenarios ~domains:!domains ~seed:42 scenarios
-  in
-  List.iter2
-    (fun (s : _ Workload.Pool.scenario) (jain, drops, events) ->
-      Printf.printf "%-18s jain=%.4f drops=%5d events=%d\n" s.Workload.Pool.label
-        jain drops events)
-    scenarios results
+  Workload.Pool.map ~domains:!domains
+    (List.map job
+       [
+         ("battery/corelite", Workload.Runner.Corelite Corelite.Params.default);
+         ("battery/csfq", Workload.Runner.Csfq Csfq.Params.default);
+         ("battery/plain", Workload.Runner.Plain Csfq.Params.default);
+       ])
+  |> List.iter print_string
 
 (* The chaos battery: the Figure 5 workload under injected faults
    (marker loss, Gilbert-Elliott bursty loss, link flaps, router
@@ -317,7 +307,8 @@ let policing () =
           Workload.Network.single_bottleneck ~engine ?core_qdisc ~weights:(fun _ -> 1.) 3
         in
         let blaster =
-          Workload.Blaster.attach ~network ~flow:1 ~rate:450. ~corelite_markers ()
+          Workload.Adversary.attach ~network ~flow:1 ~peak:450. ~duty:1. ~period:1.
+            ~corelite_markers ()
         in
         let result =
           Workload.Runner.run ~scheme ~network
@@ -333,8 +324,8 @@ let policing () =
         Printf.sprintf
           "%-16s firehose %.0f pkt/s (%.0f%% survives)  adaptive %.0f / %.0f pkt/s\n"
           label
-          (float_of_int (Workload.Blaster.delivered blaster) /. 120.)
-          (100. *. Workload.Blaster.survival blaster)
+          (float_of_int (Workload.Adversary.delivered blaster) /. 120.)
+          (100. *. Workload.Adversary.survival blaster)
           (goodput 2) (goodput 3))
   in
   let plain = Workload.Runner.Plain Csfq.Params.default in

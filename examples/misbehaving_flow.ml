@@ -19,7 +19,8 @@ let run scheme ~corelite_markers =
   let engine = Sim.Engine.create () in
   let network = Workload.Network.single_bottleneck ~engine ~weights:(fun _ -> 1.) 3 in
   let blaster =
-    Workload.Blaster.attach ~network ~flow:1 ~rate:450. ~corelite_markers ()
+    Workload.Adversary.attach ~network ~flow:1 ~peak:450. ~duty:1. ~period:1.
+      ~corelite_markers ()
   in
   let result =
     Workload.Runner.run ~scheme ~network
@@ -32,8 +33,8 @@ let report name (result, blaster) =
   Printf.printf "\n== %s ==\n" name;
   Printf.printf "firehose offered rate        : 450 pkt/s\n";
   Printf.printf "firehose goodput             : %.1f pkt/s (%.0f%% survives)\n"
-    (float_of_int (Workload.Blaster.delivered blaster) /. duration)
-    (100. *. Workload.Blaster.survival blaster);
+    (float_of_int (Workload.Adversary.delivered blaster) /. duration)
+    (100. *. Workload.Adversary.survival blaster);
   List.iter
     (fun flow ->
       Printf.printf "adaptive flow %d allowed rate : %.1f pkt/s\n" flow

@@ -158,10 +158,7 @@ let reset t =
   t.last.qavg <- 0.;
   t.last.fn <- 0.
 
-let attach ?check_invariants ~params ~rng ~send_feedback link =
-  let check =
-    match check_invariants with Some b -> b | None -> Sim.Invariant.default ()
-  in
+let attach ~params ~rng ~send_feedback link =
   if Net.Link.has_hook link then
     invalid_arg ("Core.attach: link " ^ link.Net.Link.name ^ " already has hooks");
   let engine = link.Net.Link.engine in
@@ -187,7 +184,7 @@ let attach ?check_invariants ~params ~rng ~send_feedback link =
       feedback_sent = 0;
       congested_epochs = 0;
       markers_seen = 0;
-      check;
+      check = Sim.Invariant.default ();
     }
   in
   (* The first epoch averages the queue from now. *)

@@ -12,7 +12,6 @@
 type t
 
 val attach :
-  ?check_invariants:bool ->
   params:Params.t ->
   rng:Sim.Rng.t ->
   send_feedback:(Net.Packet.marker -> unit) ->
@@ -22,11 +21,11 @@ val attach :
     ({!Net.Link.t.on_arrival}), starts a queue-average window on it
     ({!Net.Link.reset_queue_average}) and starts the congestion-epoch
     timer; each epoch reads and restarts the link's average.
-    [check_invariants] (default {!Sim.Invariant.default}) audits the
-    feedback budgets — per epoch the cache selector may return at most
-    [ceil Fn] markers, per marker the stateless selector at most
-    [ceil pw] copies — and non-negativity of [qavg] and [Fn], raising
-    {!Sim.Invariant.Violation} on the first breach.
+    When {!Sim.Invariant.default} is on at attach time, the core
+    audits the feedback budgets — per epoch the cache selector may
+    return at most [ceil Fn] markers, per marker the stateless selector
+    at most [ceil pw] copies — and non-negativity of [qavg] and [Fn],
+    raising {!Sim.Invariant.Violation} on the first breach.
     @raise Invalid_argument if the link already has a hook
     ({!Net.Link.has_hook}). *)
 

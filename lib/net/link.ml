@@ -247,15 +247,12 @@ let reset t = purge t Down
 
 let set_fault t f = t.fault <- f
 
-let create ?check_invariants ~engine ~id ~name ~src ~dst ~bandwidth ~delay ~qdisc () =
+let create ~engine ~id ~name ~src ~dst ~bandwidth ~delay ~qdisc () =
   if not (Float.is_finite bandwidth) then
     invalid_arg "Link.create: bandwidth must be finite";
   if bandwidth <= 0. then invalid_arg "Link.create: bandwidth must be positive";
   if not (Float.is_finite delay) then invalid_arg "Link.create: delay must be finite";
   if delay < 0. then invalid_arg "Link.create: negative delay";
-  let check =
-    match check_invariants with Some b -> b | None -> Sim.Invariant.default ()
-  in
   let clock = Sim.Engine.clock engine in
   let now = clock.Sim.Engine.time in
   (* Placeholder occupying [in_service] while idle, never read then
@@ -297,7 +294,7 @@ let create ?check_invariants ~engine ~id ~name ~src ~dst ~bandwidth ~delay ~qdis
       departures = 0;
       drops = 0;
       bytes_sent = 0;
-      check;
+      check = Sim.Invariant.default ();
     }
   in
   arm t;

@@ -104,7 +104,7 @@ val admit_all : Packet.t -> verdict
     to a link without a hook. *)
 val has_hook : t -> bool
 
-(** [check_invariants] (default {!Sim.Invariant.default}) runs the
+(** When {!Sim.Invariant.default} is on at creation, the link runs the
     discipline's occupancy audit ({!Qdisc.audit_enqueue},
     {!Qdisc.audit_dequeue}) around every enqueue and dequeue and audits
     per-link packet conservation — arrivals = departures + drops +
@@ -114,7 +114,6 @@ val has_hook : t -> bool
     @raise Invalid_argument when [bandwidth] is not finite and
     positive, or [delay] not finite and non-negative (NaN included). *)
 val create :
-  ?check_invariants:bool ->
   engine:Sim.Engine.t ->
   id:int ->
   name:string ->

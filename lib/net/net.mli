@@ -4,8 +4,8 @@
     pluggable queue disciplines, destination forwarding over
     hand-built and generated topologies, and the traffic endpoints the
     evaluation needs: rate-adaptive paced sources (the edge agents'
-    engine), on/off burst drivers, unresponsive blasters (see
-    {!Workload.Blaster}) and a Reno-style TCP.
+    engine), on/off burst drivers and a Reno-style TCP (unresponsive
+    sources live in {!Workload.Adversary}).
 
     Scheme logic (Corelite, CSFQ) stays out of this layer: links expose
     an admission hook ({!Link.t.on_arrival}), their own queue average

@@ -15,8 +15,7 @@
     - {b Who allocates.} [Corelite.Edge] and [Csfq.Edge] take every
       packet they synthesize from their topology's pool ({!alloc}).
       Everything else — TCP segments, aggregate micro-flows, the
-      adversary, the blaster, tests — builds unpooled packets with
-      {!make}.
+      adversary, tests — builds unpooled packets with {!make}.
     - {b Who releases.} Exactly two places hand a pooled packet back
       ({!release}): [Link.drop], after the link's [on_drop] callback
       has run (queue-full, filtered, injected and down drops, and every

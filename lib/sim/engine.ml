@@ -16,40 +16,21 @@ type t = {
   mutable seq : int;
   mutable executed : int;
   queue : (unit -> unit) Event_queue.t;
-  mutable check : bool;
+  check : bool;
   trace : Trace.t;
   metrics : Metrics.t;
 }
 
-let create ?check_invariants () =
-  let check =
-    match check_invariants with Some b -> b | None -> Invariant.default ()
-  in
+let create () =
   {
     clock = { time = 0. };
     seq = 0;
     executed = 0;
     queue = Event_queue.create ();
-    check;
+    check = Invariant.default ();
     trace = Trace.create ();
     metrics = Metrics.create ();
   }
-
-let reset ?check_invariants t =
-  t.clock.time <- 0.;
-  (* The seq counter must restart from 0: it breaks ties among
-     simultaneous events, so a reused engine that kept counting would
-     order a replayed scenario identically only by luck. *)
-  t.seq <- 0;
-  t.executed <- 0;
-  Event_queue.clear t.queue;
-  (* Observability state is per-scenario: a pooled worker reusing this
-     engine must start the next job with a pristine tracer and an empty
-     metrics registry, or traces would leak across scenarios. *)
-  Trace.reset t.trace;
-  Metrics.reset t.metrics;
-  t.check <-
-    (match check_invariants with Some b -> b | None -> Invariant.default ())
 
 let now t = t.clock.time
 

@@ -25,20 +25,11 @@ type t
 (** Cancellation token for a scheduled (possibly recurring) event. *)
 type handle
 
-(** [create ()] builds an engine with its clock at [0.].
-    [check_invariants] (default {!Invariant.default}) audits clock
+(** [create ()] builds an engine with its clock at [0.]. When
+    {!Invariant.default} is on at creation, the engine audits clock
     monotonicity on every step and raises {!Invariant.Violation} when
     it breaks. *)
-val create : ?check_invariants:bool -> unit -> t
-
-(** [reset t] returns the engine to the freshly-created state: clock at
-    [0.], event queue empty, sequence and executed-event counters at
-    zero, and the invariant-auditing flag re-resolved ([check_invariants]
-    defaulting to {!Invariant.default} again). A reset engine replays
-    any event program bit-for-bit identically to a brand-new one — the
-    contract {!Workload.Pool} workers rely on when reusing one engine
-    across scenario jobs. *)
-val reset : ?check_invariants:bool -> t -> unit
+val create : unit -> t
 
 (** Current virtual time in seconds. *)
 val now : t -> float
@@ -47,29 +38,28 @@ val now : t -> float
     record, so a component that keeps the view reads the time with one
     unboxed load, while {!now} returns its float boxed whenever the call
     is not inlined — always in dune's dev profile, which compiles with
-    [-opaque]. The view stays valid across {!reset}. *)
+    [-opaque]. *)
 type clock = private { mutable time : float }
 
 val clock : t -> clock
 
 (** The engine's event tracer — one per engine, disabled until
     [Sim.Trace.enable]; components grab it at construction and guard
-    every recording site with [Sim.Trace.want]. {!reset} returns it to
-    the disabled, empty state. *)
+    every recording site with [Sim.Trace.want]. *)
 val trace : t -> Trace.t
 
 (** The engine's metrics registry — one per engine; components register
-    probes at construction. {!reset} empties it. *)
+    probes at construction. *)
 val metrics : t -> Metrics.t
 
 (** Number of events still pending. *)
 val pending : t -> int
 
-(** Events executed since creation (or the last {!reset}) — the
-    events/sec denominator the bench harness reports. *)
+(** Events executed since creation — the events/sec denominator the
+    bench harness reports. *)
 val executed : t -> int
 
-(** Events scheduled since creation (or the last {!reset}). *)
+(** Events scheduled since creation. *)
 val events_scheduled : t -> int
 
 (** [schedule t ~delay f] fires [f] at [now t +. delay].

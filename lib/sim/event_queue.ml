@@ -121,29 +121,6 @@ let create () =
     table = [||];
   }
 
-let clear q =
-  (* Drop the storage too: a cleared queue must not pin the payloads of
-     a previous run alive (pool workers keep queues across scenarios),
-     and a reused engine must not inherit its lanes. *)
-  q.keys <- [||];
-  q.seqs <- [||];
-  q.vals <- [||];
-  q.length <- 0;
-  q.owner <- [||];
-  q.live <- [||];
-  q.link <- [||];
-  q.prev <- [||];
-  q.spare <- [||];
-  q.free <- -1;
-  q.partial <- -1;
-  q.heap <- [||];
-  q.size <- 0;
-  q.lane_delay <- [||];
-  q.lane_tail <- [||];
-  q.lane_last <- [||];
-  q.lanes <- 0;
-  q.table <- [||]
-
 let length q = q.length
 
 let is_empty q = q.length = 0
@@ -424,8 +401,8 @@ let[@corelite.hot] pop_exn q =
   if lane >= 0 then release q b else release_direct q b node;
   q.length <- q.length - 1;
   (* The slab cell is not blanked (no dummy ['a] exists): popped nodes
-     keep stale payloads reachable until an add reuses them or [clear]
-     drops the slab — the same bounded-pinning contract as [Ring]. *)
+     keep stale payloads reachable until an add reuses them or the
+     queue is dropped — the same bounded-pinning contract as [Ring]. *)
   q.vals.(node)
 
 let pop q =

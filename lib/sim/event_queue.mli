@@ -31,17 +31,11 @@
     order they pop, and a lane block is reused once all its nodes have
     popped. Direct adds reuse single popped nodes of their own blocks.
     Popped payloads are not blanked: free nodes keep a stale payload
-    reachable until an add reuses the node or {!clear} drops the
-    storage. *)
+    reachable until an add reuses the node or the queue is dropped. *)
 
 type 'a t
 
 val create : unit -> 'a t
-
-(** [clear q] empties the queue and releases its storage, lanes and
-    delay table included, returning it to the freshly-created state
-    (used when an engine is reset between pooled scenario runs). *)
-val clear : 'a t -> unit
 
 (** Number of pending entries, in the heap and in lanes. *)
 val length : 'a t -> int
@@ -66,7 +60,7 @@ val max_lanes : int
     the lane's current tail. *)
 val add_delayed : 'a t -> delay:float -> key:float -> seq:int -> 'a -> unit
 
-(** Lanes created since creation or the last {!clear}. *)
+(** Lanes created since creation. *)
 val lanes : 'a t -> int
 
 (** Entries in the heap: direct adds plus one head per non-empty lane. *)

@@ -3,28 +3,29 @@
 
     Components that maintain accounting the paper's results depend on
     (the engine's clock, link packet conservation, core feedback
-    budgets) take a [?check_invariants] flag. When it is on they call
-    {!require} at their stable points; a failed check raises
-    {!Violation} immediately, naming the broken property, instead of
-    silently corrupting a figure.
+    budgets) read {!default} once, when they are created. When it is
+    on they call {!require} at their stable points; a failed check
+    raises {!Violation} immediately, naming the broken property,
+    instead of silently corrupting a figure.
 
-    The flag everywhere defaults to {!default}, so a test suite turns
-    every check on globally with [Sim.Invariant.set_default true] and
-    production runs pay nothing.
+    {!default} is the one switch: a test suite turns every check on
+    with [Sim.Invariant.set_default true] before it builds anything,
+    and production runs pay nothing.
 
     All auditor state is atomic, so checks may run concurrently from
     every {!Workload.Pool} worker domain without losing counts. *)
 
 exception Violation of string
 
-(** Default value of every [?check_invariants] flag. Starts [false]. *)
+(** Whether components created from now on audit their invariants.
+    Starts [false]. *)
 val default : unit -> bool
 
 val set_default : bool -> unit
 
 (** [require ~what cond] raises [Violation what] when [cond] is false.
-    Callers guard the call (and any expensive condition) behind their
-    [check_invariants] flag. *)
+    Callers guard the call (and any expensive condition) behind the
+    value of {!default} they read at creation. *)
 val require : what:string -> bool -> unit
 
 (** Like {!require} with a lazily built message, for conditions cheap

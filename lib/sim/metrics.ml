@@ -33,11 +33,6 @@ let auto_probes t = t.auto
 
 let set_auto_probes t auto = t.auto <- auto
 
-let reset t =
-  t.on <- false;
-  t.auto <- true;
-  Hashtbl.reset t.tbl
-
 let kind_label = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"

@@ -43,11 +43,6 @@ val auto_probes : t -> bool
 
 val set_auto_probes : t -> bool -> unit
 
-(** Drop every registered instrument, disable, and restore
-    {!auto_probes}. Called by {!Engine.reset} for per-scenario
-    isolation in pooled runs. *)
-val reset : t -> unit
-
 (** [counter t name] registers (or finds) a monotone integer counter. *)
 val counter : ?help:string -> t -> string -> counter
 

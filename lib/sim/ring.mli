@@ -7,8 +7,7 @@
     allocates solely when it doubles its capacity. Popped slots are not
     overwritten, so up to one array's worth of stale elements can stay
     reachable until they are overwritten by later pushes — call
-    {!clear} between runs when payload lifetime matters (engine-reuse
-    in pool workers does). *)
+    {!clear} when payload lifetime matters (a link purge does). *)
 
 type 'a t
 

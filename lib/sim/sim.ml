@@ -34,7 +34,7 @@ module Rng = Rng
 (** Tolerance-based float comparison (lint rule L2's helpers). *)
 module Floats = Floats
 
-(** Runtime invariant auditing behind [?check_invariants] flags. *)
+(** Runtime invariant auditing behind one process-wide switch. *)
 module Invariant = Invariant
 
 (** Declarative, seed-deterministic fault plans (interpreted by

@@ -10,7 +10,7 @@
     the simulation. The contract is enforced mechanically — the static
     lint pass ([tools/typelint], [dune build @lint]) bans raw randomness
     and wall-clock reads outside {!Rng}, and {!Invariant} audits the
-    runtime side when [?check_invariants] flags are on. Re-running any
+    runtime side when {!Invariant.default} is on. Re-running any
     experiment with the same seed reproduces it bit for bit. *)
 
 (** Binary min-heap of timestamped entries. *)
@@ -29,7 +29,7 @@ module Rng = Rng
 (** Tolerance-based float comparison (lint rule L2's helpers). *)
 module Floats = Floats
 
-(** Runtime invariant auditing behind [?check_invariants] flags. *)
+(** Runtime invariant auditing behind one process-wide switch. *)
 module Invariant = Invariant
 
 (** Declarative, seed-deterministic fault plans (interpreted by

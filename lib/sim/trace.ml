@@ -172,19 +172,6 @@ let enable ?(capacity = 1 lsl 16) ?(kinds = all_kinds) t =
 
 let apply t s = enable ~capacity:s.capacity ~kinds:s.kinds t
 
-let reset t =
-  t.on <- false;
-  t.mask <- 0;
-  t.times <- [||];
-  t.ks <- [||];
-  t.aa <- [||];
-  t.bb <- [||];
-  t.xx <- [||];
-  t.yy <- [||];
-  t.next <- 0;
-  t.recorded <- 0;
-  Array.fill t.counts 0 n_kinds 0
-
 let[@inline] want t kind = t.on && t.mask land (1 lsl kind_index kind) <> 0
 
 let record t ~time kind ~a ~b ~x ~y =

@@ -103,11 +103,6 @@ val enable : ?capacity:int -> ?kinds:kind list -> t -> unit
 (** [apply t spec] = [enable] with the spec's settings. *)
 val apply : t -> spec -> unit
 
-(** Return to the freshly-created state: disabled, storage released,
-    counts zeroed. Called by {!Engine.reset} so pooled workers start
-    every scenario with a pristine tracer. *)
-val reset : t -> unit
-
 (** [want t kind] is [true] iff the tracer is enabled and [kind] is
     selected. Call-site guard: cheap enough for per-packet paths, and
     it keeps [record]'s float arguments unboxed when tracing is off. *)

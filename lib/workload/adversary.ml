@@ -1,7 +1,7 @@
 (* CLEF-style adversarial heavy hitter (see PAPERS.md): an unresponsive
    sender that bursts at a high peak rate for a [duty] fraction of each
    [period], sized so its *average* rate sits just below a detection
-   threshold. The labels it advertises are honest but smoothed — a
+   threshold; at duty 1 it is a constant-rate blaster. The labels it advertises are honest but smoothed — a
    CSFQ-style exponential rate estimate lags far below the peak during
    a burst, and the Corelite marker advertises the long-run average —
    which is precisely the blind spot of estimation-based policing that
@@ -70,6 +70,9 @@ let stop t = Sim.Engine.cancel t.timer
 let sent t = !(t.sent)
 
 let delivered t = !(t.delivered)
+
+let survival t =
+  if !(t.sent) = 0 then 1. else float_of_int !(t.delivered) /. float_of_int !(t.sent)
 
 let average_rate t = t.peak *. t.duty
 

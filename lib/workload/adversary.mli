@@ -1,5 +1,6 @@
-(** CLEF-style adversarial heavy hitter (see PAPERS.md: "CLEF:
-    Limiting the Damage Caused by Large Flows").
+(** Unresponsive (misbehaving) sources, up to a CLEF-style adversarial
+    heavy hitter (see PAPERS.md: "CLEF: Limiting the Damage Caused by
+    Large Flows").
 
     An unresponsive sender that bursts at [peak] pkt/s for the leading
     [duty] fraction of every [period], then goes silent — so its
@@ -12,9 +13,13 @@
     estimation-based policing that {!Fairness.Windowed}'s
     multi-timescale bandwidth profile exposes.
 
+    At [duty = 1.] the gate never closes: the sender is a blaster, the
+    classic constant-rate stress case for fair-allocation schemes,
+    pacing at [peak] and advertising it; [period] then changes nothing.
+
     The flow's path must exist in the network (it is installed here);
-    the adversary bypasses the schemes' edge agents entirely, exactly
-    like {!Blaster}. *)
+    the adversary ignores every congestion signal and bypasses the
+    schemes' edge agents entirely. *)
 
 type t
 
@@ -41,6 +46,10 @@ val stop : t -> unit
 val sent : t -> int
 
 val delivered : t -> int
+
+(** Delivered/sent — the fraction surviving the network's policing
+    ([1.] before the first packet). *)
+val survival : t -> float
 
 (** [peak * duty] — the rate a long-timescale detector sees. *)
 val average_rate : t -> float

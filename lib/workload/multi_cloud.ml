@@ -9,11 +9,11 @@ type t = {
   locals : (int, Corelite.Edge.t) Hashtbl.t;  (* flows living in one cloud only *)
 }
 
-let build ?(params = Corelite.Params.default) ?(seed = 42) ?(handoff_capacity = 64)
-    ?(backpressure = true) ~cloud_a ~cloud_b () =
+let build ?(backpressure = true) ~cloud_a ~cloud_b () =
   if cloud_a.Network.engine != cloud_b.Network.engine then
     invalid_arg "Multi_cloud.build: clouds must share one engine";
-  let rng = Sim.Rng.create seed in
+  let params = Corelite.Params.default in
+  let rng = Sim.Rng.create 42 in
   let epoch = params.Corelite.Params.source.Net.Source.epoch in
   let shared =
     List.filter_map
@@ -57,7 +57,7 @@ let build ?(params = Corelite.Params.default) ?(seed = 42) ?(handoff_capacity = 
         Corelite.Aggregate.create ~params ~topology:cloud_b.Network.topology
           ~flow:flow_b
           ~epoch_offset:(Sim.Rng.float rng epoch)
-          ~queue_capacity:handoff_capacity ()
+          ~queue_capacity:64 ()
       in
       let delivered = ref 0 in
       Corelite.Aggregate.set_consumer aggregate_b ~micro:0 (fun _ -> incr delivered);

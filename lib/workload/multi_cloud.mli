@@ -20,15 +20,12 @@ type t
     present in both networks is chained A -> B; a flow id present in
     only one cloud becomes an ordinary local flow there. Flows are shaped by a
     plain Corelite edge in A and by a hand-off aggregate in B; both
-    clouds run their own core logic and control planes. [params] apply
-    to both clouds; [handoff_capacity] bounds the inter-cloud buffer
-    (default 64 packets).
+    clouds run their own core logic and control planes under
+    {!Corelite.Params.default}, with epoch offsets drawn from seed 42.
+    The inter-cloud buffer holds 64 packets.
     @raise Invalid_argument if the clouds share no flow id or are not
     on the same engine. *)
 val build :
-  ?params:Corelite.Params.t ->
-  ?seed:int ->
-  ?handoff_capacity:int ->
   ?backpressure:bool ->
   cloud_a:Network.t ->
   cloud_b:Network.t ->

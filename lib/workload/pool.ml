@@ -67,30 +67,3 @@ let map_groups ?domains groups =
          let n = List.length jobs in
          (first + n, (name, Array.to_list (Array.sub results first n))))
        0 groups)
-
-type 'a scenario = {
-  label : string;
-  scenario : engine:Sim.Engine.t -> rng:Sim.Rng.t -> 'a;
-}
-
-let run_scenarios ?domains ~seed scenarios =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      if Hashtbl.mem seen s.label then
-        invalid_arg
-          ("Pool.run_scenarios: duplicate scenario label " ^ s.label
-         ^ " (labels derive RNG streams and must be unique)");
-      Hashtbl.replace seen s.label ())
-    scenarios;
-  (* One engine per worker, reset between jobs. The domain-local key
-     gives the spawned workers (and the coordinator) their own engine
-     without threading state through [map]'s job type. *)
-  let engine_key = Domain.DLS.new_key (fun () -> Sim.Engine.create ()) in
-  let to_job s =
-    job ~id:s.label (fun () ->
-        let engine = Domain.DLS.get engine_key in
-        Sim.Engine.reset engine;
-        s.scenario ~engine ~rng:(Sim.Rng.scenario ~seed ~id:s.label))
-  in
-  map ?domains (List.map to_job scenarios)

@@ -16,16 +16,11 @@
     can go unbalanced. Job placement is nondeterministic; payloads are
     not.
 
-    {!run_scenarios} adds the two per-worker conventions on top:
-
-    - each scenario's generator is {!Sim.Rng.scenario}[ ~seed ~id] — a
-      pure function of the root seed and the scenario's label, so the
-      stream a scenario sees never depends on sibling scenarios or on
-      placement (see CONTRIBUTING.md, "per-scenario RNG streams");
-    - each worker owns one {!Sim.Engine.t} and {!Sim.Engine.reset}s it
-      between jobs, so engine storage is reused across a sweep's dozens
-      of runs without leaking any ordering state from one run into the
-      next.
+    A new scenario job takes its generator from
+    {!Sim.Rng.scenario}[ ~seed ~id] — a pure function of the root seed
+    and the job's label — so the stream it sees never depends on
+    sibling jobs or on placement (see CONTRIBUTING.md, "per-scenario
+    RNG streams").
 
     Workers never print and never touch the filesystem (lint rules
     L1/L3 are taught exactly that: [Domain] is banned outside this
@@ -33,14 +28,13 @@
     their series/CSV payloads and the coordinator alone writes them. *)
 
 (** A closed unit of work: [run] must not share mutable state with any
-    other job. [id] names the job in diagnostics and derives nothing —
-    contrast {!scenario}, whose label picks the RNG stream. *)
+    other job. [id] names the job in diagnostics and derives nothing. *)
 type 'a job = { id : string; run : unit -> 'a }
 
 val job : id:string -> (unit -> 'a) -> 'a job
 
-(** [Domain.recommended_domain_count ()] — the worker count {!map} and
-    {!run_scenarios} default to. *)
+(** [Domain.recommended_domain_count ()] — the worker count {!map}
+    defaults to. *)
 val default_domains : unit -> int
 
 (** [map ~domains jobs] runs every job and returns the results in
@@ -57,18 +51,3 @@ val map : ?domains:int -> 'a job list -> 'a list
     each group's results under its name, in submission order. With
     [~domains:1] it is a per-group [List.map] run inline. *)
 val map_groups : ?domains:int -> ('k * 'a job list) list -> ('k * 'a list) list
-
-(** A scenario: a job that receives its deterministic RNG stream and a
-    worker-owned, freshly {!Sim.Engine.reset} engine. *)
-type 'a scenario = {
-  label : string;  (** derives the RNG stream; unique per batch *)
-  scenario : engine:Sim.Engine.t -> rng:Sim.Rng.t -> 'a;
-}
-
-(** [run_scenarios ~domains ~seed scenarios] executes each scenario
-    with [rng = Sim.Rng.scenario ~seed ~id:label] on a reused
-    per-worker engine, returning results in submission order. Running
-    with [~domains:1] (or on one core) produces bit-identical payloads.
-    @raise Invalid_argument if two scenarios share a label — they
-    would silently share an RNG stream. *)
-val run_scenarios : ?domains:int -> seed:int -> 'a scenario list -> 'a list

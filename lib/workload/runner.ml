@@ -115,8 +115,12 @@ let deploy ~fault scheme ~rng ~network ~flows =
         if plan.Sim.Faultplan.resets <> [] then
           invalid_arg "Runner.run: router resets require the Corelite scheme")
 
+(* Every flow's rate, goodput and cumulative delivery are sampled once
+   per simulated second. *)
+let sample_period = 1.
+
 let run ~scheme ~network ?(seed = 42) ?rng ?fault ?trace ?(metrics = false)
-    ?(sample_period = 1.) ?(floors = []) ?(bursty = [])
+    ?(floors = []) ?(bursty = [])
     ?(burst_distribution = Net.Onoff.Exponential) ~schedule ~duration () =
   if not (Float.is_finite duration && duration > 0.) then
     invalid_arg "Runner.run: duration must be positive and finite";

@@ -101,7 +101,7 @@ type result = {
     experiment. [floors] gives contracted minimum rates to specific
     flows; [bursty] makes the listed flows application-limited with
     exponential on/off periods [(flow, on_mean, off_mean)] (both
-    extensions). Sampling defaults to once per simulated second.
+    extensions). Sampling runs once per simulated second.
     Deterministic for a fixed [seed]; [rng] overrides the root
     generator entirely (pool scenarios pass their
     [Sim.Rng.scenario]-derived stream here, leaving [seed] unused).
@@ -132,7 +132,6 @@ val run :
   ?fault:Sim.Faultplan.t ->
   ?trace:Sim.Trace.spec ->
   ?metrics:bool ->
-  ?sample_period:float ->
   ?floors:(int * float) list ->
   ?bursty:(int * float * float) list ->
   ?burst_distribution:Net.Onoff.distribution ->

@@ -42,28 +42,25 @@ type result = {
 let default_source =
   { Net.Source.default_params with alpha = 0.25; beta = 0.25; ss_thresh = 8. }
 
+(* Datacenter-scale links at the default bandwidth: 2 ms propagation
+   and 40-packet buffers. Flow weights are drawn from 1 to 4. *)
+let delay = 0.002
+
+let queue_capacity = 40
+
+let max_weight = 4
+
 let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
-    ?measure_from ?(bandwidth = Network.default_bandwidth) ?(delay = 0.002)
-    ?(queue_capacity = 40) ?(max_weight = 4) ?(end_fraction = 0.) ?end_at
-    ?(reference = false) ?(csv = false) ?(source_params = default_source)
-    ?trace () =
+    ?(end_fraction = 0.) ?(reference = false) ?(csv = false) ?trace () =
   if n_flows < 1 then invalid_arg "Scale.run: need at least one flow";
   if not (Float.is_finite duration && duration > 0.) then
     invalid_arg "Scale.run: duration must be positive and finite";
-  let measure_from =
-    match measure_from with Some t -> t | None -> duration /. 2.
-  in
   (* Written so that NaN fails too: every comparison with NaN is false. *)
-  if not (measure_from >= 0. && measure_from < duration) then
-    invalid_arg "Scale.run: measure_from must fall inside the run";
   if not (end_fraction >= 0. && end_fraction < 1.) then
     invalid_arg "Scale.run: end_fraction must be in [0, 1)";
+  let measure_from = duration /. 2. in
+  let end_at = measure_from /. 2. in
   let n_ended = int_of_float (end_fraction *. float_of_int n_flows) in
-  let end_at =
-    match end_at with Some t -> t | None -> measure_from /. 2.
-  in
-  if Float.is_nan end_at || (n_ended > 0 && end_at >= measure_from) then
-    invalid_arg "Scale.run: end_at must precede measure_from";
   let graph =
     match gspec with
     | Fattree k -> Topo.Fattree.build k
@@ -92,7 +89,7 @@ let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
     | Drr -> Some (fun () -> Net.Qdisc.drr ~weight:weight_of ~capacity:queue_capacity ())
   in
   let network =
-    Network.of_topo ~engine ~bandwidth ~delay ~queue_capacity ?core_qdisc
+    Network.of_topo ~engine ~delay ~queue_capacity ?core_qdisc
       ~graph ~fib ~flows:pop ()
   in
   let rng = Sim.Rng.scenario ~seed ~id:(label ^ "/deploy") in
@@ -100,9 +97,9 @@ let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
   let driver =
     Runner.deploy ~fault:None
       (match scheme with
-      | Corelite -> Runner.Corelite { Corelite.Params.default with source = source_params }
-      | Csfq -> Runner.Csfq { Csfq.Params.default with source = source_params }
-      | Drr -> Runner.Plain { Csfq.Params.default with source = source_params })
+      | Corelite -> Runner.Corelite { Corelite.Params.default with source = default_source }
+      | Csfq -> Runner.Csfq { Csfq.Params.default with source = default_source }
+      | Drr -> Runner.Plain { Csfq.Params.default with source = default_source })
       ~rng ~network ~flows:[]
   in
   (* Streaming per-flow aggregation: three flat int arrays — delivered

@@ -58,22 +58,23 @@ type result = {
 val default_source : Net.Source.params
 
 (** [run ~engine ~seed ~label ~graph ~n_flows ~scheme ()] executes one
-    scale scenario and returns its aggregate. [duration] defaults to
-    20 s with [measure_from] at its midpoint; rates are measured over
-    [[measure_from, duration]]. [end_fraction] retires that fraction of
-    the flow population (lowest ids) at [end_at] (default halfway to
-    [measure_from]); retired flows are excluded from the rate
-    statistics but still appear in the CSV. [reference] additionally
-    solves the weighted max-min water-filling and reports
+    scale scenario and returns its aggregate. Links run at
+    {!Network.default_bandwidth} with 2 ms propagation (datacenter
+    scale) and 40-packet buffers, flow weights are drawn from 1 to 4,
+    and every scheme's sources adapt with {!default_source}.
+    [duration] defaults to 20 s; rates are measured over its second
+    half, [[measure_from, duration]] with [measure_from = duration / 2].
+    [end_fraction] retires that fraction of the flow population (lowest
+    ids) at [measure_from / 2]; retired flows are excluded from the
+    rate statistics but still appear in the CSV. [reference]
+    additionally solves the weighted max-min water-filling and reports
     [jain_vs_reference] — quadratic-ish in flows, use at 10^4 and
-    below. [delay] defaults to 2 ms (datacenter-scale propagation).
-    [trace] arms the engine tracer before the deployment is built, so
-    [Flow_start] events of the initial population are recorded.
+    below. [trace] arms the engine tracer before the deployment is
+    built, so [Flow_start] events of the initial population are
+    recorded.
     @raise Invalid_argument on a non-positive or non-finite [duration],
-    a non-positive [n_flows],
-    [measure_from] outside the run, [end_fraction] outside [[0, 1)],
-    a NaN in any of the three, or [end_at >= measure_from] when flows
-    are retired early. *)
+    a non-positive [n_flows], or an [end_fraction] outside [[0, 1)]
+    (NaN included). *)
 val run :
   engine:Sim.Engine.t ->
   seed:int ->
@@ -82,16 +83,9 @@ val run :
   n_flows:int ->
   scheme:scheme ->
   ?duration:float ->
-  ?measure_from:float ->
-  ?bandwidth:float ->
-  ?delay:float ->
-  ?queue_capacity:int ->
-  ?max_weight:int ->
   ?end_fraction:float ->
-  ?end_at:float ->
   ?reference:bool ->
   ?csv:bool ->
-  ?source_params:Net.Source.params ->
   ?trace:Sim.Trace.spec ->
   unit ->
   result

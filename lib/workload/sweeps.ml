@@ -12,7 +12,7 @@ type point = {
    [measure_flows] restricts the fairness metrics to a subset (used by
    the burst sweep, where application-limited flows have no meaningful
    allowed rate while idle). *)
-let run_workload ?(seed = 42) ?delay ?core_qdisc ?(bursty = []) ?burst_distribution
+let run_workload ?delay ?core_qdisc ?(bursty = []) ?burst_distribution
     ?measure_flows ~label scheme =
   let engine = Sim.Engine.create () in
   let core_qdisc = Option.map (fun f -> f engine) core_qdisc in
@@ -23,7 +23,7 @@ let run_workload ?(seed = 42) ?delay ?core_qdisc ?(bursty = []) ?burst_distribut
   in
   let schedule = List.init 10 (fun i -> (0., Runner.Start (i + 1))) in
   let result =
-    Runner.run ~scheme ~network ~seed ~bursty ?burst_distribution ~schedule
+    Runner.run ~scheme ~network ~seed:42 ~bursty ?burst_distribution ~schedule
       ~duration:80. ()
   in
   let active = List.init 10 (fun i -> i + 1) in
@@ -53,8 +53,7 @@ let run_workload ?(seed = 42) ?delay ?core_qdisc ?(bursty = []) ?burst_distribut
       List.fold_left ( +. ) 0. delays /. float_of_int (List.length delays);
   }
 
-let run_point ?seed ?delay ~label params =
-  run_workload ?seed ?delay ~label (Runner.Corelite params)
+let run_point ?delay ~label params = run_workload ?delay ~label (Runner.Corelite params)
 
 let base = Corelite.Params.default
 

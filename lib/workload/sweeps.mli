@@ -22,11 +22,10 @@ type point = {
   mean_delay : float;  (** mean end-to-end delay across flows, seconds *)
 }
 
-(** Run the Figure 5 workload with the given Corelite parameters.
-    [delay] overrides the link propagation delay (latency sweep);
-    [seed] defaults to 42. *)
-val run_point :
-  ?seed:int -> ?delay:float -> label:string -> Corelite.Params.t -> point
+(** Run the Figure 5 workload at seed 42 with the given Corelite
+    parameters. [delay] overrides the link propagation delay (latency
+    sweep). *)
+val run_point : ?delay:float -> label:string -> Corelite.Params.t -> point
 
 val core_epoch : unit -> point list
 (** 25, 50, 100, 200, 400 ms congestion-detection epochs. *)

@@ -8,11 +8,10 @@ type t = {
   connections : (int * connection) list;  (* ascending flow id *)
 }
 
-let build ?(tcp_params = Net.Tcp.default_params) ?(csfq_params = Csfq.Params.default)
-    ?(attach_csfq = false) ?(seed = 42) ~network () =
+let build ?(csfq_params = Csfq.Params.default) ?(attach_csfq = false) ~network () =
   let engine = network.Network.engine in
   let topology = network.Network.topology in
-  let rng = Sim.Rng.create seed in
+  let rng = Sim.Rng.create 42 in
   if attach_csfq then
     List.iter
       (fun link ->
@@ -55,8 +54,8 @@ let build ?(tcp_params = Net.Tcp.default_params) ?(csfq_params = Csfq.Params.def
           Net.Link.send first_link pkt
         in
         let sender =
-          Net.Tcp.Sender.create ~engine ~params:tcp_params ~flow:flow_id ~micro:1
-            ~transmit ()
+          Net.Tcp.Sender.create ~engine ~params:Net.Tcp.default_params ~flow:flow_id
+            ~micro:1 ~transmit ()
         in
         sender_cell := Some sender;
         (flow_id, { sender; receiver }))

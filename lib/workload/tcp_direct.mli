@@ -14,15 +14,14 @@
 
 type t
 
-(** [build ~network ()] creates one TCP connection per network flow.
-    [attach_csfq] (default false) installs weighted-CSFQ logic on the
-    core links; otherwise whatever queue discipline the network was
-    built with polices the flows. *)
+(** [build ~network ()] creates one TCP connection
+    ({!Net.Tcp.default_params}) per network flow. [attach_csfq]
+    (default false) installs weighted-CSFQ logic on the core links,
+    drawing from seed 42; otherwise whatever queue discipline the
+    network was built with polices the flows. *)
 val build :
-  ?tcp_params:Net.Tcp.params ->
   ?csfq_params:Csfq.Params.t ->
   ?attach_csfq:bool ->
-  ?seed:int ->
   network:Network.t ->
   unit ->
   t

@@ -9,11 +9,11 @@ type t = {
   connections : (int * int, connection) Hashtbl.t;  (* (flow, micro) *)
 }
 
-let build ?(params = Corelite.Params.default) ?(tcp_params = Net.Tcp.default_params)
-    ?(seed = 42) ?(queue_capacity = 128) ~network ~micro_flows () =
+let build ~network ~micro_flows () =
   let engine = network.Network.engine in
   let topology = network.Network.topology in
-  let rng = Sim.Rng.create seed in
+  let params = Corelite.Params.default in
+  let rng = Sim.Rng.create 42 in
   let aggregates = Hashtbl.create 8 in
   let connections = Hashtbl.create 32 in
   let agents = Hashtbl.create 8 in
@@ -25,7 +25,7 @@ let build ?(params = Corelite.Params.default) ?(tcp_params = Net.Tcp.default_par
       in
       let aggregate =
         Corelite.Aggregate.create ~params ~topology ~flow ~epoch_offset
-          ~queue_capacity ()
+          ~queue_capacity:128 ()
       in
       Hashtbl.add aggregates flow_id aggregate;
       Hashtbl.add agents flow_id (Corelite.Aggregate.edge aggregate);
@@ -50,8 +50,8 @@ let build ?(params = Corelite.Params.default) ?(tcp_params = Net.Tcp.default_par
           ignore (Corelite.Aggregate.submit aggregate pkt)
         in
         let sender =
-          Net.Tcp.Sender.create ~engine ~params:tcp_params ~flow:flow_id ~micro
-            ~transmit ()
+          Net.Tcp.Sender.create ~engine ~params:Net.Tcp.default_params ~flow:flow_id
+            ~micro ~transmit ()
         in
         sender_cell := Some sender;
         Corelite.Aggregate.set_consumer aggregate ~micro (fun pkt ->

@@ -12,13 +12,11 @@
 type t
 
 (** [build ~network ~micro_flows ()] creates one aggregate per network
-    flow and [micro_flows flow_id] TCP connections inside each.
-    Corelite core logic is attached to the network's core links. *)
+    flow, each with a 128-packet edge queue, and [micro_flows flow_id]
+    TCP connections ({!Net.Tcp.default_params}) inside each. Corelite
+    core logic ({!Corelite.Params.default}, seed 42) is attached to the
+    network's core links. *)
 val build :
-  ?params:Corelite.Params.t ->
-  ?tcp_params:Net.Tcp.params ->
-  ?seed:int ->
-  ?queue_capacity:int ->
   network:Network.t ->
   micro_flows:(int -> int) ->
   unit ->

@@ -7,8 +7,9 @@
     {!Figures} encodes Figures 3-10 of the paper with their
     measurement phases and references; {!Sweeps} the sensitivity and
     ablation grid; {!Chaos} the fault-injection battery (loss, flaps,
-    router resets); {!Replication} multi-seed statistics; {!Blaster}
-    unresponsive stress sources; {!Tcp_workload} TCP micro-flows in
+    router resets); {!Replication} multi-seed statistics; {!Adversary}
+    unresponsive sources, from a constant-rate blaster to a bursting
+    CLEF-style heavy hitter; {!Tcp_workload} TCP micro-flows in
     shaped aggregates; {!Tcp_direct} raw TCP over each core discipline;
     {!Multi_cloud} inter-domain chaining;
     {!Scenario_file} a small text DSL; {!Csv} series export;
@@ -22,7 +23,6 @@ module Figures = Figures
 module Sweeps = Sweeps
 module Chaos = Chaos
 module Replication = Replication
-module Blaster = Blaster
 module Tcp_workload = Tcp_workload
 module Tcp_direct = Tcp_direct
 module Multi_cloud = Multi_cloud

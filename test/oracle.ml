@@ -308,42 +308,38 @@ let test_serial_vs_pooled () =
 
 (* ---- Oracle 6: trace isolation across pooled scenarios ---- *)
 
-(* Pool-owned engines are reused across jobs with Engine.reset between
-   them; a scenario arming the tracer must never see a predecessor's
-   events. Running the same batch serially and sharded gives different
-   (engine, predecessor) pairings, so any leakage shows up as a byte
-   difference between the two exports. *)
+(* Every pooled job builds its own engine, and with it its own tracer;
+   a scenario arming the tracer must never see another job's events.
+   Running the same batch serially and on two domains interleaves the
+   jobs differently, so any tracing state shared between jobs shows up
+   as a byte difference between the two exports. *)
 let test_pool_scenario_isolation () =
-  let scenario label =
-    {
-      Workload.Pool.label;
-      scenario =
-        (fun ~engine ~rng ->
-          let network =
-            Workload.Network.single_bottleneck ~engine
-              ~weights:(fun i -> float_of_int i)
-              3
-          in
-          let result =
-            Workload.Runner.run
-              ~scheme:(Workload.Runner.Corelite Corelite.Params.default)
-              ~network ~rng
-              ~trace:
-                (Sim.Trace.spec ~capacity:(1 lsl 16)
-                   ~kinds:Sim.Trace.control_kinds ())
-              ~schedule:
-                (List.init 3 (fun i -> (0., Workload.Runner.Start (i + 1))))
-              ~duration:30. ()
-          in
-          ignore result.Workload.Runner.core_drops;
-          Sim.Trace.to_jsonl (Sim.Engine.trace engine))
-    }
+  let job label =
+    Workload.Pool.job ~id:label (fun () ->
+        let engine = Sim.Engine.create () in
+        let network =
+          Workload.Network.single_bottleneck ~engine
+            ~weights:(fun i -> float_of_int i)
+            3
+        in
+        let result =
+          Workload.Runner.run
+            ~scheme:(Workload.Runner.Corelite Corelite.Params.default)
+            ~network
+            ~rng:(Sim.Rng.scenario ~seed:7 ~id:label)
+            ~trace:
+              (Sim.Trace.spec ~capacity:(1 lsl 16)
+                 ~kinds:Sim.Trace.control_kinds ())
+            ~schedule:
+              (List.init 3 (fun i -> (0., Workload.Runner.Start (i + 1))))
+            ~duration:30. ()
+        in
+        ignore result.Workload.Runner.core_drops;
+        Sim.Trace.to_jsonl (Sim.Engine.trace engine))
   in
-  let scenarios =
-    [ scenario "oracle/a"; scenario "oracle/b"; scenario "oracle/c" ]
-  in
-  let serial = Workload.Pool.run_scenarios ~domains:1 ~seed:7 scenarios in
-  let pooled = Workload.Pool.run_scenarios ~domains:2 ~seed:7 scenarios in
+  let jobs = [ job "oracle/a"; job "oracle/b"; job "oracle/c" ] in
+  let serial = Workload.Pool.map ~domains:1 jobs in
+  let pooled = Workload.Pool.map ~domains:2 jobs in
   List.iteri
     (fun i (s, p) ->
       Alcotest.(check bool)

@@ -279,17 +279,6 @@ let test_runner_plain_scheme_only_overflow_drops () =
   Alcotest.(check int) "no probabilistic drops" 0 result.Workload.Runner.early_drops;
   Alcotest.(check bool) "tail drops happen" true (result.Workload.Runner.core_drops > 0)
 
-let test_runner_sample_period () =
-  let _, network = single_bottleneck ~n:1 () in
-  let result =
-    Workload.Runner.run ~scheme:(Workload.Runner.Corelite Corelite.Params.default)
-      ~network ~sample_period:0.5
-      ~schedule:[ (0., Workload.Runner.Start 1) ]
-      ~duration:10. ()
-  in
-  Alcotest.(check int) "20 samples at 0.5 s" 20
-    (Sim.Timeseries.length (List.assoc 1 result.Workload.Runner.rate_series))
-
 let test_runner_delay_metrics_populated () =
   let _, network = single_bottleneck ~n:2 () in
   let result =
@@ -405,7 +394,6 @@ let () =
           Alcotest.test_case "bursty pauses" `Slow test_runner_bursty_flow_pauses;
           Alcotest.test_case "plain scheme drops" `Slow
             test_runner_plain_scheme_only_overflow_drops;
-          Alcotest.test_case "sample period" `Quick test_runner_sample_period;
           Alcotest.test_case "delay metrics" `Slow test_runner_delay_metrics_populated;
         ] );
       ( "figures_helpers",

@@ -1494,9 +1494,10 @@ let test_qdisc_invariants_catch_lies () =
   expect_violation "negative length" (fun () ->
       Net.Qdisc.audit_dequeue ~kind ~served:true ~before:0 ~after:(-1) ~bytes:0)
 
-(* Every discipline behind a checked link, through service, queueing,
-   overflow and a purge: the occupancy audit runs on each enqueue and
-   dequeue and stays silent. *)
+(* Every discipline behind a checked link (this suite turns the
+   auditor on at start-up), through service, queueing, overflow and a
+   purge: the occupancy audit runs on each enqueue and dequeue and
+   stays silent. *)
 let test_qdisc_invariants_pass_honest_queue () =
   let disciplines =
     [
@@ -1514,7 +1515,7 @@ let test_qdisc_invariants_pass_honest_queue () =
     (fun qdisc ->
       let engine = Sim.Engine.create () in
       let link =
-        Net.Link.create ~check_invariants:true ~engine ~id:0 ~name:"audited" ~src:0 ~dst:1
+        Net.Link.create ~engine ~id:0 ~name:"audited" ~src:0 ~dst:1
           ~bandwidth:8000. ~delay:0.1 ~qdisc ()
       in
       link.Net.Link.deliver <- ignore;

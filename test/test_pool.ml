@@ -1,7 +1,6 @@
 (* Tests for Workload.Pool: sharding semantics (order, exceptions,
-   inline fallback), differential determinism of pooled regeneration
-   against serial runs, per-scenario RNG streams, and engine reuse
-   across jobs on one worker. *)
+   inline fallback) and differential determinism of pooled
+   regeneration against serial runs. *)
 
 (* ------------------------------------------------------------------ *)
 (* Pool.map semantics *)
@@ -56,82 +55,10 @@ let test_default_domains_positive () =
     (Workload.Pool.default_domains () >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Pool.run_scenarios: per-scenario streams and engine reuse *)
-
-let test_run_scenarios_rejects_duplicate_labels () =
-  let s label = { Workload.Pool.label; scenario = (fun ~engine:_ ~rng:_ -> ()) } in
-  Alcotest.check_raises "duplicate label"
-    (Invalid_argument
-       "Pool.run_scenarios: duplicate scenario label twin (labels derive RNG \
-        streams and must be unique)")
-    (fun () ->
-      ignore (Workload.Pool.run_scenarios ~domains:1 ~seed:1 [ s "twin"; s "twin" ]))
-
-let drawing_scenario label =
-  {
-    Workload.Pool.label;
-    scenario = (fun ~engine:_ ~rng -> List.init 16 (fun _ -> Sim.Rng.bits64 rng));
-  }
-
-let test_scenario_stream_depends_only_on_label () =
-  (* A scenario's draws are a pure function of (seed, label): adding,
-     removing or reordering sibling scenarios cannot perturb them. *)
-  let batch =
-    Workload.Pool.run_scenarios ~domains:1 ~seed:9
-      [ drawing_scenario "a"; drawing_scenario "b"; drawing_scenario "c" ]
-  in
-  let reordered =
-    Workload.Pool.run_scenarios ~domains:2 ~seed:9
-      [ drawing_scenario "c"; drawing_scenario "a" ]
-  in
-  let alone = Workload.Pool.run_scenarios ~domains:1 ~seed:9 [ drawing_scenario "b" ] in
-  Alcotest.(check (list int64)) "b alone = b in batch" (List.nth batch 1)
-    (List.hd alone);
-  Alcotest.(check (list int64)) "a reordered = a in batch" (List.hd batch)
-    (List.nth reordered 1);
-  let other_seed = Workload.Pool.run_scenarios ~domains:1 ~seed:10 [ drawing_scenario "b" ] in
-  Alcotest.(check bool) "seed matters" false (List.hd alone = List.hd other_seed)
-
-(* A small but real simulation: 5 flows on Topology 1 for 10 s. The CSV
-   payload bytes are the strictest observable equality we have. *)
-let mini_workload ~engine ~rng =
-  let network =
-    Workload.Network.topology1 ~engine
-      ~flow_ids:(List.init 5 (fun i -> i + 1))
-      ~weights:(fun i -> float_of_int ((i + 1) / 2))
-      ()
-  in
-  let result =
-    Workload.Runner.run ~scheme:(Workload.Runner.Corelite Corelite.Params.default)
-      ~network ~rng
-      ~schedule:(List.init 5 (fun i -> (0., Workload.Runner.Start (i + 1))))
-      ~duration:10. ()
-  in
-  Workload.Csv.result_strings result
-
-let mini_scenario label = { Workload.Pool.label; scenario = mini_workload }
+(* Differential determinism: pooled regeneration vs serial *)
 
 let check_payloads what expected actual =
   Alcotest.(check (list (pair string string))) what expected actual
-
-let test_engine_reuse_matches_fresh_engines () =
-  (* Two back-to-back jobs on ONE worker run on the same reset engine;
-     a leaked clock, seq counter or stale event would shift FIFO order
-     and change the payload bytes. Compare against fresh engines. *)
-  let reused =
-    Workload.Pool.run_scenarios ~domains:1 ~seed:42
-      [ mini_scenario "reuse/one"; mini_scenario "reuse/two" ]
-  in
-  let fresh label =
-    mini_workload ~engine:(Sim.Engine.create ())
-      ~rng:(Sim.Rng.scenario ~seed:42 ~id:label)
-  in
-  check_payloads "first job on reused engine" (fresh "reuse/one") (List.hd reused);
-  check_payloads "second job on reused engine" (fresh "reuse/two")
-    (List.nth reused 1)
-
-(* ------------------------------------------------------------------ *)
-(* Differential determinism: pooled regeneration vs serial *)
 
 let check_summary what (expected : Workload.Figures.summary) actual =
   (* Structural equality over the whole summary record (floats are
@@ -195,15 +122,6 @@ let () =
           Alcotest.test_case "map_groups = per-group map" `Quick
             test_map_groups_matches_per_group_map;
           Alcotest.test_case "default domains" `Quick test_default_domains_positive;
-        ] );
-      ( "scenarios",
-        [
-          Alcotest.test_case "duplicate labels rejected" `Quick
-            test_run_scenarios_rejects_duplicate_labels;
-          Alcotest.test_case "stream depends only on label" `Quick
-            test_scenario_stream_depends_only_on_label;
-          Alcotest.test_case "engine reuse matches fresh" `Quick
-            test_engine_reuse_matches_fresh_engines;
         ] );
       ( "differential",
         [

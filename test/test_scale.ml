@@ -2,8 +2,7 @@
    at 10^4 flows, serial-vs-pooled byte equality of the streaming
    harness, Sim.Invariant ledger balance across the scale lifecycle,
    and edge cases of the flat-array flow table that replaced the
-   per-flow Hashtbls (id reuse after expiry, growth past capacity,
-   engine reset isolation). *)
+   per-flow Hashtbls (id reuse after expiry, growth past capacity). *)
 
 let quick_run ~engine ~label ?(n_flows = 200) ?(duration = 4.) ?end_fraction () =
   Workload.Scale.run ~engine ~seed:42 ~label ~graph:(Workload.Scale.Fattree 4)
@@ -42,22 +41,19 @@ let test_fattree_k8_fairness () =
 (* ---- serial = pooled ---- *)
 
 let test_serial_equals_pooled () =
-  let scenarios =
+  let jobs =
     List.map
       (fun tag ->
-        {
-          Workload.Pool.label = "scale/" ^ tag;
-          scenario =
-            (fun ~engine ~rng:_ ->
-              let r = quick_run ~engine ~label:("scale/" ^ tag) () in
-              match r.Workload.Scale.csv with
-              | Some csv -> csv
-              | None -> Alcotest.fail "csv requested but not produced");
-        })
+        let label = "scale/" ^ tag in
+        Workload.Pool.job ~id:label (fun () ->
+            let r = quick_run ~engine:(Sim.Engine.create ()) ~label () in
+            match r.Workload.Scale.csv with
+            | Some csv -> csv
+            | None -> Alcotest.fail "csv requested but not produced"))
       [ "a"; "b"; "c" ]
   in
-  let serial = Workload.Pool.run_scenarios ~domains:1 ~seed:42 scenarios in
-  let pooled = Workload.Pool.run_scenarios ~domains:3 ~seed:42 scenarios in
+  let serial = Workload.Pool.map ~domains:1 jobs in
+  let pooled = Workload.Pool.map ~domains:3 jobs in
   List.iteri
     (fun i (s, p) ->
       Alcotest.(check string)
@@ -121,23 +117,14 @@ let test_rejects_bad_duration () =
         (fun () ->
           ignore (quick_run ~engine:(Sim.Engine.create ()) ~label:"scale/bad" ~duration ())))
     [ nan; infinity; 0. ];
-  (* The other time inputs: a NaN end_fraction retired no flow, and a
-     NaN measure_from or end_at failed later, in the engine. *)
-  let run ?measure_from ?end_fraction ?end_at () =
-    ignore
-      (Workload.Scale.run ~engine:(Sim.Engine.create ()) ~seed:42 ~label:"scale/bad"
-         ~graph:(Workload.Scale.Fattree 4) ~n_flows:16 ~scheme:Workload.Scale.Corelite
-         ~duration:4. ?measure_from ?end_fraction ?end_at ())
-  in
-  Alcotest.check_raises "measure_from nan"
-    (Invalid_argument "Scale.run: measure_from must fall inside the run")
-    (fun () -> run ~measure_from:nan ());
+  (* A NaN end_fraction retired no flow. *)
   Alcotest.check_raises "end_fraction nan"
     (Invalid_argument "Scale.run: end_fraction must be in [0, 1)")
-    (fun () -> run ~end_fraction:nan ());
-  Alcotest.check_raises "end_at nan"
-    (Invalid_argument "Scale.run: end_at must precede measure_from")
-    (fun () -> run ~end_fraction:0.5 ~end_at:nan ())
+    (fun () ->
+      ignore
+        (Workload.Scale.run ~engine:(Sim.Engine.create ()) ~seed:42 ~label:"scale/bad"
+           ~graph:(Workload.Scale.Fattree 4) ~n_flows:16 ~scheme:Workload.Scale.Corelite
+           ~duration:4. ~end_fraction:nan ()))
 
 (* A retired slot must be reusable: churn recycles flow ids, and the
    dense table must treat expiry exactly like the Hashtbls did. *)
@@ -168,21 +155,13 @@ let test_flow_id_reuse_after_expiry () =
     true
     (Corelite.Edge.sent (Corelite.Deployment.agent d 1) > 0)
 
-let test_engine_reset_clears_scale_state () =
+(* Scale.run suspends auto probe registration for the build and must
+   hand the engine back with it on. *)
+let test_auto_probes_restored () =
   let engine = Sim.Engine.create () in
-  let metrics = Sim.Engine.metrics engine in
-  let r1 = quick_run ~engine ~label:"scale/reset" ~n_flows:50 ~duration:2. () in
+  ignore (quick_run ~engine ~label:"scale/probes" ~n_flows:50 ~duration:2. ());
   Alcotest.(check bool) "auto probes restored after the run" true
-    (Sim.Metrics.auto_probes metrics);
-  Sim.Engine.reset engine;
-  Alcotest.(check int) "event counter cleared" 0 (Sim.Engine.executed engine);
-  Alcotest.(check (float 1e-9)) "clock rewound" 0. (Sim.Engine.now engine);
-  Alcotest.(check bool) "auto probes restored by reset" true
-    (Sim.Metrics.auto_probes metrics);
-  (* A reset engine must replay the identical scenario byte-for-byte. *)
-  let r2 = quick_run ~engine ~label:"scale/reset" ~n_flows:50 ~duration:2. () in
-  Alcotest.(check (option string)) "replay after reset is byte-identical"
-    r1.Workload.Scale.csv r2.Workload.Scale.csv
+    (Sim.Metrics.auto_probes (Sim.Engine.metrics engine))
 
 (* ---- per-flow memory budget ---- *)
 
@@ -358,8 +337,6 @@ let () =
         [
           Alcotest.test_case "serial = pooled (CSV byte equality)" `Quick
             test_serial_equals_pooled;
-          Alcotest.test_case "engine reset isolates runs" `Quick
-            test_engine_reset_clears_scale_state;
         ] );
       ( "lifecycle",
         [
@@ -373,6 +350,8 @@ let () =
           Alcotest.test_case "flow id reuse after expire_idle" `Quick
             test_flow_id_reuse_after_expiry;
           Alcotest.test_case "rejects bad duration" `Quick test_rejects_bad_duration;
+          Alcotest.test_case "auto probes restored after the run" `Quick
+            test_auto_probes_restored;
         ] );
       ( "flowtable",
         [ Alcotest.test_case "growth past capacity" `Quick test_flowtable_growth ] );

@@ -88,20 +88,6 @@ let prop_queue_preserves_multiset =
       in
       List.sort Float.compare (drain []) = List.sort Float.compare keys)
 
-let test_queue_clear_resets_and_reuses () =
-  let q = Sim.Event_queue.create () in
-  for i = 1 to 10 do
-    Sim.Event_queue.add q ~key:1. ~seq:i i
-  done;
-  Sim.Event_queue.clear q;
-  Alcotest.(check bool) "empty" true (Sim.Event_queue.is_empty q);
-  Alcotest.(check int) "length" 0 (Sim.Event_queue.length q);
-  Alcotest.(check bool) "pop none" true (Sim.Event_queue.pop q = None);
-  (* A cleared queue must be a working queue. *)
-  Sim.Event_queue.add q ~key:2. ~seq:1 42;
-  Alcotest.(check bool) "usable after clear" true
-    (Sim.Event_queue.pop q = Some (2., 1, 42))
-
 (* The (key, seq)-sorted model list is the whole specification of the
    queue: pops come out exactly in that order. Small integer keys force
    plenty of ties, so the FIFO-among-equals leg is really exercised. *)
@@ -216,7 +202,8 @@ let prop_queue_unboxed_agrees_with_boxed =
    right payload: each payload is its own (key, seq), and every pop is
    checked against the head of the sorted model. Adds outnumber pops
    two to one, so a case grows through several capacity doublings
-   before a rare clear drops the storage and growth starts over. *)
+   before a rare clear pops everything, freeing every block, and
+   growth restarts over recycled nodes. *)
 type queue_op = Add of int | Pop | Clear
 
 module Entries = Set.Make (struct
@@ -252,9 +239,10 @@ let prop_queue_slab_recycling =
             model := Entries.remove e !model;
             Sim.Event_queue.peek_key q = Some e && Sim.Event_queue.pop_exn q = e)
         | Clear ->
-          Sim.Event_queue.clear q;
+          let drained = Entries.elements !model in
           model := Entries.empty;
-          true
+          List.for_all (fun e -> Sim.Event_queue.pop_exn q = e) drained
+          && Sim.Event_queue.is_empty q
       in
       List.for_all step ops
       && Sim.Event_queue.length q = Entries.cardinal !model
@@ -326,7 +314,8 @@ let prop_queue_slab_bounded ~name ~laned =
    keeps each delay's tail key and pending count: while a lane holds
    entries, a lane add's key is an offset from the tail; once it has
    drained, any key goes. Payloads are (key, seq, delay index), so each
-   pop also tells the model which lane shrank. With [delays] above
+   pop also tells the model which lane shrank; a clear pops every
+   entry, leaving the lanes empty but in place. With [delays] above
    [max_lanes], late delays find no lane and fall back to the heap. *)
 type lane_op = Direct of int | Laned of int * int | Lane_pop | Lane_clear
 
@@ -379,10 +368,14 @@ let prop_queue_lanes_match_model ~name ~delays ~max_ops ~clears =
             && Sim.Event_queue.next_time q = key
             && Sim.Event_queue.pop_exn q = (key, seq, lane))
         | Lane_clear ->
-          Sim.Event_queue.clear q;
+          let drained = Entries.elements !model in
           model := Entries.empty;
           Array.fill count 0 delays 0;
-          Sim.Event_queue.lanes q = 0 && Sim.Event_queue.heap_length q = 0
+          List.for_all
+            (fun ((key, seq) as e) ->
+              Sim.Event_queue.pop_exn q = (key, seq, Hashtbl.find payload e))
+            drained
+          && Sim.Event_queue.heap_length q = 0
       in
       List.for_all
         (fun o ->
@@ -436,9 +429,7 @@ let test_queue_lane_cap_falls_back_to_heap () =
   let popped = List.init (2 * n) (fun _ -> Sim.Event_queue.pop_exn q) in
   Alcotest.(check (list int)) "pops in (key, seq) order" (List.init (2 * n) Fun.id) popped;
   Alcotest.(check int) "lanes outlive their entries" Sim.Event_queue.max_lanes
-    (Sim.Event_queue.lanes q);
-  Sim.Event_queue.clear q;
-  Alcotest.(check int) "clear drops the lanes" 0 (Sim.Event_queue.lanes q)
+    (Sim.Event_queue.lanes q)
 
 (* Steady state with lanes, all keys equal so the order is FIFO by seq:
    four busy lanes, direct adds in the heap beside them, and a rare
@@ -740,80 +731,6 @@ let test_engine_simultaneous_fifo () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "fifo among equals" [ 1; 2; 3; 4 ] (List.rev !log)
 
-(* A probe whose observable trace is sensitive to everything reset must
-   restore: the clock, the FIFO tie-break sequence, and the queue. *)
-let engine_probe e =
-  let log = ref [] in
-  for i = 1 to 3 do
-    ignore
-      (Sim.Engine.schedule e ~delay:1. (fun () ->
-           log := (i, Sim.Engine.now e) :: !log))
-  done;
-  ignore
-    (Sim.Engine.schedule e ~delay:0.5 (fun () ->
-         log := (0, Sim.Engine.now e) :: !log));
-  Sim.Engine.run e;
-  List.rev !log
-
-let test_engine_reset_matches_fresh () =
-  let reused = Sim.Engine.create () in
-  let first = engine_probe reused in
-  Sim.Engine.reset reused;
-  check_float "clock back to zero" 0. (Sim.Engine.now reused);
-  Alcotest.(check int) "no pending events" 0 (Sim.Engine.pending reused);
-  Alcotest.(check int) "executed counter cleared" 0 (Sim.Engine.executed reused);
-  Alcotest.(check int) "seq counter cleared" 0 (Sim.Engine.events_scheduled reused);
-  let second = engine_probe reused in
-  let fresh = engine_probe (Sim.Engine.create ()) in
-  Alcotest.(check (list (pair int (float 1e-9)))) "first run vs fresh" fresh first;
-  (* The regression this guards: a stale seq counter would not change
-     the set of events, only their FIFO order among ties — so the reused
-     engine must replay the tie-break order exactly. *)
-  Alcotest.(check (list (pair int (float 1e-9)))) "reused run vs fresh" fresh second;
-  Alcotest.(check int) "executed counts events of one run" 4
-    (Sim.Engine.executed reused)
-
-(* A run that grows the event heap through several doublings, recycles
-   payload slots and fires many simultaneous events. Event ids count
-   schedule calls, so they equal the engine's seq numbers, and the
-   log is the popped (time, seq) sequence. *)
-let engine_replay e =
-  let log = ref [] and scheduled = ref 0 in
-  let rec schedule delay =
-    incr scheduled;
-    let id = !scheduled in
-    Sim.Engine.schedule_unit e ~delay (fun () ->
-        log := (Sim.Engine.now e, id) :: !log;
-        if id < 3000 then begin
-          schedule (float_of_int (id mod 3));
-          if id mod 4 = 0 then schedule (float_of_int (id mod 5))
-        end)
-  in
-  for i = 0 to 299 do
-    schedule (float_of_int (i mod 7))
-  done;
-  Sim.Engine.run e;
-  Alcotest.(check int) "ids are seq numbers" !scheduled (Sim.Engine.events_scheduled e);
-  List.rev !log
-
-let test_engine_reset_replays_pop_sequence () =
-  let e = Sim.Engine.create () in
-  let first = engine_replay e in
-  Alcotest.(check bool) "pops in (time, seq) order" true (List.sort compare first = first);
-  Sim.Engine.reset e;
-  let second = engine_replay e in
-  Alcotest.(check bool) "reset engine pops the same (time, seq) sequence" true
-    (first = second)
-
-let test_engine_reset_clears_queue () =
-  let e = Sim.Engine.create () in
-  let fired = ref false in
-  ignore (Sim.Engine.schedule e ~delay:5. (fun () -> fired := true));
-  Sim.Engine.reset e;
-  Sim.Engine.run e;
-  Alcotest.(check bool) "stale event dropped by reset" false !fired;
-  check_float "nothing ran" 0. (Sim.Engine.now e)
-
 (* The engine against a reference scheduler written out in full: a
    (time, seq)-sorted list of pending actions, the engine's time
    arithmetic ([now +. delay]) and its cancellation semantics (a
@@ -975,9 +892,8 @@ let instr_gen delays =
         (1, return Cancel);
       ])
 
-(* Each case runs the program on a fresh engine, on an engine reset
-   after running the reversed program (so its lanes and table were
-   built in another order), and on the reference. *)
+(* Each case runs the program on a fresh engine and on the
+   reference. *)
 let prop_engine_matches_reference ~name ~count ~delays ~length ~budget ~min_delays =
   QCheck.Test.make ~name ~count
     (QCheck.make QCheck.Gen.(array_size length (instr_gen delays)))
@@ -985,13 +901,6 @@ let prop_engine_matches_reference ~name ~count ~delays ~length ~budget ~min_dela
       let run s = run_program s prog ~budget ~horizon:40. in
       let expected, distinct = run (reference_scheduler ()) in
       let fresh, _ = run (engine_scheduler (Sim.Engine.create ())) in
-      let reused = Sim.Engine.create () in
-      ignore
-        (run_program (engine_scheduler reused)
-           (Array.of_list (List.rev (Array.to_list prog)))
-           ~budget ~horizon:40.);
-      Sim.Engine.reset reused;
-      let replay, _ = run (engine_scheduler reused) in
       let diverges what log =
         let rec first i = function
           | a :: r, b :: r' -> if a = b then first (i + 1) (r, r') else i
@@ -1003,7 +912,6 @@ let prop_engine_matches_reference ~name ~count ~delays ~length ~budget ~min_dela
       if distinct < min_delays then
         QCheck.Test.fail_reportf "only %d distinct relative delays" distinct
       else if fresh <> expected then diverges "fresh engine" fresh
-      else if replay <> expected then diverges "reset engine" replay
       else true)
 
 let small_delays = QCheck.Gen.oneofl [ 0.; 0.125; 0.25; 0.5; 1.; 1.5; 3. ]
@@ -1493,10 +1401,9 @@ let test_trace_reset_and_exports () =
   Alcotest.(check string) "csv"
     "time,kind,a,b,x,y\n0.5,drop,3,7,1.0,0.0\n1.5,epoch,2,0,9.25,4.0\n"
     (Sim.Trace.to_csv tr);
-  Sim.Trace.reset tr;
-  Alcotest.(check bool) "reset disables" false (Sim.Trace.enabled tr);
-  Alcotest.(check int) "reset clears counts" 0 (Sim.Trace.count tr Sim.Trace.Drop);
-  Alcotest.(check int) "reset clears events" 0 (Sim.Trace.length tr)
+  Sim.Trace.enable ~capacity:8 tr;
+  Alcotest.(check int) "enable clears counts" 0 (Sim.Trace.count tr Sim.Trace.Drop);
+  Alcotest.(check int) "enable clears events" 0 (Sim.Trace.length tr)
 
 let test_trace_spec_validates () =
   Alcotest.check_raises "capacity 0"
@@ -1538,18 +1445,13 @@ let test_metrics_gauge_and_probe () =
   in
   check_float "replaced" 42. row.Sim.Metrics.value
 
-let test_metrics_rows_sorted_and_reset () =
+let test_metrics_rows_sorted () =
   let m = Sim.Metrics.create () in
   ignore (Sim.Metrics.counter m "zeta");
   ignore (Sim.Metrics.counter m "alpha");
   ignore (Sim.Metrics.gauge m "mid");
   let names = List.map (fun r -> r.Sim.Metrics.name) (Sim.Metrics.rows m) in
-  Alcotest.(check (list string)) "sorted" [ "alpha"; "mid"; "zeta" ] names;
-  Sim.Metrics.set_enabled m true;
-  Sim.Metrics.reset m;
-  Alcotest.(check bool) "reset disables" false (Sim.Metrics.enabled m);
-  Alcotest.(check int) "reset drops instruments" 0
-    (List.length (Sim.Metrics.rows m))
+  Alcotest.(check (list string)) "sorted" [ "alpha"; "mid"; "zeta" ] names
 
 let test_metrics_histogram_validates () =
   let m = Sim.Metrics.create () in
@@ -1595,9 +1497,10 @@ let test_invariant_default_toggle () =
 
 let test_engine_monotonicity_audited () =
   (* Every step of a checked engine audits clock monotonicity, so the
-     global check counter must advance by at least the event count. *)
+     global check counter must advance by at least the event count.
+     This suite turns the auditor on at start-up. *)
   let before = Sim.Invariant.checks_run () in
-  let e = Sim.Engine.create ~check_invariants:true () in
+  let e = Sim.Engine.create () in
   let fired = ref 0 in
   for i = 1 to 10 do
     ignore (Sim.Engine.schedule e ~delay:(float_of_int i) (fun () -> incr fired))
@@ -1621,8 +1524,6 @@ let () =
           Alcotest.test_case "fifo on ties" `Quick test_queue_fifo_on_ties;
           Alcotest.test_case "peek matches pop" `Quick test_queue_peek_matches_pop;
           Alcotest.test_case "interleaved grow" `Quick test_queue_interleaved_grow;
-          Alcotest.test_case "clear resets and reuses" `Quick
-            test_queue_clear_resets_and_reuses;
           qt prop_queue_sorted;
           qt prop_queue_preserves_multiset;
           qt prop_queue_matches_sorted_model;
@@ -1675,12 +1576,6 @@ let () =
           Alcotest.test_case "schedule_unit" `Quick test_engine_schedule_unit;
           Alcotest.test_case "pending" `Quick test_engine_pending;
           Alcotest.test_case "simultaneous fifo" `Quick test_engine_simultaneous_fifo;
-          Alcotest.test_case "reset matches fresh engine" `Quick
-            test_engine_reset_matches_fresh;
-          Alcotest.test_case "reset replays the pop sequence" `Quick
-            test_engine_reset_replays_pop_sequence;
-          Alcotest.test_case "reset clears pending events" `Quick
-            test_engine_reset_clears_queue;
           qt prop_engine_lanes_match_reference;
           qt prop_engine_past_lane_cap_matches_reference;
         ] );
@@ -1743,8 +1638,7 @@ let () =
         [
           Alcotest.test_case "get or create" `Quick test_metrics_get_or_create;
           Alcotest.test_case "gauge and probe" `Quick test_metrics_gauge_and_probe;
-          Alcotest.test_case "rows sorted; reset" `Quick
-            test_metrics_rows_sorted_and_reset;
+          Alcotest.test_case "rows sorted" `Quick test_metrics_rows_sorted;
           Alcotest.test_case "histogram validates" `Quick
             test_metrics_histogram_validates;
           qt prop_histogram_sum_equals_count;

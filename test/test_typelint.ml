@@ -240,6 +240,21 @@ let test_preprocessed_source () =
   check_rules "scoped and waived as pool.ml" []
     (Typelint.check_cmt (compile root "lib/workload/pool.pp.ml"))
 
+let test_stale_cmt_not_judged () =
+  (* A .cmt older than its source records the old positions: here the
+     waived comparison moves down a line, so judging the unit would
+     miss the waiver and report a false L2. *)
+  let source = "let eq (a : float) b = a = b (* lint: float-eq-ok -- test *)\n" in
+  let root = fixture [ ("lib/net/fix.ml", source) ] in
+  let cmt = compile root "lib/net/fix.ml" in
+  check_rules "fresh cmt, waived" [] (Typelint.check_cmt cmt);
+  Out_channel.with_open_text (Filename.concat root "lib/net/fix.ml") (fun oc ->
+      Out_channel.output_string oc ("\n" ^ source));
+  let vs = Typelint.check_cmt cmt in
+  check_rules "only the stale finding" [ Typelint.Read_error ] vs;
+  Alcotest.(check bool) "says to rebuild" true
+    (List.for_all (fun v -> contains v.Typelint.message "dune build @check") vs)
+
 let test_check_paths_walks_and_sorts () =
   (* Under bin/, so the interface-less fixtures do not trip L4. *)
   let root =
@@ -327,6 +342,7 @@ let () =
           Alcotest.test_case "read error" `Quick test_read_error_reported;
           Alcotest.test_case "ppx output scoped as its source" `Quick
             test_preprocessed_source;
+          Alcotest.test_case "stale cmt not judged" `Quick test_stale_cmt_not_judged;
           Alcotest.test_case "walk + sort" `Quick test_check_paths_walks_and_sorts;
           Alcotest.test_case "empty root rejected" `Quick test_empty_root_rejected;
           Alcotest.test_case "report format" `Quick test_report_format;

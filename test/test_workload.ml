@@ -330,33 +330,34 @@ let test_sweep_latency_override () =
   Alcotest.(check bool) "still fair at 2 ms" true (p.Workload.Sweeps.jain > 0.98)
 
 (* ------------------------------------------------------------------ *)
-(* Blaster *)
+(* Blaster: an adversary at duty 1, whose burst gate never closes *)
+
+let blaster ~network ~rate =
+  Workload.Adversary.attach ~network ~flow:1 ~peak:rate ~duty:1. ~period:1. ()
 
 let test_blaster_paces_and_counts () =
   let engine = Sim.Engine.create () in
   let network = Workload.Network.single_bottleneck ~engine ~weights:(fun _ -> 1.) 1 in
-  let blaster = Workload.Blaster.attach ~network ~flow:1 ~rate:100. () in
+  let b = blaster ~network ~rate:100. in
   Sim.Engine.run_until engine 10.;
-  Alcotest.(check bool) "sent ~1000" true (abs (Workload.Blaster.sent blaster - 1000) <= 2);
-  Workload.Blaster.stop blaster;
-  let frozen = Workload.Blaster.sent blaster in
+  Alcotest.(check bool) "sent ~1000" true (abs (Workload.Adversary.sent b - 1000) <= 2);
+  Workload.Adversary.stop b;
+  let frozen = Workload.Adversary.sent b in
   (* Drain the ~12 packets still in flight (120 ms path at 100 pkt/s),
      then everything must have arrived. *)
   Sim.Engine.run_until engine 11.;
-  check_float "all survive" 1. (Workload.Blaster.survival blaster);
+  check_float "all survive" 1. (Workload.Adversary.survival b);
   Sim.Engine.run_until engine 20.;
-  Alcotest.(check int) "stopped" frozen (Workload.Blaster.sent blaster)
+  Alcotest.(check int) "stopped" frozen (Workload.Adversary.sent b)
 
 let test_blaster_overdrive_is_clipped () =
   let engine = Sim.Engine.create () in
   let network = Workload.Network.single_bottleneck ~engine ~weights:(fun _ -> 1.) 1 in
-  let blaster = Workload.Blaster.attach ~network ~flow:1 ~rate:800. () in
+  let b = blaster ~network ~rate:800. in
   Sim.Engine.run_until engine 20.;
   (* 800 offered on a 500 link: survival ~ 5/8. *)
   Alcotest.(check bool) "clipped to capacity" true
-    (Float.abs (Workload.Blaster.survival blaster -. 0.625) < 0.05);
-  Alcotest.check_raises "bad rate" (Invalid_argument "Blaster.attach: rate must be positive")
-    (fun () -> ignore (Workload.Blaster.attach ~network ~flow:1 ~rate:0. ()))
+    (Float.abs (Workload.Adversary.survival b -. 0.625) < 0.05)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario files *)

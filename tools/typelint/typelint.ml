@@ -888,43 +888,50 @@ let compare_violation (a : violation) (b : violation) =
   | 0 -> ( match compare a.line b.line with 0 -> compare a.col b.col | c -> c)
   | c -> c
 
+let read_error cmt_path message =
+  [ { file = cmt_path; line = 1; col = 0; rule = Read_error; message } ]
+
+(* A .cmt compiled from an older copy of its source (a plain [dune
+   build] leaves executables' byte .cmt files behind) holds positions
+   that the current source has moved, so its waivers would be read from
+   the wrong lines. The compiler records the digest of the file it read
+   (x.pp.ml under a ppx); when that file has changed since, the unit is
+   not judged. *)
+let stale ~cmt_path (cmt : Cmt_format.cmt_infos) ~read =
+  match (cmt.cmt_source_digest, find_source ~cmt_path ~sourcefile:read) with
+  | Some digest, Some path -> not (Digest.equal digest (Digest.file path))
+  | _ -> false
+
 (* [coverage] adds L4, which judges the tree a .cmt sits in. *)
 let check_unit ~coverage cmt_path =
   match Cmt_format.read_cmt cmt_path with
-  | exception e ->
-    [
-      {
-        file = cmt_path;
-        line = 1;
-        col = 0;
-        rule = Read_error;
-        message = "cannot read cmt: " ^ Printexc.to_string e;
-      };
-    ]
+  | exception e -> read_error cmt_path ("cannot read cmt: " ^ Printexc.to_string e)
   | cmt ->
-    let sourcefile =
-      match cmt.Cmt_format.cmt_sourcefile with
-      | Some s -> unpreprocessed s
-      | None -> cmt_path
-    in
-    let resolved = find_source ~cmt_path ~sourcefile in
-    let file = match resolved with Some p -> p | None -> sourcefile in
-    let ctx = make_ctx ~file sourcefile in
-    let it = rules_iterator ctx in
-    (match cmt.Cmt_format.cmt_annots with
-    | Cmt_format.Implementation str ->
-      walk_structure ctx str;
-      it.structure it str;
-      if coverage then check_mli ctx ~cmt_path ~sourcefile
-    | Cmt_format.Interface sg ->
-      walk_signature ctx sg;
-      it.signature it sg
-    | _ -> ());
-    let lines =
-      match resolved with Some p -> read_lines p | None -> [||]
-    in
-    List.sort compare_violation
-      (List.filter (fun v -> not (waived lines v)) ctx.found)
+    let read = Option.value cmt.Cmt_format.cmt_sourcefile ~default:cmt_path in
+    if stale ~cmt_path cmt ~read then
+      read_error cmt_path
+        "stale cmt: its source changed since it was compiled; run dune build @check"
+    else begin
+      let sourcefile = unpreprocessed read in
+      let resolved = find_source ~cmt_path ~sourcefile in
+      let file = match resolved with Some p -> p | None -> sourcefile in
+      let ctx = make_ctx ~file sourcefile in
+      let it = rules_iterator ctx in
+      (match cmt.Cmt_format.cmt_annots with
+      | Cmt_format.Implementation str ->
+        walk_structure ctx str;
+        it.structure it str;
+        if coverage then check_mli ctx ~cmt_path ~sourcefile
+      | Cmt_format.Interface sg ->
+        walk_signature ctx sg;
+        it.signature it sg
+      | _ -> ());
+      let lines =
+        match resolved with Some p -> read_lines p | None -> [||]
+      in
+      List.sort compare_violation
+        (List.filter (fun v -> not (waived lines v)) ctx.found)
+    end
 
 let check_cmt = check_unit ~coverage:false
 
