@@ -13,20 +13,21 @@ type selector_state =
 type last = { mutable qavg : float; mutable fn : float }
 
 (* The queue average itself lives on the link ([Net.Link.queue_average]),
-   which integrates it at every queue change. *)
+   which integrates it at every queue change. The fields a marked
+   arrival reads come first. *)
 type t = {
+  mutable markers_seen : int;
+  trace : Sim.Trace.t;
+  check : bool;
+  mutable feedback_sent : int;
+  send_feedback : Net.Packet.marker -> unit;
+  link : Net.Link.t;
+  selector : selector_state;
   params : Params.t;
   estimator : Congestion.t;
-  link : Net.Link.t;
-  trace : Sim.Trace.t;
-  send_feedback : Net.Packet.marker -> unit;
-  selector : selector_state;
   mutable timer : Sim.Engine.handle option;
   last : last;
-  mutable feedback_sent : int;
   mutable congested_epochs : int;
-  mutable markers_seen : int;
-  check : bool;
 }
 
 let link t = t.link
@@ -50,38 +51,42 @@ let[@corelite.hot] emit t marker =
       ~b:marker.Net.Packet.flow_id ~x:marker.Net.Packet.normalized_rate ~y:0.;
   t.send_feedback marker
 
-(* The selectors read the marker straight from the packet; a marker
-   record is built only for feedback, which outlives the packet. *)
-let[@corelite.hot] on_marker t pkt =
+let[@corelite.hot] note_marker t pkt =
   t.markers_seen <- t.markers_seen + 1;
   if Sim.Trace.want t.trace Sim.Trace.Marker_seen then
     Sim.Trace.record t.trace
       ~time:(Sim.Engine.now t.link.Net.Link.engine)
       Sim.Trace.Marker_seen ~a:t.link.Net.Link.id
-      ~b:pkt.Net.Packet.marker_flow ~x:pkt.Net.Packet.floats.rate ~y:0.;
-  match t.selector with
-  | Cache cache -> Cache_selector.observe cache pkt
-  | Stateless sel ->
-    let copies = Stateless_selector.observe sel pkt in
-    if t.check then
-      (* Per-marker feedback budget: at most ceil(pw) copies, whether
-         they come from this marker's own draw or the swap deficit. *)
-      Sim.Invariant.requiref
-        ~what:(fun () -> (* lint: alloc-ok -- diagnostic closure, gated by t.check *)
-          Printf.sprintf
-            "Core %s: stateless selector returned %d copies for one marker \
-             (pw=%.3f allows at most %d)"
-            t.link.Net.Link.name copies
-            (Stateless_selector.pw sel)
-            (int_of_float (Stateless_selector.pw sel) + 1))
-        (copies >= 0 && copies <= int_of_float (Stateless_selector.pw sel) + 1);
-    if copies > 0 then
-      match Net.Packet.marker pkt with
-      | Some marker ->
-        for _ = 1 to copies do
-          emit t marker
-        done
-      | None -> ()
+      ~b:pkt.Net.Packet.marker_flow ~x:pkt.Net.Packet.floats.rate ~y:0.
+
+(* The selectors read the marker straight from the packet; a marker
+   record is built only for feedback, which outlives the packet. *)
+let[@corelite.hot] on_cache_marker t cache pkt =
+  note_marker t pkt;
+  Cache_selector.observe cache pkt
+
+let[@corelite.hot] on_stateless_marker t sel pkt =
+  note_marker t pkt;
+  let copies = Stateless_selector.observe sel pkt in
+  if t.check then
+    (* Per-marker feedback budget: at most ceil(pw) copies, whether
+       they come from this marker's own draw or the swap deficit. *)
+    Sim.Invariant.requiref
+      ~what:(fun () -> (* lint: alloc-ok -- diagnostic closure, gated by t.check *)
+        Printf.sprintf
+          "Core %s: stateless selector returned %d copies for one marker \
+           (pw=%.3f allows at most %d)"
+          t.link.Net.Link.name copies
+          (Stateless_selector.pw sel)
+          (int_of_float (Stateless_selector.pw sel) + 1))
+      (copies >= 0 && copies <= int_of_float (Stateless_selector.pw sel) + 1);
+  if copies > 0 then
+    match Net.Packet.marker pkt with
+    | Some marker ->
+      for _ = 1 to copies do
+        emit t marker
+      done
+    | None -> ()
 
 let on_epoch t engine () =
   let now = Sim.Engine.now engine in
@@ -191,25 +196,37 @@ let attach ~params ~rng ~send_feedback link =
   Net.Link.reset_queue_average link;
   t.timer <-
     Some (Sim.Engine.every engine ~period:params.Params.core_epoch (on_epoch t engine));
+  (* One arrival closure per selector kind, holding the selector
+     itself: a marked arrival never matches on [selector_state]. *)
   link.Net.Link.on_arrival <-
-    (fun pkt ->
-      if Net.Packet.has_marker pkt then on_marker t pkt;
-      Net.Link.Pass);
+    (match selector with
+    | Cache cache ->
+      fun pkt ->
+        if Net.Packet.has_marker pkt then on_cache_marker t cache pkt;
+        Net.Link.Pass
+    | Stateless sel ->
+      fun pkt ->
+        if Net.Packet.has_marker pkt then on_stateless_marker t sel pkt;
+        Net.Link.Pass);
   let m = Sim.Engine.metrics engine in
-  let pfx = "corelite.core." ^ link.Net.Link.name ^ "." in
-  Sim.Metrics.probe m (pfx ^ "feedback_sent")
-    ~help:"feedback markers returned upstream"
-    (fun () -> float_of_int t.feedback_sent);
-  Sim.Metrics.probe m (pfx ^ "markers_seen")
-    ~help:"markers observed on arriving packets"
-    (fun () -> float_of_int t.markers_seen);
-  Sim.Metrics.probe m (pfx ^ "congested_epochs")
-    ~help:"epochs with a positive budget, i.e. qavg above qthresh"
-    (fun () -> float_of_int t.congested_epochs);
-  Sim.Metrics.probe m (pfx ^ "qavg") ~help:"last epoch's average queue"
-    (fun () -> t.last.qavg);
-  Sim.Metrics.probe m (pfx ^ "fn") ~help:"last epoch's marker budget Fn"
-    (fun () -> t.last.fn);
+  (* [Metrics.probe] drops probes while auto-probes are off, so build
+     no name or closure for them then. *)
+  if Sim.Metrics.auto_probes m then begin
+    let pfx = "corelite.core." ^ link.Net.Link.name ^ "." in
+    Sim.Metrics.probe m (pfx ^ "feedback_sent")
+      ~help:"feedback markers returned upstream"
+      (fun () -> float_of_int t.feedback_sent);
+    Sim.Metrics.probe m (pfx ^ "markers_seen")
+      ~help:"markers observed on arriving packets"
+      (fun () -> float_of_int t.markers_seen);
+    Sim.Metrics.probe m (pfx ^ "congested_epochs")
+      ~help:"epochs with a positive budget, i.e. qavg above qthresh"
+      (fun () -> float_of_int t.congested_epochs);
+    Sim.Metrics.probe m (pfx ^ "qavg") ~help:"last epoch's average queue"
+      (fun () -> t.last.qavg);
+    Sim.Metrics.probe m (pfx ^ "fn") ~help:"last epoch's marker budget Fn"
+      (fun () -> t.last.fn)
+  end;
   t
 
 let detach t =

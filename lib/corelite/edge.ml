@@ -68,9 +68,13 @@ let clear_feedback t = Array.fill t.feedback 0 (Array.length t.feedback) 0
 (* The bottleneck link dominates: react to the max feedback count from
    any single core link, then clear the epoch's counters. *)
 let collect_max t () =
-  let m = Array.fold_left Stdlib.max 0 t.feedback in
+  let feedback = t.feedback in
+  let m = ref 0 in
+  for i = 0 to Array.length feedback - 1 do
+    if feedback.(i) > !m then m := feedback.(i)
+  done;
   clear_feedback t;
-  m
+  !m
 
 (* Stamp, mark and send one packet, pooled or supplied. The normalized
    rate is read from the source only for a marked packet, into the

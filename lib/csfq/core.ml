@@ -155,13 +155,17 @@ let attach ~params ~rng link =
   in
   link.Net.Link.on_arrival <- on_arrival t;
   let m = Sim.Engine.metrics link.Net.Link.engine in
-  let pfx = "csfq.core." ^ link.Net.Link.name ^ "." in
-  Sim.Metrics.probe m (pfx ^ "early_drops")
-    ~help:"probabilistic drops against the fair share"
-    (fun () -> float_of_int t.early_drops);
-  Sim.Metrics.probe m (pfx ^ "alpha")
-    ~help:"fair-share estimate, pkt/s; -1 before the first estimate"
-    (fun () -> if t.cell.has_alpha > 0. then t.cell.alpha else -1.);
+  (* [Metrics.probe] drops probes while auto-probes are off, so build
+     no name or closure for them then. *)
+  if Sim.Metrics.auto_probes m then begin
+    let pfx = "csfq.core." ^ link.Net.Link.name ^ "." in
+    Sim.Metrics.probe m (pfx ^ "early_drops")
+      ~help:"probabilistic drops against the fair share"
+      (fun () -> float_of_int t.early_drops);
+    Sim.Metrics.probe m (pfx ^ "alpha")
+      ~help:"fair-share estimate, pkt/s; -1 before the first estimate"
+      (fun () -> if t.cell.has_alpha > 0. then t.cell.alpha else -1.)
+  end;
   t
 
 let detach t = t.link.Net.Link.on_arrival <- Net.Link.admit_all

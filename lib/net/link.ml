@@ -15,9 +15,12 @@ type queue_average = {
 }
 
 (* Hot-path layout: the packet being serialized sits in [in_service]
-   (valid only while [busy]), packets in flight sit in the [wire] ring,
-   and the two persistent closures [tx_done_ev]/[deliver_ev] are pushed
-   with [Engine.schedule_unit] — so a transmission costs zero heap
+   (valid only while [busy]), with its size cached in [in_service_size]
+   so tx-done never loads it; packets in flight sit in the wire, a ring
+   kept inline as [wire]/[wire_head]/[wire_len] so no header block
+   stands between the link and the array; and the two persistent
+   closures [tx_done_ev]/[deliver_ev] are pushed with
+   [Engine.schedule_unit] — so a transmission costs zero heap
    allocations where it used to cost two fresh closures plus two
    cancellation handles per packet. Propagation delay is constant per
    link, so in-flight packets leave the wire in FIFO order and one ring
@@ -27,7 +30,9 @@ type queue_average = {
    directly, the discipline a variant matched directly, and the link
    itself records the Enqueue/Dequeue trace entries, runs the occupancy
    audit and integrates the queue average, reading the time through
-   the engine's clock view rather than a boxed [Engine.now].
+   the engine's clock view rather than a boxed [Engine.now]. The
+   fields [send] reads come first, then those of tx-done and delivery,
+   so a hop touches the record's first cache lines only.
 
    Outages and router resets invalidate events already in the heap
    (a tx-done for a purged transmission, deliveries for a cleared
@@ -36,35 +41,42 @@ type queue_average = {
    turning every stale event into a no-op while costing nothing on the
    per-packet path. *)
 type t = {
+  mutable arrivals : int;
+  mutable up : bool;
+  mutable fault : (Packet.t -> fault_action) option;
+  mutable on_arrival : Packet.t -> verdict;
+  qdisc : Qdisc.t;
+  mutable busy : bool;
+  qavg : queue_average;
+  clock : Sim.Engine.clock;
+  trace : Sim.Trace.t;
+  check : bool;
+  mutable in_service : Packet.t;
+  mutable in_service_size : int;
+  bandwidth : float;
+  engine : Sim.Engine.t;
+  mutable tx_done_ev : unit -> unit;
+  mutable departures : int;
+  mutable bytes_sent : int;
+  mutable wire : Packet.t array;
+  mutable wire_head : int;
+  mutable wire_len : int;
+  delay : float;
+  mutable deliver_ev : unit -> unit;
+  mutable generation : int;
+  mutable deliver : Packet.t -> unit;
+  mutable drops : int;
+  mutable on_drop : (drop_reason -> Packet.t -> unit) option;
   id : int;
   name : string;
   src : int;
   dst : int;
-  bandwidth : float;
-  delay : float;
-  qdisc : Qdisc.t;
-  engine : Sim.Engine.t;
-  clock : Sim.Engine.clock;
-  trace : Sim.Trace.t;
-  qavg : queue_average;
-  mutable busy : bool;
-  mutable in_service : Packet.t;
-  idle : Packet.t;
-  wire : Packet.t Sim.Ring.t;
-  mutable tx_done_ev : unit -> unit;
-  mutable deliver_ev : unit -> unit;
-  mutable up : bool;
-  mutable generation : int;
-  mutable fault : (Packet.t -> fault_action) option;
-  mutable on_arrival : Packet.t -> verdict;
-  mutable on_drop : (drop_reason -> Packet.t -> unit) option;
-  mutable deliver : Packet.t -> unit;
-  mutable arrivals : int;
-  mutable departures : int;
-  mutable drops : int;
-  mutable bytes_sent : int;
-  check : bool;
 }
+
+(* Placeholder occupying every idle link's [in_service] (never read
+   then: [busy] gates every access), and the discipline's "nothing
+   served" answer. One for all links: it is never sent or mutated. *)
+let idle = Packet.make ~id:(-1) ~flow:(-1) ~created:0. ()
 
 let admit_all (_ : Packet.t) = Pass
 
@@ -75,6 +87,8 @@ let capacity_pps t = t.bandwidth /. float_of_int (8 * Packet.default_size)
 let[@corelite.hot] queue_length t = Qdisc.length t.qdisc
 
 let is_up t = t.up
+
+let in_flight t = t.wire_len
 
 (* Fold the span since the last change into the integral at the
    current value: [Time_weighted.set]'s [accumulate], term for term. *)
@@ -149,11 +163,11 @@ let[@corelite.hot] enqueue t pkt =
       ~bytes:(Qdisc.bytes t.qdisc);
   action
 
-(* Returns [t.idle] when the discipline serves nothing. *)
+(* Returns [idle] when the discipline serves nothing. *)
 let[@corelite.hot] dequeue t =
   let before = if t.check then queue_length t else 0 in
-  let pkt = Qdisc.dequeue t.qdisc ~empty:t.idle in
-  let served = pkt != t.idle in
+  let pkt = Qdisc.dequeue t.qdisc ~empty:idle in
+  let served = pkt != idle in
   if served && Sim.Trace.want t.trace Sim.Trace.Dequeue then
     Sim.Trace.record t.trace ~time:t.clock.Sim.Engine.time Sim.Trace.Dequeue
       ~a:t.id ~b:pkt.Packet.flow
@@ -164,31 +178,52 @@ let[@corelite.hot] dequeue t =
       ~bytes:(Qdisc.bytes t.qdisc);
   pkt
 
+(* The wire is a [Sim.Ring] kept inline: its growth step is the ring's
+   own ([Sim.Ring.grown]). *)
+let[@corelite.hot] wire_push t pkt =
+  if t.wire_len = Array.length t.wire then begin
+    t.wire <- Sim.Ring.grown t.wire ~head:t.wire_head ~len:t.wire_len pkt;
+    t.wire_head <- 0
+  end;
+  let i = t.wire_head + t.wire_len in
+  let capacity = Array.length t.wire in
+  t.wire.(if i >= capacity then i - capacity else i) <- pkt;
+  t.wire_len <- t.wire_len + 1
+
+let[@corelite.hot] wire_pop t =
+  if t.wire_len = 0 then invalid_arg "Link.wire_pop: empty";
+  let pkt = t.wire.(t.wire_head) in
+  let head = t.wire_head + 1 in
+  t.wire_head <- (if head = Array.length t.wire then 0 else head);
+  t.wire_len <- t.wire_len - 1;
+  if t.wire_len = 0 then t.wire_head <- 0;
+  pkt
+
 let[@corelite.hot] rec start_transmission t =
   let pkt = dequeue t in
-  if pkt == t.idle then t.busy <- false
+  if pkt == idle then t.busy <- false
   else begin
     t.busy <- true;
     t.in_service <- pkt;
+    t.in_service_size <- pkt.Packet.size;
     note_queue t;
     let tx_time = float_of_int (8 * pkt.Packet.size) /. t.bandwidth in
     Sim.Engine.schedule_unit t.engine ~delay:tx_time t.tx_done_ev
   end
 
 and[@corelite.hot] tx_done t =
-  let pkt = t.in_service in
   t.departures <- t.departures + 1;
-  t.bytes_sent <- t.bytes_sent + pkt.Packet.size;
+  t.bytes_sent <- t.bytes_sent + t.in_service_size;
   (* One delivery event per packet, scheduled now (at serialization
      end) exactly as the old per-packet closure was — keeping the
      event-heap seq assignment, and with it every FIFO tie-break among
      simultaneous events, byte-identical to the pre-ring behaviour. *)
-  Sim.Ring.push t.wire pkt;
+  wire_push t t.in_service;
   Sim.Engine.schedule_unit t.engine ~delay:t.delay t.deliver_ev;
   start_transmission t;
   if t.check then check_conservation t
 
-let[@corelite.hot] deliver_head t = t.deliver (Sim.Ring.pop_exn t.wire)
+let[@corelite.hot] deliver_head t = t.deliver (wire_pop t)
 
 (* (Re-)install the generation-guarded event closures. Events pushed
    under an older generation find the guard false and die silently. *)
@@ -208,22 +243,22 @@ let purge t reason =
   end;
   let rec drain () =
     let pkt = dequeue t in
-    if pkt != t.idle then begin
+    if pkt != idle then begin
       drop t reason pkt;
       drain ()
     end
   in
   drain ();
-  while not (Sim.Ring.is_empty t.wire) do
+  while t.wire_len > 0 do
     (* In-flight packets were counted as departures at tx-done; they
        never reach the far end, so reclassify them as drops to keep
        per-link conservation balanced. *)
     t.departures <- t.departures - 1;
-    drop t reason (Sim.Ring.pop_exn t.wire)
+    drop t reason (wire_pop t)
   done;
-  (* Release the ring's storage too: a reset must not pin a previous
-     epoch's packets alive (see Sim.Ring.clear). *)
-  Sim.Ring.clear t.wire;
+  (* Release the wire's storage too: a reset must not pin a previous
+     epoch's packets alive. *)
+  t.wire <- [||];
   t.generation <- t.generation + 1;
   arm t;
   note_queue t;
@@ -255,22 +290,14 @@ let create ~engine ~id ~name ~src ~dst ~bandwidth ~delay ~qdisc () =
   if delay < 0. then invalid_arg "Link.create: negative delay";
   let clock = Sim.Engine.clock engine in
   let now = clock.Sim.Engine.time in
-  (* Placeholder occupying [in_service] while idle, never read then
-     ([busy] gates every access), and the discipline's "nothing
-     served" answer. *)
-  let idle = Packet.make ~id:(-1) ~flow:(-1) ~created:0. () in
   let t =
     {
-      id;
-      name;
-      src;
-      dst;
-      bandwidth;
-      delay;
+      arrivals = 0;
+      up = true;
+      fault = None;
+      on_arrival = admit_all;
       qdisc;
-      engine;
-      clock;
-      trace = Sim.Engine.trace engine;
+      busy = false;
       qavg =
         {
           window_start = now;
@@ -278,45 +305,55 @@ let create ~engine ~id ~name ~src ~dst ~bandwidth ~delay ~qdisc () =
           current = float_of_int (Qdisc.length qdisc);
           integral = 0.;
         };
-      busy = false;
-      in_service = idle;
-      idle;
-      wire = Sim.Ring.create ();
-      tx_done_ev = ignore;
-      deliver_ev = ignore;
-      up = true;
-      generation = 0;
-      fault = None;
-      on_arrival = admit_all;
-      on_drop = None;
-      deliver = (fun _ -> failwith ("Link " ^ name ^ ": deliver not wired"));
-      arrivals = 0;
-      departures = 0;
-      drops = 0;
-      bytes_sent = 0;
+      clock;
+      trace = Sim.Engine.trace engine;
       check = Sim.Invariant.default ();
+      in_service = idle;
+      in_service_size = 0;
+      bandwidth;
+      engine;
+      tx_done_ev = ignore;
+      departures = 0;
+      bytes_sent = 0;
+      wire = [||];
+      wire_head = 0;
+      wire_len = 0;
+      delay;
+      deliver_ev = ignore;
+      generation = 0;
+      deliver = (fun _ -> failwith ("Link " ^ name ^ ": deliver not wired"));
+      drops = 0;
+      on_drop = None;
+      id;
+      name;
+      src;
+      dst;
     }
   in
   arm t;
   (* Pull probes: sampled only when the registry exports, so they add
-     nothing to the per-packet path. *)
+     nothing to the per-packet path. [Metrics.probe] drops them while
+     auto-probes are off (large generated topologies turn them off), so
+     build no name or closure for them then. *)
   let m = Sim.Engine.metrics engine in
-  let pfx = "link." ^ name ^ "." in
-  Sim.Metrics.probe m (pfx ^ "arrivals")
-    ~help:"packets that arrived, including those later dropped"
-    (fun () -> float_of_int t.arrivals);
-  Sim.Metrics.probe m (pfx ^ "departures")
-    ~help:"packets fully serialized onto the wire"
-    (fun () -> float_of_int t.departures);
-  Sim.Metrics.probe m (pfx ^ "drops")
-    ~help:"packets lost: filtered, queue-full, injected, or down"
-    (fun () -> float_of_int t.drops);
-  Sim.Metrics.probe m (pfx ^ "bytes_sent")
-    ~help:"payload bytes serialized"
-    (fun () -> float_of_int t.bytes_sent);
-  Sim.Metrics.probe m (pfx ^ "queue")
-    ~help:"packets waiting right now, excluding the one in service"
-    (fun () -> float_of_int (queue_length t));
+  if Sim.Metrics.auto_probes m then begin
+    let pfx = "link." ^ name ^ "." in
+    Sim.Metrics.probe m (pfx ^ "arrivals")
+      ~help:"packets that arrived, including those later dropped"
+      (fun () -> float_of_int t.arrivals);
+    Sim.Metrics.probe m (pfx ^ "departures")
+      ~help:"packets fully serialized onto the wire"
+      (fun () -> float_of_int t.departures);
+    Sim.Metrics.probe m (pfx ^ "drops")
+      ~help:"packets lost: filtered, queue-full, injected, or down"
+      (fun () -> float_of_int t.drops);
+    Sim.Metrics.probe m (pfx ^ "bytes_sent")
+      ~help:"payload bytes serialized"
+      (fun () -> float_of_int t.bytes_sent);
+    Sim.Metrics.probe m (pfx ^ "queue")
+      ~help:"packets waiting right now, excluding the one in service"
+      (fun () -> float_of_int (queue_length t))
+  end;
   t
 
 let[@corelite.hot] send t pkt =

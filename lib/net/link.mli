@@ -40,43 +40,12 @@ type fault_action = Forward | Lose | Strip
     {!queue_average}). *)
 type queue_average
 
+(** The fields the per-packet path reads come first, in the order
+    {!send} reads them, then those of tx-done and delivery; the rest
+    are read at set-up, on drops or by observers. *)
 type t = {
-  id : int;
-  name : string;
-  src : int;  (** upstream node id *)
-  dst : int;  (** downstream node id *)
-  bandwidth : float;  (** bits/s *)
-  delay : float;  (** propagation, seconds *)
-  qdisc : Qdisc.t;
-  engine : Sim.Engine.t;
-  clock : Sim.Engine.clock;
-      (** the engine's clock view, read unboxed on the per-hop path *)
-  trace : Sim.Trace.t;
-      (** the engine's tracer, cached so recording sites need no
-          indirection *)
-  qavg : queue_average;
-      (** integrated at every enqueue, served dequeue and purge *)
-  mutable busy : bool;
-  mutable in_service : Packet.t;
-      (** the packet being serialized; [idle] until the first
-          transmission, and never read while not [busy] *)
-  idle : Packet.t;
-      (** a placeholder packet (id [-1]): [in_service] before the
-          first transmission, and the [~empty] answer of
-          {!Qdisc.dequeue} *)
-  wire : Packet.t Sim.Ring.t;
-      (** packets in flight; constant propagation delay keeps them
-          FIFO, so one ring per link suffices *)
-  mutable tx_done_ev : unit -> unit;
-  mutable deliver_ev : unit -> unit;
-      (** the two persistent event closures reused for every packet —
-          scheduled via {!Sim.Engine.schedule_unit}, so transmitting
-          and delivering allocate nothing per packet. Generation-
-          guarded: {!set_up}/{!reset} re-arm them so events already in
-          the heap for purged packets die as no-ops. *)
+  mutable arrivals : int;
   mutable up : bool;  (** read via {!is_up}; write via {!set_up} *)
-  mutable generation : int;
-      (** bumped by every purge; stale heap events check it *)
   mutable fault : (Packet.t -> fault_action) option;
       (** pre-admission fault hook; set via {!set_fault} *)
   mutable on_arrival : Packet.t -> verdict;
@@ -84,16 +53,54 @@ type t = {
           survives the fault hook and before the queue discipline; may
           mutate the packet (CSFQ relabelling) or reject it
           ([Filtered]). {!admit_all} while no core logic is attached. *)
+  qdisc : Qdisc.t;
+  mutable busy : bool;
+  qavg : queue_average;
+      (** integrated at every enqueue, served dequeue and purge *)
+  clock : Sim.Engine.clock;
+      (** the engine's clock view, read unboxed on the per-hop path *)
+  trace : Sim.Trace.t;
+      (** the engine's tracer, cached so recording sites need no
+          indirection *)
+  check : bool;  (** audit packet conservation on every send/tx-done *)
+  mutable in_service : Packet.t;
+      (** the packet being serialized; a shared placeholder packet (id
+          [-1]) until the first transmission, and never read while not
+          [busy] *)
+  mutable in_service_size : int;
+      (** [in_service]'s size, cached so tx-done does not load the
+          packet *)
+  bandwidth : float;  (** bits/s *)
+  engine : Sim.Engine.t;
+  mutable tx_done_ev : unit -> unit;
+  mutable departures : int;
+  mutable bytes_sent : int;
+  mutable wire : Packet.t array;
+  mutable wire_head : int;
+  mutable wire_len : int;
+      (** packets in flight: a ring inline in the link, [wire_len]
+          packets from slot [wire_head] of [wire], wrapping at its end
+          (read through {!in_flight}). Constant propagation delay keeps
+          them FIFO, so one ring per link suffices. *)
+  delay : float;  (** propagation, seconds *)
+  mutable deliver_ev : unit -> unit;
+      (** with [tx_done_ev], the two persistent event closures reused
+          for every packet — scheduled via {!Sim.Engine.schedule_unit},
+          so transmitting and delivering allocate nothing per packet.
+          Generation-guarded: {!set_up}/{!reset} re-arm them so events
+          already in the heap for purged packets die as no-ops. *)
+  mutable generation : int;
+      (** bumped by every purge; stale heap events check it *)
+  mutable deliver : Packet.t -> unit;  (** set when the topology is wired *)
+  mutable drops : int;
   mutable on_drop : (drop_reason -> Packet.t -> unit) option;
       (** Fires for every packet lost on this link, whatever the
           {!drop_reason}. The link then releases the packet to its pool
           ({!Packet.release}), so the callback must not keep it. *)
-  mutable deliver : Packet.t -> unit;  (** set when the topology is wired *)
-  mutable arrivals : int;
-  mutable departures : int;
-  mutable drops : int;
-  mutable bytes_sent : int;
-  check : bool;  (** audit packet conservation on every send/tx-done *)
+  id : int;
+  name : string;
+  src : int;  (** upstream node id *)
+  dst : int;  (** downstream node id *)
 }
 
 (** The admission hook of a link with no core logic: passes every
@@ -149,6 +156,9 @@ val capacity_pps : t -> float
 val queue_length : t -> int
 
 val is_up : t -> bool
+
+(** Packets on the wire: serialized, not yet delivered. *)
+val in_flight : t -> int
 
 (** [set_up t false] takes the link down: the queue, the packet in
     service and everything in flight on the wire are lost (each counted

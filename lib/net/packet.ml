@@ -6,15 +6,17 @@ type floats = {
   mutable rate : float;
 }
 
+(* What a hop reads comes first: [dst] at every node, [size] at every
+   enqueue and transmission, [marker_edge] and [floats] at a core. *)
 type t = {
+  mutable dst : int;
+  mutable size : int;
+  mutable marker_edge : int;
+  floats : floats;
+  mutable marker_flow : int;
   mutable id : int;
   mutable flow : int;
   mutable micro : int;
-  mutable size : int;
-  mutable dst : int;
-  mutable marker_edge : int;
-  mutable marker_flow : int;
-  floats : floats;
   owner : pool option;
 }
 

@@ -61,22 +61,23 @@ type floats = {
 
 type pool
 
+(** The fields a hop reads come first. *)
 type t = {
+  mutable dst : int;
+      (** destination host index, which nodes forward on. The sending
+          ingress stamps it, so a packet one cloud hands on to the next
+          is re-stamped there; [-1] until stamped, [-2] once released. *)
+  mutable size : int;  (** bytes *)
+  mutable marker_edge : int;
+      (** the marker's [edge_id]; negative when the packet carries no
+          marker *)
+  floats : floats;
+  mutable marker_flow : int;  (** the marker's [flow_id] *)
   mutable id : int;  (** per-flow sequence number (TCP uses it as the
                          segment sequence) *)
   mutable flow : int;
   mutable micro : int;  (** end-to-end micro-flow id within an edge-to-edge
                             aggregate; 0 when the flow is not an aggregate *)
-  mutable size : int;  (** bytes *)
-  mutable dst : int;
-      (** destination host index, which nodes forward on. The sending
-          ingress stamps it, so a packet one cloud hands on to the next
-          is re-stamped there; [-1] until stamped, [-2] once released. *)
-  mutable marker_edge : int;
-      (** the marker's [edge_id]; negative when the packet carries no
-          marker *)
-  mutable marker_flow : int;  (** the marker's [flow_id] *)
-  floats : floats;
   owner : pool option;  (** the pool that made it; [None] for {!make} *)
 }
 

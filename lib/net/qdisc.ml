@@ -353,19 +353,30 @@ module Drr = struct
 end
 
 (* A closed variant: the link dispatches with one [match] and reaches
-   droptail's ring through a single block — no record of closures, no
-   wrapper layers. Droptail keeps its ring, byte count and capacity
-   inline in its constructor. *)
+   droptail's buffer through a single block — no record of closures,
+   no wrapper layers. Droptail keeps a fixed ring of [capacity] slots
+   inline in its constructor (head, length and byte count beside it):
+   it admits at most [capacity], so the ring never grows. *)
 type t =
-  | Droptail of { q : Packet.t Sim.Ring.t; mutable bytes : int; capacity : int }
+  | Droptail of {
+      slots : Packet.t array;
+      mutable head : int;
+      mutable len : int;
+      mutable bytes : int;
+    }
   | Red of Red.t
   | Fred of Fred.t
   | Drr of Drr.t
   | Classful of Classful.t
 
+(* What fills droptail's free slots: one packet for every queue, since
+   a fresh one per queue made building a network measurably slower. It
+   is never enqueued, served or mutated. *)
+let vacant = Packet.make ~id:(-1) ~flow:(-1) ~created:0. ()
+
 let droptail ~capacity =
   if capacity <= 0 then invalid_arg "Qdisc.droptail: capacity must be positive";
-  Droptail { q = Sim.Ring.create (); bytes = 0; capacity }
+  Droptail { slots = Array.make capacity vacant; head = 0; len = 0; bytes = 0 }
 
 let red ?(params = default_red_params) ~rng ~now () =
   Red { Red.fifo = Fifo.create (); state = Red_state.create params; rng; now }
@@ -422,9 +433,12 @@ let drr ~weight ?(quantum_unit = Packet.default_size) ~capacity () =
 let[@corelite.hot] enqueue t pkt =
   match t with
   | Droptail d ->
-    if Sim.Ring.length d.q >= d.capacity then Dropped
+    let capacity = Array.length d.slots in
+    if d.len >= capacity then Dropped
     else begin
-      Sim.Ring.push d.q pkt;
+      let i = d.head + d.len in
+      d.slots.(if i >= capacity then i - capacity else i) <- pkt;
+      d.len <- d.len + 1;
       d.bytes <- d.bytes + pkt.Packet.size;
       Enqueued
     end
@@ -442,9 +456,12 @@ let[@corelite.hot] or_empty served ~empty =
 let[@corelite.hot] dequeue t ~empty =
   match t with
   | Droptail d ->
-    if Sim.Ring.is_empty d.q then empty
+    if d.len = 0 then empty
     else begin
-      let pkt = Sim.Ring.pop_exn d.q in
+      let pkt = d.slots.(d.head) in
+      let head = d.head + 1 in
+      d.head <- (if head = Array.length d.slots then 0 else head);
+      d.len <- d.len - 1;
       d.bytes <- d.bytes - pkt.Packet.size;
       pkt
     end
@@ -455,7 +472,7 @@ let[@corelite.hot] dequeue t ~empty =
 
 let[@corelite.hot] length t =
   match t with
-  | Droptail d -> Sim.Ring.length d.q
+  | Droptail d -> d.len
   | Red r -> Fifo.length r.Red.fifo
   | Fred f -> Fifo.length f.Fred.fifo
   | Drr d -> d.Drr.total_len

@@ -10,9 +10,9 @@
 
     A discipline is one case of a closed variant, and {!enqueue},
     {!dequeue}, {!length}, {!bytes} and {!kind} dispatch on it with a
-    [match]: {!Link} reaches droptail's ring through a single block,
-    with no closure in between. Tracing and the occupancy audit are the
-    link's business ({!Link.create}); {!audit_enqueue} and
+    [match]: {!Link} reaches droptail's packets through a single
+    block, with no closure in between. Tracing and the occupancy audit
+    are the link's business ({!Link.create}); {!audit_enqueue} and
     {!audit_dequeue} are the audit it runs. *)
 
 type action = Enqueued | Dropped
@@ -61,7 +61,8 @@ val bytes : t -> int
 (** ["droptail"], ["red"], ["fred"], ["drr"] or ["classful"]. *)
 val kind : t -> string
 
-(** FIFO with tail drop when more than [capacity] packets wait.
+(** FIFO with tail drop when more than [capacity] packets wait: a
+    fixed ring of [capacity] slots, allocated here, that never grows.
     @raise Invalid_argument on a non-positive capacity. *)
 val droptail : capacity:int -> t
 

@@ -121,8 +121,7 @@ let route_paths t paths =
           | [ _ ] | [] -> invalid_arg "Topology.route_paths: path needs >= 2 nodes"
         in
         if egress.Node.host < 0 then begin
-          egress.Node.host <- t.next_host;
-          egress.Node.host_sink <- dispatch;
+          Node.set_host egress ~host:t.next_host dispatch;
           t.next_host <- t.next_host + 1
         end;
         (egress.Node.host, List.tl path, List.tl (path_links t path)))
@@ -133,18 +132,13 @@ let route_paths t paths =
   let rec fill host nodes links =
     match (nodes, links) with
     | node :: nodes, link :: links ->
-      let fib = node.Node.fib in
-      if Array.length fib < t.next_host then begin
-        node.Node.fib <- Array.make t.next_host None;
-        Array.blit fib 0 node.Node.fib 0 (Array.length fib)
-      end;
-      (match node.Node.fib.(host) with
+      (match Node.route node ~host with
       | Some other when other != link ->
         failwith
           (Printf.sprintf
              "Topology.route_paths: node %s reaches host %d on two links (%s, %s)"
              node.Node.name host other.Link.name link.Link.name)
-      | Some _ | None -> node.Node.fib.(host) <- Some link);
+      | Some _ | None -> Node.set_route node ~span:t.next_host ~host link);
       fill host nodes links
     | _ -> ()
   in

@@ -19,20 +19,23 @@ let clear t =
   t.head <- 0;
   t.len <- 0
 
-(* Grow by doubling, rebasing the live window to index 0. The pushed
-   element doubles as the [Array.make] fill so no dummy value is ever
-   needed for an arbitrary ['a] (same idiom as [Event_queue]); stale
-   slots between [len] and [capacity] can pin at most one generation
-   of old elements, which [clear] releases wholesale. *)
-let grow t x =
-  let capacity = Array.length t.data in
+(* Doubling, rebasing the live window to index 0. The pushed element
+   doubles as the [Array.make] fill so no dummy value is ever needed
+   for an arbitrary ['a] (same idiom as [Event_queue]); stale slots
+   between [len] and [capacity] can pin at most one generation of old
+   elements, which [clear] releases wholesale. *)
+let grown data ~head ~len x =
+  let capacity = Array.length data in
   let capacity' = if capacity = 0 then initial_capacity else 2 * capacity in
   let data' = Array.make capacity' x in
-  let tail = capacity - t.head in
-  let first = Stdlib.min t.len tail in
-  Array.blit t.data t.head data' 0 first;
-  if t.len > first then Array.blit t.data 0 data' first (t.len - first);
-  t.data <- data';
+  let tail = capacity - head in
+  let first = Stdlib.min len tail in
+  Array.blit data head data' 0 first;
+  if len > first then Array.blit data 0 data' first (len - first);
+  data'
+
+let grow t x =
+  t.data <- grown t.data ~head:t.head ~len:t.len x;
   t.head <- 0
 
 let[@corelite.hot] push t x =

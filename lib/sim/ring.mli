@@ -7,7 +7,7 @@
     allocates solely when it doubles its capacity. Popped slots are not
     overwritten, so up to one array's worth of stale elements can stay
     reachable until they are overwritten by later pushes — call
-    {!clear} when payload lifetime matters (a link purge does). *)
+    {!clear} when payload lifetime matters. *)
 
 type 'a t
 
@@ -28,6 +28,15 @@ val pop_exn : 'a t -> 'a
 (** [peek_exn t] returns the oldest element without removing it.
     @raise Invalid_argument when empty — guard with {!is_empty}. *)
 val peek_exn : 'a t -> 'a
+
+(** [grown data ~head ~len x] is the ring growth step on a bare
+    array: a fresh array of twice [data]'s length (16 slots when [data]
+    is empty) holding the [len] elements that start at slot [head] of
+    [data], wrapping at its end, at slots [0 .. len - 1], and [x] in
+    every other slot. {!push} grows with it, and so does a ring kept
+    inline in another record ([Net.Link]'s wire), so the growth logic
+    exists once. *)
+val grown : 'a array -> head:int -> len:int -> 'a -> 'a array
 
 (** [clear t] empties the ring and releases its storage (and with it
     any stale popped payloads), returning it to the freshly-created

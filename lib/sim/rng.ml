@@ -1,19 +1,35 @@
-type t = { mutable state : int64 }
+(* The 64-bit state sits in an 8-byte [Bytes.t], read and written
+   through the compiler's unboxed primitives: an [int64] record field
+   would box every new state (3 words) and [caml_modify] it into an
+   old record, and [Bytes.get_int64_le] is not inlined under [-opaque],
+   so its result would be boxed too. Native byte order: the bytes never
+   leave the process. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  set64 t 0 state;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] bits64 t =
+  let state = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 state;
+  mix64 state
+
+let split t = of_state (bits64 t)
 
 let stream t index =
   (* Pure function of (state, index): unlike [split] it neither draws
@@ -22,7 +38,7 @@ let stream t index =
      execution relies on. [index + 1] keeps substream 0 distinct from
      the parent's own continuation. *)
   let jump = Int64.mul golden_gamma (Int64.of_int (index + 1)) in
-  { state = mix64 (Int64.add t.state jump) }
+  of_state (mix64 (Int64.add (get64 t 0) jump))
 
 (* FNV-1a, the stable 64-bit string hash behind scenario-id streams.
    Hashtbl.hash is deterministic only within one compiler version, so
@@ -41,16 +57,14 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling over the top bits to avoid modulo bias. *)
   let bound64 = Int64.of_int bound in
-  let rec draw () =
-    let raw = Int64.shift_right_logical (bits64 t) 1 in
-    let candidate = Int64.rem raw bound64 in
-    if Int64.sub raw candidate > Int64.sub Int64.max_int (Int64.sub bound64 1L)
-    then draw ()
-    else Int64.to_int candidate
-  in
-  draw ()
+  let limit = Int64.sub Int64.max_int (Int64.sub bound64 1L) in
+  let raw = ref (Int64.shift_right_logical (bits64 t) 1) in
+  while Int64.sub !raw (Int64.rem !raw bound64) > limit do
+    raw := Int64.shift_right_logical (bits64 t) 1
+  done;
+  Int64.to_int (Int64.rem !raw bound64)
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 uniform bits mapped to [0, 1). *)
   let raw = Int64.shift_right_logical (bits64 t) 11 in
   let unit = Int64.to_float raw *. 0x1p-53 in

@@ -128,20 +128,27 @@ let of_topo ~engine ?(bandwidth = default_bandwidth) ?(delay = default_delay)
           ~bandwidth ~delay ~qdisc:(core_qdisc ()))
   in
   let dispatch = Net.Topology.sink_dispatcher topology in
-  (* One shared [Some link] per link: a fresh option in every
-     (node, host) entry would cost two words each across all tables. *)
-  let hop = Array.map Option.some links in
+  (* Link ids run in (src, dst) order, so a node's out-links are one
+     run of [links], [first.(v)] to [first.(v + 1) - 1]: they are its
+     ports, and link [l] out of [v] is port [l - first.(v)]. *)
+  let first = Array.make (Array.length nodes + 1) 0 in
+  Array.iteri (fun v _ -> first.(v + 1) <- first.(v) + Topo.Graph.out_degree graph v) nodes;
   Array.iteri
     (fun v node ->
-      node.Net.Node.fib <-
-        Array.init n_hosts (fun h ->
+      (* Agents hand packets straight to a host's first link, so a
+         host forwards nothing and gets no row. *)
+      (match Topo.Graph.kind graph v with
+      | Topo.Graph.Host -> ()
+      | Topo.Graph.Edge_switch | Topo.Graph.Agg_switch | Topo.Graph.Core_switch
+      | Topo.Graph.Router ->
+        Net.Node.set_table node
+          ~ports:(Array.sub links first.(v) (first.(v + 1) - first.(v)))
+          ~span:n_hosts
+          (fun h ->
             let l = Topo.Fib.next_hop fib ~node:v ~host:h in
-            if l < 0 then None else hop.(l));
+            if l < 0 then -1 else l - first.(v)));
       let host = Topo.Graph.host_of_node graph v in
-      if host >= 0 then begin
-        node.Net.Node.host <- host;
-        node.Net.Node.host_sink <- dispatch
-      end)
+      if host >= 0 then Net.Node.set_host node ~host dispatch)
     nodes;
   let flows =
     List.init (Topo.Flows.count pop) (fun i ->

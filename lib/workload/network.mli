@@ -76,13 +76,16 @@ val chain :
     (hosts as edge routers, switches and routers as cores), one
     unidirectional Net link per directed graph link — link ids equal
     graph link ids — and a destination-indexed forwarding table
-    ({!Net.Node.t.fib}) per node derived from [fib]. Each population
-    entry [i] becomes Net flow [i + 1] routed by {!Topo.Fib.route}.
-    Every link (access links included) uses [core_qdisc] and is
-    returned in [core_links], so schemes police wherever the
-    bottleneck lives. Unlike the hand-built builders, whose tables
-    {!Net.Topology.route_paths} fills from the flow paths, every node
-    gets an entry for every reachable host.
+    ({!Net.Node.set_table}) per switch or router derived from [fib]:
+    a node's out-links are its ports in link-id order. Fat-tree
+    {!Topo.Graph.Host} nodes get no table, since agents hand their
+    packets straight to the first link. Each population entry [i]
+    becomes Net flow [i + 1] routed by {!Topo.Fib.route}. Every link
+    (access links included) uses [core_qdisc] and is returned in
+    [core_links], so schemes police wherever the bottleneck lives.
+    Unlike the hand-built networks, whose tables
+    {!Net.Topology.route_paths} fills from the flow paths, every
+    switch and router gets an entry for every reachable host.
     @raise Failure if a sampled flow's host pair is unreachable. *)
 val of_topo :
   engine:Sim.Engine.t ->

@@ -634,8 +634,9 @@ let test_node_routes_and_sinks () =
   Net.Topology.route_paths topology [ flow.Net.Flow.path ];
   Alcotest.(check int) "egress is host 0" 0 c.Net.Node.host;
   Alcotest.(check bool) "interior entry" true
-    (match b.Net.Node.fib with [| Some l |] -> l == second | _ -> false);
-  Alcotest.(check int) "no ingress entry" 0 (Array.length a.Net.Node.fib);
+    (Net.Node.fib_span b = 1
+    && match Net.Node.route b ~host:0 with Some l -> l == second | None -> false);
+  Alcotest.(check int) "no ingress entry" 0 (Net.Node.fib_span a);
   Alcotest.(check bool) "first link" true (Net.Flow.first_link flow topology == first);
   let got = ref [] in
   Net.Topology.set_flow_sink topology ~flow:1 (fun p -> got := p.Net.Packet.id :: !got);
@@ -665,11 +666,26 @@ let test_node_fib_out_of_range_fails () =
   in
   Alcotest.check_raises "empty fib" (Failure "Node A: no FIB entry for host 3")
     (fun () -> Net.Node.receive a (stamped 3));
-  a.Net.Node.fib <- [| Some link |];
+  Net.Node.set_route a ~span:1 ~host:0 link;
   Alcotest.check_raises "short fib" (Failure "Node A: no FIB entry for host 1")
     (fun () -> Net.Node.receive a (stamped 1));
   Alcotest.check_raises "unstamped" (Failure "Node A: no FIB entry for host -1")
     (fun () -> Net.Node.receive a (stamped (-1)))
+
+(* A 2-byte entry names at most 65,535 ports (0xFFFF is the empty
+   entry). The limit is checked on an array that repeats one link, so
+   no test builds 65,536 links. *)
+let test_node_port_limit () =
+  let _, _, a, _, link = simple_net () in
+  Alcotest.check_raises "one port too many"
+    (Invalid_argument "Node A: 65536 out-links, more than the 65535 a FIB port index can name")
+    (fun () ->
+      Net.Node.set_table a ~ports:(Array.make (Net.Node.max_ports + 1) link) ~span:1
+        (fun _ -> 0));
+  Net.Node.set_table a ~ports:(Array.make Net.Node.max_ports link) ~span:1 (fun _ ->
+      Net.Node.max_ports - 1);
+  Alcotest.(check bool) "the last port is named" true
+    (match Net.Node.route a ~host:0 with Some l -> l == link | None -> false)
 
 (* [on_drop] sees the packet intact; the link releases it afterwards. *)
 let test_pool_link_drop_releases () =
@@ -697,7 +713,7 @@ let test_pool_link_drop_releases () =
    node instead of travelling on as someone else's packet. *)
 let test_node_released_packet_fails () =
   let _, topology, a, _, link = simple_net () in
-  a.Net.Node.fib <- [| Some link |];
+  Net.Node.set_route a ~span:1 ~host:0 link;
   let p = Net.Packet.alloc (Net.Topology.pool topology) ~id:1 ~flow:1 ~created:0. in
   p.Net.Packet.dst <- 0;
   Net.Packet.release p;
@@ -1614,6 +1630,7 @@ let () =
             test_node_fib_out_of_range_fails;
           Alcotest.test_case "released packet fails" `Quick
             test_node_released_packet_fails;
+          Alcotest.test_case "port index limit" `Quick test_node_port_limit;
           Alcotest.test_case "conflicting paths" `Quick test_topology_conflicting_paths;
           Alcotest.test_case "duplicate node" `Quick test_topology_duplicate_node;
           Alcotest.test_case "duplicate link" `Quick test_topology_duplicate_link;

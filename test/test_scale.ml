@@ -201,7 +201,7 @@ let bytes_per_add_flow scheme =
    ratchet like the hot path's 29 minor words per hop below: the value
    measured with OCaml 5.1.1 on 64-bit Linux plus a 32 B margin for
    compiler drift. Lower a budget whenever the state shrinks; never
-   raise one. Measured: Corelite 1,080 B, CSFQ 1,036 B; the first
+   raise one. Measured: Corelite 1,072 B, CSFQ 1,028 B; the first
    packet is a pooled one, a 10-word record and a 4-word float
    block. *)
 let test_add_flow_memory_budget () =
@@ -213,9 +213,56 @@ let test_add_flow_memory_budget () =
       if bytes > budget then
         Alcotest.failf "%s: %d B per add_flow exceeds the %d B budget" name bytes budget)
     [
-      ("corelite", Workload.Runner.Corelite { Corelite.Params.default with source }, 1_089);
-      ("csfq", Workload.Runner.Csfq { Csfq.Params.default with source }, 1_066);
+      ("corelite", Workload.Runner.Corelite { Corelite.Params.default with source }, 1_081);
+      ("csfq", Workload.Runner.Csfq { Csfq.Params.default with source }, 1_058);
     ]
+
+(* ---- per-link memory budget ---- *)
+
+(* Live-heap bytes per link that [Network.of_topo] and a Corelite
+   deployment leave behind on fat-tree k=8 (768 links) with one flow:
+   the link with its queue, the forwarding rows and ports, the core
+   with its selector and epoch timer. The graph, its FIB and the flow
+   population are built before the first reading; auto-probes are off,
+   as [Scale.run] turns them off at scale. *)
+let bytes_per_link () =
+  let engine = Sim.Engine.create () in
+  let graph = Topo.Fattree.build 8 in
+  let fib = Topo.Fib.compute graph in
+  let pop = Topo.Flows.generate ~seed:42 ~label:"scale/link-memory" ~graph ~n:1 () in
+  Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) false;
+  let live () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  let before = live () in
+  let network =
+    Workload.Network.of_topo ~engine ~delay:0.002 ~queue_capacity:40 ~graph ~fib ~flows:pop
+      ()
+  in
+  let source = Workload.Scale.default_source in
+  let deployment =
+    Workload.Runner.deploy ~fault:None
+      (Workload.Runner.Corelite { Corelite.Params.default with source })
+      ~rng:(Sim.Rng.scenario ~seed:42 ~id:"scale/link-memory/deploy")
+      ~network
+      ~flows:(List.map (fun f -> Net.Agents.spec f) network.Workload.Network.flows)
+  in
+  let after = live () in
+  ignore (Sys.opaque_identity (graph, fib, pop, deployment));
+  8 * (after - before) / Topo.Graph.n_links graph
+
+(* A ratchet like the per-flow budget above: the figure repeats
+   exactly, and the budget is the value measured with OCaml 5.1.1 on
+   64-bit Linux plus 32 B. Measured: 1,637 B per link, of which the
+   droptail queue's fixed 40-slot array is 328 B and the forwarding
+   rows 27 B. *)
+let test_link_memory_budget () =
+  let budget = 1_669 in
+  let bytes = bytes_per_link () in
+  Printf.printf "corelite: %d B per link (budget %d B)\n" bytes budget;
+  if bytes > budget then
+    Alcotest.failf "%d B per link exceeds the %d B budget" bytes budget
 
 (* ---- packet-pool occupancy ledger ---- *)
 
@@ -225,7 +272,7 @@ let held links =
     (fun acc l ->
       acc + Net.Link.queue_length l
       + (if l.Net.Link.busy then 1 else 0)
-      + Sim.Ring.length l.Net.Link.wire)
+      + Net.Link.in_flight l)
     0 links
 
 (* Between events every pooled packet sits in some link, so the pool's
@@ -296,10 +343,10 @@ let test_pool_ledger_csfq_churn () =
    audits allocate (fig5 reads about 100 words per hop with them on).
    The budget is a ratchet like the per-flow memory budget: lower it
    when the hot path sheds an allocation, never raise it. Measured
-   with OCaml 5.1.1 in dune's dev profile: fig5 19.13, fig6 25.65,
-   fig7 20.01, fig8 25.61 (a release build reads lower). *)
+   with OCaml 5.1.1 in dune's dev profile: fig5 18.62, fig6 24.37,
+   fig7 19.25, fig8 24.24 (a release build reads lower). *)
 let test_hot_path_budget () =
-  let budget = 29. in
+  let budget = 28. in
   let per_hop (spec : Workload.Figures.spec) =
     let before = Gc.minor_words () in
     let result = Workload.Figures.run spec in
@@ -342,6 +389,7 @@ let () =
         [
           Alcotest.test_case "flow ledger balances" `Quick test_ledger_balances;
           Alcotest.test_case "per-flow memory budget" `Quick test_add_flow_memory_budget;
+          Alcotest.test_case "per-link memory budget" `Quick test_link_memory_budget;
           Alcotest.test_case "hot-path minor words per packet-hop" `Quick
             test_hot_path_budget;
           Alcotest.test_case "pool ledger: Corelite k=4" `Quick test_pool_ledger_corelite;

@@ -96,7 +96,7 @@ let test_single_bottleneck_fib_linear () =
   let net = Workload.Network.single_bottleneck ~engine ~weights:(fun _ -> 1.) 1000 in
   let entries =
     List.fold_left
-      (fun acc node -> acc + Array.length node.Net.Node.fib)
+      (fun acc node -> acc + Net.Node.fib_span node)
       0
       (Net.Topology.nodes net.Workload.Network.topology)
   in
@@ -109,6 +109,44 @@ let test_single_bottleneck_fib_linear () =
   Alcotest.(check bool)
     (Printf.sprintf "%d entries within %d" entries path_total)
     true (entries <= path_total)
+
+(* The compact FIB against the graph's: at every switch or router the
+   table names the link [Topo.Fib.next_hop] names, or none where it
+   names none, and a fat-tree host holds no row (Net node and link ids
+   equal the graph's). *)
+let check_compact_fib graph =
+  let engine = Sim.Engine.create () in
+  let fib = Topo.Fib.compute graph in
+  let flows = Topo.Flows.generate ~seed:1 ~label:"compact-fib" ~graph ~n:1 () in
+  let net = Workload.Network.of_topo ~engine ~graph ~fib ~flows () in
+  List.iter
+    (fun node ->
+      let v = node.Net.Node.id in
+      let host_node = Topo.Graph.kind graph v = Topo.Graph.Host in
+      if host_node && Net.Node.fib_span node <> 0 then
+        Alcotest.failf "host node %s holds a row" node.Net.Node.name;
+      for h = 0 to Topo.Graph.n_hosts graph - 1 do
+        let got =
+          match Net.Node.route node ~host:h with Some l -> l.Net.Link.id | None -> -1
+        in
+        let want = if host_node then -1 else Topo.Fib.next_hop fib ~node:v ~host:h in
+        if got <> want then
+          Alcotest.failf "node %s, host %d: table names link %d, Topo.Fib link %d"
+            node.Net.Node.name h got want
+      done)
+    (Net.Topology.nodes net.Workload.Network.topology)
+
+let test_compact_fib_fattree () =
+  check_compact_fib (Topo.Fattree.build 4);
+  check_compact_fib (Topo.Fattree.build 8)
+
+let prop_compact_fib_asgraph =
+  QCheck.Test.make ~name:"compact FIB on AS graphs, n <= 64" ~count:20
+    QCheck.(triple (4 -- 64) (1 -- 3) small_nat)
+    (fun (nodes, m, seed) ->
+      QCheck.assume (nodes >= m + 2);
+      check_compact_fib (Topo.Asgraph.build ~seed ~label:"compact-fib" ~nodes ~m ());
+      true)
 
 let test_link_capacities () =
   let engine = Sim.Engine.create () in
@@ -865,6 +903,9 @@ let () =
           Alcotest.test_case "single bottleneck" `Quick test_single_bottleneck_structure;
           Alcotest.test_case "fib linear in path length" `Quick
             test_single_bottleneck_fib_linear;
+          Alcotest.test_case "compact FIB on fat-trees k=4, k=8" `Quick
+            test_compact_fib_fattree;
+          QCheck_alcotest.to_alcotest prop_compact_fib_asgraph;
           Alcotest.test_case "link capacities" `Quick test_link_capacities;
         ] );
       ( "runner",
