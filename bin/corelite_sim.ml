@@ -168,19 +168,35 @@ let scenario_cmd =
 (* ------------------------------------------------------------------ *)
 (* run *)
 
+(* Bad [run] input is rejected up front with a line that names the
+   flag, as [figure] and [sweep] reject unknown names, instead of
+   surfacing later as an uncaught library exception. *)
+let reject flag fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s: %s\n" flag msg;
+      exit 1)
+    fmt
+
+let parse_weights = function
+  | "equal" -> fun _ -> 1.
+  | "linear" -> float_of_int
+  | "paper" -> Workload.Figures.weights_s42
+  | s ->
+    (* comma-separated list, e.g. "1,2,3"; flows past its end weigh 1 *)
+    let weight w =
+      match float_of_string_opt w with
+      | Some x when Float.is_finite x && x > 0. -> x
+      | Some _ | None -> reject "--weights" "%S is not a positive finite weight" w
+    in
+    let listed = List.map weight (String.split_on_char ',' s) in
+    fun i -> Option.value ~default:1. (List.nth_opt listed (i - 1))
+
 let run_adhoc scheme_name flows duration weights_spec seed out_dir =
-  let weights i =
-    match weights_spec with
-    | "equal" -> 1.
-    | "linear" -> float_of_int i
-    | "paper" -> Workload.Figures.weights_s42 i
-    | s -> (
-      (* comma-separated list, e.g. "1,2,3" *)
-      let parts = String.split_on_char ',' s in
-      match List.nth_opt parts (i - 1) with
-      | Some w -> float_of_string w
-      | None -> 1.)
-  in
+  if flows < 1 then reject "--flows" "need at least one flow, got %d" flows;
+  if not (Float.is_finite duration && duration > 0.) then
+    reject "--duration" "must be positive and finite, got %g" duration;
+  let weights = parse_weights weights_spec in
   let scheme =
     match scheme_name with
     | "corelite" -> Workload.Runner.Corelite Corelite.Params.default

@@ -388,11 +388,10 @@ let tcp_extension () =
   let tcp = Workload.Tcp_workload.build ~network ~micro_flows:(fun _ -> 3) () in
   Workload.Tcp_workload.start tcp;
   let snapshot = Hashtbl.create 8 in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:300. (fun () ->
-         List.iter
-           (fun (flow, g) -> Hashtbl.replace snapshot flow g)
-           (Workload.Tcp_workload.aggregate_goodputs tcp)));
+  Sim.Engine.schedule_at engine ~time:300. (fun () ->
+      List.iter
+        (fun (flow, g) -> Hashtbl.replace snapshot flow g)
+        (Workload.Tcp_workload.aggregate_goodputs tcp));
   Sim.Engine.run_until engine 400.;
   Workload.Tcp_workload.stop tcp;
   let reference = Workload.Network.expected_rates network ~active:[ 1; 2 ] in
@@ -413,9 +412,6 @@ let () =
         Arg.Set_int domains,
         "N  shard scenarios over N domains (default: recommended count; \
          results are identical for any N)" );
-      ( "--domains",
-        Arg.Set_int domains,
-        "N  same as -j" );
       ( "--fault-seed",
         Arg.Set_int fault_seed,
         "N  root seed of the chaos battery's fault plans; rerunning with \
@@ -427,7 +423,7 @@ let () =
          write results/<fig>_trace.jsonl and .csv" );
       ( "--metrics",
         Arg.Set metrics_on,
-        " enable the metrics registries and write \
+        " register the figure runs' metric probes and write \
          results/<fig>_metrics.csv" );
     ]
     (fun anon -> raise (Arg.Bad ("unexpected argument " ^ anon)))

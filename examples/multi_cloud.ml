@@ -32,11 +32,10 @@ let run ~backpressure =
   let chain = Workload.Multi_cloud.build ~backpressure ~cloud_a ~cloud_b () in
   Workload.Multi_cloud.start chain;
   let snapshot = Hashtbl.create 4 in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(duration -. window) (fun () ->
-         for flow = 1 to 3 do
-           Hashtbl.replace snapshot flow (Workload.Multi_cloud.delivered chain ~flow)
-         done));
+  Sim.Engine.schedule_at engine ~time:(duration -. window) (fun () ->
+      for flow = 1 to 3 do
+        Hashtbl.replace snapshot flow (Workload.Multi_cloud.delivered chain ~flow)
+      done);
   Sim.Engine.run_until engine duration;
   Workload.Multi_cloud.stop chain;
 

@@ -25,15 +25,14 @@ let () =
      +2 pkt/s per second from a cold start, so the early run is all
      climb). *)
   let snapshot = Hashtbl.create 8 in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:steady_from (fun () ->
-         List.iter
-           (fun flow ->
-             for micro = 1 to 3 do
-               Hashtbl.replace snapshot (flow, micro)
-                 (Workload.Tcp_workload.goodput tcp ~flow ~micro)
-             done)
-           [ 1; 2 ]));
+  Sim.Engine.schedule_at engine ~time:steady_from (fun () ->
+      List.iter
+        (fun flow ->
+          for micro = 1 to 3 do
+            Hashtbl.replace snapshot (flow, micro)
+              (Workload.Tcp_workload.goodput tcp ~flow ~micro)
+          done)
+        [ 1; 2 ]);
   Sim.Engine.run_until engine duration;
   Workload.Tcp_workload.stop tcp;
   let window = duration -. steady_from in

@@ -47,9 +47,7 @@ let build ?fault ~params ~rng ~topology ~flows ~core_links () =
               | None -> ()
               | Some agent ->
                 let delay = Edge.feedback_delay agent ~link_id:link.Net.Link.id in
-                (* Never cancelled, so no handle: [schedule_unit] takes
-                   the same seq a handle-returning [schedule] would. *)
-                Sim.Engine.schedule_unit engine ~delay (fun () ->
+                Sim.Engine.schedule engine ~delay (fun () ->
                     Edge.receive_feedback agent ~link_id:link.Net.Link.id marker)
           in
           Core.attach ~params ~rng:(Sim.Rng.split rng) ~send_feedback link)
@@ -94,5 +92,5 @@ let schedule_resets t plan =
               (Printf.sprintf "Deployment.schedule_resets: no agent for flow %d" id)
           | agent -> fun () -> Edge.reset agent)
       in
-      ignore (Sim.Engine.schedule_at engine ~time:at fire))
+      Sim.Engine.schedule_at engine ~time:at fire)
     plan.Sim.Faultplan.resets

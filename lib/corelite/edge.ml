@@ -151,9 +151,8 @@ let create ~params ~topology ~flow ?(floor = 0.) ?(epoch_offset = 0.) ?supply
          ~emit:(fun ~now -> emit t ~now)
          ~collect:(collect_max t) ());
   let m = Sim.Engine.metrics engine in
-  (* [Metrics.probe] drops probes while auto-probes are off (large
-     generated topologies turn them off), so build no name or closure
-     for them then. *)
+  (* [Metrics.probe] drops probes while auto-probes are off (the
+     default), so build no name or closure for them then. *)
   if Sim.Metrics.auto_probes m then begin
     let pfx = Printf.sprintf "corelite.flow.%d." flow.Net.Flow.id in
     Sim.Metrics.probe m (pfx ^ "sent") ~help:"packets injected at the ingress"

@@ -5,12 +5,16 @@ type result = {
   final : (int * float) list;
 }
 
-let simulate ~capacities ~flows ?initial ?(alpha = 1.) ?(epoch = 0.5) ?dt ?(sample = 1.)
-    ~duration () =
+(* The probe increment per epoch (pkt/s), the epoch (s) and the Euler
+   step. Every flow starts at [alpha]. *)
+let alpha = 1.
+
+let epoch = 0.5
+
+let dt = epoch /. 10.
+
+let simulate ~capacities ~flows ?(sample = 1.) ~duration () =
   if flows = [] then invalid_arg "Fluid.simulate: no flows";
-  if epoch <= 0. then invalid_arg "Fluid.simulate: epoch must be positive";
-  let dt = match dt with Some dt -> dt | None -> epoch /. 10. in
-  if dt <= 0. then invalid_arg "Fluid.simulate: dt must be positive";
   let capacity : (int, float) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (id, c) -> Hashtbl.replace capacity id c) capacities;
   List.iter
@@ -23,17 +27,8 @@ let simulate ~capacities ~flows ?initial ?(alpha = 1.) ?(epoch = 0.5) ?dt ?(samp
     flows;
   let n = List.length flows in
   let flows = Array.of_list flows in
-  let rates =
-    Array.map
-      (fun flow ->
-        match initial with
-        | Some init -> Option.value ~default:alpha (List.assoc_opt flow.id init)
-        | None -> alpha)
-      flows
-  in
-  let series =
-    Array.map (fun flow -> Sim.Timeseries.create ~name:(string_of_int flow.id) ()) flows
-  in
+  let rates = Array.make n alpha in
+  let series = Array.init n (fun _ -> Sim.Timeseries.create ()) in
   let links = List.map fst capacities in
   let steps = int_of_float (Float.round (duration /. dt)) in
   let next_sample = ref sample in

@@ -28,19 +28,13 @@ type result = {
 }
 
 (** [simulate ~capacities ~flows ~duration ()] integrates the fluid
-    model. [initial] gives starting rates (default [alpha] each);
-    [alpha] is the probe increment per [epoch] (defaults 1 pkt/s per
-    0.5 s); [dt] the Euler step (default [epoch/10]); [sample] the
-    series sampling period (default 1).
-    @raise Invalid_argument on empty systems, unknown links, or
-    non-positive steps. *)
+    model. Every flow starts at the probe increment [alpha] = 1 pkt/s,
+    which it gains per epoch of 0.5 s; the Euler step is a tenth of an
+    epoch. [sample] is the series sampling period (default 1).
+    @raise Invalid_argument on empty systems or unknown links. *)
 val simulate :
   capacities:(int * float) list ->
   flows:flow list ->
-  ?initial:(int * float) list ->
-  ?alpha:float ->
-  ?epoch:float ->
-  ?dt:float ->
   ?sample:float ->
   duration:float ->
   unit ->

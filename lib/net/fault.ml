@@ -81,13 +81,10 @@ let install t engine st =
     Link.set_fault st.link (Some (fun pkt -> action t st pkt));
   List.iter
     (fun { Sim.Faultplan.down_at; up_at } ->
-      ignore
-        (Sim.Engine.schedule_at engine ~time:down_at (fun () ->
-             t.flaps_fired <- t.flaps_fired + 1;
-             Link.set_up st.link false));
-      ignore
-        (Sim.Engine.schedule_at engine ~time:up_at (fun () ->
-             Link.set_up st.link true)))
+      Sim.Engine.schedule_at engine ~time:down_at (fun () ->
+          t.flaps_fired <- t.flaps_fired + 1;
+          Link.set_up st.link false);
+      Sim.Engine.schedule_at engine ~time:up_at (fun () -> Link.set_up st.link true))
     spec.Sim.Faultplan.flaps
 
 let apply ~topology plan =

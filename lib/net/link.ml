@@ -20,9 +20,8 @@ type queue_average = {
    kept inline as [wire]/[wire_head]/[wire_len] so no header block
    stands between the link and the array; and the two persistent
    closures [tx_done_ev]/[deliver_ev] are pushed with
-   [Engine.schedule_unit] — so a transmission costs zero heap
-   allocations where it used to cost two fresh closures plus two
-   cancellation handles per packet. Propagation delay is constant per
+   [Engine.schedule] — so a transmission costs zero heap
+   allocations. Propagation delay is constant per
    link, so in-flight packets leave the wire in FIFO order and one ring
    suffices.
 
@@ -36,7 +35,7 @@ type queue_average = {
 
    Outages and router resets invalidate events already in the heap
    (a tx-done for a purged transmission, deliveries for a cleared
-   wire). [schedule_unit] events cannot be cancelled, so the closures
+   wire). One-shot events cannot be cancelled, so the closures
    are generation-guarded: [purge] bumps [generation] and re-arms them,
    turning every stale event into a no-op while costing nothing on the
    per-packet path. *)
@@ -208,7 +207,7 @@ let[@corelite.hot] rec start_transmission t =
     t.in_service_size <- pkt.Packet.size;
     note_queue t;
     let tx_time = float_of_int (8 * pkt.Packet.size) /. t.bandwidth in
-    Sim.Engine.schedule_unit t.engine ~delay:tx_time t.tx_done_ev
+    Sim.Engine.schedule t.engine ~delay:tx_time t.tx_done_ev
   end
 
 and[@corelite.hot] tx_done t =
@@ -219,7 +218,7 @@ and[@corelite.hot] tx_done t =
      event-heap seq assignment, and with it every FIFO tie-break among
      simultaneous events, byte-identical to the pre-ring behaviour. *)
   wire_push t t.in_service;
-  Sim.Engine.schedule_unit t.engine ~delay:t.delay t.deliver_ev;
+  Sim.Engine.schedule t.engine ~delay:t.delay t.deliver_ev;
   start_transmission t;
   if t.check then check_conservation t
 
@@ -333,8 +332,8 @@ let create ~engine ~id ~name ~src ~dst ~bandwidth ~delay ~qdisc () =
   arm t;
   (* Pull probes: sampled only when the registry exports, so they add
      nothing to the per-packet path. [Metrics.probe] drops them while
-     auto-probes are off (large generated topologies turn them off), so
-     build no name or closure for them then. *)
+     auto-probes are off (the default), so build no name or closure for
+     them then. *)
   let m = Sim.Engine.metrics engine in
   if Sim.Metrics.auto_probes m then begin
     let pfx = "link." ^ name ^ "." in

@@ -85,7 +85,7 @@ type t = {
   delay : float;  (** propagation, seconds *)
   mutable deliver_ev : unit -> unit;
       (** with [tx_done_ev], the two persistent event closures reused
-          for every packet — scheduled via {!Sim.Engine.schedule_unit},
+          for every packet — scheduled via {!Sim.Engine.schedule},
           so transmitting and delivering allocate nothing per packet.
           Generation-guarded: {!set_up}/{!reset} re-arm them so events
           already in the heap for purged packets die as no-ops. *)

@@ -24,7 +24,7 @@ let rec flip t state () =
       | Exponential -> Sim.Rng.exponential t.rng ~mean (* lint: churn-ok *)
       | Pareto shape -> Sim.Rng.pareto t.rng ~shape ~mean (* lint: churn-ok *)
     in
-    ignore (Sim.Engine.schedule t.engine ~delay:hold (flip t (not state)))
+    Sim.Engine.schedule t.engine ~delay:hold (flip t (not state))
   end
 
 let start ~engine ~rng ?(distribution = Exponential) ~on_mean ~off_mean set =

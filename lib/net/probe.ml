@@ -29,14 +29,13 @@ let sample t engine () =
 
 let attach ~engine ~period link =
   if period <= 0. then invalid_arg "Probe.attach: period must be positive";
-  let name kind = Printf.sprintf "%s-%s" link.Link.name kind in
   let t =
     {
       link;
       period;
-      queue = Sim.Timeseries.create ~name:(name "queue") ();
-      throughput = Sim.Timeseries.create ~name:(name "throughput") ();
-      drops = Sim.Timeseries.create ~name:(name "drops") ();
+      queue = Sim.Timeseries.create ();
+      throughput = Sim.Timeseries.create ();
+      drops = Sim.Timeseries.create ();
       last_departures = link.Link.departures;
       last_drops = link.Link.drops;
       total_departures = link.Link.departures;

@@ -50,7 +50,7 @@ type t = {
   mutable running : bool;
   mutable active : bool;  (* application has data to send *)
   mutable emitted : int;
-  (* Pacing events are scheduled with [Engine.schedule_unit] through
+  (* Pacing events are scheduled with [Engine.schedule] through
      one persistent closure ([pace_ev]) instead of a fresh closure and
      cancellation handle per packet. [pacing_pending] counts pacing
      events in flight; only the most recently scheduled one continues
@@ -60,8 +60,8 @@ type t = {
   mutable pace_ev : unit -> unit;
   (* The epoch and slow-start timers use the same idiom: one persistent
      closure each, a first firing pushed at its absolute time with
-     [Engine.schedule_unit_at], a re-arm one period after each firing
-     with [Engine.schedule_unit], and a count of events in flight. Only
+     [Engine.schedule_at], a re-arm one period after each firing with
+     [Engine.schedule], and a count of events in flight. Only
      the most recent push continues its chain; the events a stop, a
      restart or a slow-start exit leaves behind fire as no-ops, so the
      engine executes exactly the events cancellable [Engine.every]
@@ -94,7 +94,7 @@ let[@corelite.hot] schedule_pace t =
   let rate = t.rate.v in
   let interval = 1. /. (if rate < 1e-6 then 1e-6 else rate) in
   t.pacing_pending <- t.pacing_pending + 1;
-  Sim.Engine.schedule_unit t.engine ~delay:interval t.pace_ev
+  Sim.Engine.schedule t.engine ~delay:interval t.pace_ev
 
 let[@corelite.hot] pace t =
   t.pacing_pending <- t.pacing_pending - 1;
@@ -168,7 +168,7 @@ let epoch_tick t =
     on_epoch t;
     if t.running && t.epoch_pending = 0 then begin
       t.epoch_pending <- 1;
-      Sim.Engine.schedule_unit t.engine ~delay:t.params.epoch t.epoch_ev
+      Sim.Engine.schedule t.engine ~delay:t.params.epoch t.epoch_ev
     end
   end
 
@@ -180,7 +180,7 @@ let ss_tick t =
     if t.rate.v > t.params.ss_thresh then exit_slow_start t
     else begin
       t.ss_pending <- 1;
-      Sim.Engine.schedule_unit t.engine ~delay:t.params.ss_period t.ss_ev
+      Sim.Engine.schedule t.engine ~delay:t.params.ss_period t.ss_ev
     end
   end
 
@@ -257,12 +257,12 @@ let start t =
   note_rate t;
   let now = Sim.Engine.now t.engine in
   t.epoch_pending <- t.epoch_pending + 1;
-  Sim.Engine.schedule_unit_at t.engine
+  Sim.Engine.schedule_at t.engine
     ~time:(now +. t.params.epoch +. t.epoch_offset)
     t.epoch_ev;
   if t.phase = Slow_start then begin
     t.ss_pending <- t.ss_pending + 1;
-    Sim.Engine.schedule_unit_at t.engine
+    Sim.Engine.schedule_at t.engine
       ~time:(now +. t.params.ss_period +. t.epoch_offset)
       t.ss_ev
   end;

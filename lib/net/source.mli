@@ -78,7 +78,7 @@ type t
 
     The pacing, epoch and slow-start timers are three closures built
     here, once. {!start} pushes the first epoch and slow-start firings
-    at their absolute times ({!Sim.Engine.schedule_unit_at}) and each
+    at their absolute times ({!Sim.Engine.schedule_at}) and each
     firing re-arms itself one period later; no start, stop or period
     allocates a handle or a closure.
 

@@ -35,7 +35,12 @@ module Sender = struct
     mutable rttvar : float;
     mutable rto : float;
     mutable backoff : float;
-    mutable rto_timer : Sim.Engine.handle option;
+    (* The retransmission timer is armed from [arm_rto] until the next
+       [cancel_rto], so one that fired stays armed until then. Every
+       cancel bumps [rto_gen]; the pending event compares it with the
+       generation it was armed under and fires as a no-op once stale. *)
+    mutable rto_armed : bool;
+    mutable rto_gen : int;
     (* Karn's rule: RTT-sample one un-retransmitted segment at a time. *)
     mutable sample_seq : int;
     mutable sample_time : float;
@@ -61,7 +66,8 @@ module Sender = struct
       rttvar = 0.;
       rto = 1.;
       backoff = 1.;
-      rto_timer = None;
+      rto_armed = false;
+      rto_gen = 0;
       sample_seq = 0;
       sample_time = 0.;
       retransmits = 0;
@@ -83,11 +89,10 @@ module Sender = struct
   let in_flight t = t.next_seq - 1 - t.acked
 
   let cancel_rto t =
-    match t.rto_timer with
-    | Some h ->
-      Sim.Engine.cancel h;
-      t.rto_timer <- None
-    | None -> ()
+    if t.rto_armed then begin
+      t.rto_armed <- false;
+      t.rto_gen <- t.rto_gen + 1
+    end
 
   let emit t ~seq ~retransmission =
     let now = Sim.Engine.now t.engine in
@@ -119,8 +124,10 @@ module Sender = struct
 
   let rec arm_rto t =
     cancel_rto t;
-    t.rto_timer <-
-      Some (Sim.Engine.schedule t.engine ~delay:(t.rto *. t.backoff) (fun () -> on_rto t))
+    t.rto_armed <- true;
+    let gen = t.rto_gen in
+    Sim.Engine.schedule t.engine ~delay:(t.rto *. t.backoff) (fun () ->
+        if t.rto_gen = gen then on_rto t)
 
   and on_rto t =
     if t.running && in_flight t > 0 then begin
@@ -141,7 +148,7 @@ module Sender = struct
       let seq = t.next_seq in
       t.next_seq <- t.next_seq + 1;
       emit t ~seq ~retransmission:false;
-      if t.rto_timer = None then arm_rto t;
+      if not t.rto_armed then arm_rto t;
       fill_window t
     end
 

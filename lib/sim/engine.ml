@@ -1,10 +1,8 @@
 type handle = { mutable cancelled : bool }
 
-(* The queue payload is the bare action thunk. Cancellation is layered
-   on top only where requested: [schedule]/[schedule_at] wrap the
-   action in a closure that consults its handle, while [schedule_unit]
-   pushes the caller's closure directly — the zero-allocation path the
-   per-packet machinery (link transmissions and deliveries) runs on. *)
+(* The queue payload is the bare action thunk: [schedule]/[schedule_at]
+   push the caller's closure as it is, and only [every] wraps its
+   action in a closure that consults a handle. *)
 (* The clock lives in its own all-float record: OCaml stores such
    records flat, so advancing the clock on every step is an unboxed
    store, where a [mutable clock : float] field in the mixed record
@@ -60,29 +58,19 @@ let[@inline] [@corelite.hot] push_after t ~delay action =
   t.seq <- t.seq + 1;
   Event_queue.add_delayed t.queue ~delay ~key:(t.clock.time +. delay) ~seq:t.seq action
 
+(* One unboxed comparison rejects a negative, NaN or infinite delay
+   and a [now +. delay] that overflows to infinity alike; the message
+   is picked on the error path only. *)
+let[@inline] [@corelite.hot] schedule t ~delay action =
+  if not (delay >= 0. && t.clock.time +. delay < infinity) then
+    invalid_arg
+      (if delay < 0. && delay > neg_infinity then "Engine.schedule: negative delay"
+       else "Engine.schedule: time not finite");
+  push_after t ~delay action
+
 let schedule_at t ~time action =
   check_time "Engine.schedule_at" time;
   if time < t.clock.time then invalid_arg "Engine.schedule_at: time in the past";
-  let handle = { cancelled = false } in
-  push t ~time (fun () -> if not handle.cancelled then action ());
-  handle
-
-let schedule t ~delay action =
-  check_time "Engine.schedule" delay;
-  if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  check_time "Engine.schedule" (t.clock.time +. delay);
-  let handle = { cancelled = false } in
-  push_after t ~delay (fun () -> if not handle.cancelled then action ());
-  handle
-
-let[@inline] [@corelite.hot] schedule_unit t ~delay action =
-  check_time "Engine.schedule_unit" delay;
-  if delay < 0. then invalid_arg "Engine.schedule_unit: negative delay";
-  push_after t ~delay action
-
-let schedule_unit_at t ~time action =
-  check_time "Engine.schedule_unit_at" time;
-  if time < t.clock.time then invalid_arg "Engine.schedule_unit_at: time in the past";
   push t ~time action
 
 let every t ?start ~period action =
@@ -108,8 +96,6 @@ let every t ?start ~period action =
   handle
 
 let cancel handle = handle.cancelled <- true
-
-let is_cancelled handle = handle.cancelled
 
 let[@corelite.hot] step t =
   if Event_queue.is_empty t.queue then false

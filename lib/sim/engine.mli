@@ -5,24 +5,23 @@
     order (FIFO among simultaneous events) and may schedule further
     events. Every run of the same event program is deterministic.
 
-    Scheduling comes in two flavours: the cancellable
-    {!schedule}/{!schedule_at}/{!every} return a {!handle} (costing a
-    handle record plus a guard closure per call), while
-    {!schedule_unit}/{!schedule_unit_at} push the caller's closure
-    straight onto the event queue with no allocation at all — the
-    contract the per-packet hot path ({!Net.Link}) and the per-flow
-    source timers ({!Net.Source}) are built on.
+    {!schedule} and {!schedule_at} push the caller's closure straight
+    onto the event queue, with no handle and {e no allocation}: the
+    contract the per-packet path ({!Net.Link}) and the per-flow source
+    timers ({!Net.Source}) are built on. A one-shot event cannot be
+    cancelled; a caller that must drop one keeps its own armed flag,
+    pending count or generation number and lets the closure return
+    early. Only the recurrence {!every} returns a {!handle}.
 
-    Events scheduled a delay after now ({!schedule}, {!schedule_unit},
-    every re-arm of {!every}) join the {!Event_queue} lane of their
-    delay, behind which they cost O(1); only each lane's head sits in
-    the binary heap. Absolute times ({!schedule_at},
-    {!schedule_unit_at}, the first firing of [every ~start]) go to the
-    heap. The firing order is the same either way. *)
+    Events scheduled a delay after now ({!schedule}, every re-arm of
+    {!every}) join the {!Event_queue} lane of their delay, behind which
+    they cost O(1); only each lane's head sits in the binary heap.
+    Absolute times ({!schedule_at}, the first firing of [every ~start])
+    go to the heap. The firing order is the same either way. *)
 
 type t
 
-(** Cancellation token for a scheduled (possibly recurring) event. *)
+(** Cancellation token for a recurring event. *)
 type handle
 
 (** [create ()] builds an engine with its clock at [0.]. When
@@ -49,7 +48,7 @@ val clock : t -> clock
 val trace : t -> Trace.t
 
 (** The engine's metrics registry — one per engine; components register
-    probes at construction. *)
+    probes at construction while {!Metrics.auto_probes} is on. *)
 val metrics : t -> Metrics.t
 
 (** Number of events still pending. *)
@@ -62,32 +61,20 @@ val executed : t -> int
 (** Events scheduled since creation. *)
 val events_scheduled : t -> int
 
-(** [schedule t ~delay f] fires [f] at [now t +. delay].
-    @raise Invalid_argument if [delay] is negative or not finite. *)
-val schedule : t -> delay:float -> (unit -> unit) -> handle
+(** [schedule t ~delay f] fires [f] at [now t +. delay], appending [f]
+    to the lane of [delay]: O(1) when the lane is busy, one heap
+    sift-up when it was empty. Use it with a persistent, reused closure
+    on the hot path (per-packet transmission completions and
+    deliveries).
+    @raise Invalid_argument if [delay] is negative or not finite, or if
+    [now t +. delay] overflows to infinity. *)
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 
-(** [schedule_at t ~time f] fires [f] at absolute time [time].
+(** [schedule_at t ~time f] fires [f] at absolute time [time]. The
+    event takes the next sequence number and goes to the heap, exactly
+    as the first firing of [every ~start:time] would.
     @raise Invalid_argument if [time] is in the past or not finite. *)
-val schedule_at : t -> time:float -> (unit -> unit) -> handle
-
-(** [schedule_unit t ~delay f] fires [f] at [now t +. delay] with no
-    cancellation handle and {e no heap allocation} (the closure is
-    appended directly to the lane of [delay]: O(1) when the lane is
-    busy, one heap sift-up when it was empty). Use it with a
-    persistent, reused closure for events that are never cancelled —
-    per-packet transmission completions and deliveries.
-    @raise Invalid_argument if [delay] is negative or not finite. *)
-val schedule_unit : t -> delay:float -> (unit -> unit) -> unit
-
-(** [schedule_unit_at t ~time f] fires [f] at absolute time [time],
-    with no handle and no allocation: the absolute-time counterpart of
-    {!schedule_unit}, for a persistent closure that is never cancelled.
-    A caller that must drop a pushed event keeps its own pending count
-    and lets the closure return early, as {!Net.Source} does for its
-    timers. The event takes the next sequence number and goes to the
-    heap, exactly as the first firing of [every ~start:time] would.
-    @raise Invalid_argument if [time] is in the past or not finite. *)
-val schedule_unit_at : t -> time:float -> (unit -> unit) -> unit
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
 (** [every t ~start ~period f] fires [f] at [start], [start +. period],
     [start +. 2 *. period], ... until the handle is cancelled. [start]
@@ -99,11 +86,9 @@ val schedule_unit_at : t -> time:float -> (unit -> unit) -> unit
     [start] is in the past or not finite. *)
 val every : t -> ?start:float -> period:float -> (unit -> unit) -> handle
 
-(** Cancel a pending event. Cancelling an already-fired or already-
-    cancelled event is a no-op. *)
+(** Stop a recurrence: its pending firing runs nothing and is not
+    re-armed. Cancelling twice is a no-op. *)
 val cancel : handle -> unit
-
-val is_cancelled : handle -> bool
 
 (** Execute the next pending event; returns [false] if none remain. *)
 val step : t -> bool

@@ -404,17 +404,3 @@ let[@corelite.hot] pop_exn q =
      keep stale payloads reachable until an add reuses them or the
      queue is dropped — the same bounded-pinning contract as [Ring]. *)
   q.vals.(node)
-
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let node = q.heap.(0) in
-    let key = q.keys.(node) and seq = q.seqs.(node) in
-    Some (key, seq, pop_exn q)
-  end
-
-let peek_key q =
-  if q.size = 0 then None
-  else
-    let node = q.heap.(0) in
-    Some (q.keys.(node), q.seqs.(node))

@@ -5,10 +5,8 @@
     by [seq] (insertion order), so simultaneous events fire in FIFO
     order.
 
-    Two access styles coexist: the boxed {!pop}/{!peek_key} return
-    options (convenient in tests and cold paths), while the unboxed
-    {!next_time}/{!pop_exn} pair serves the engine's hot loop without
-    allocating.
+    Entries are read with {!next_time} and {!pop_exn}, which box
+    nothing and allocate nothing.
 
     Every pending entry is a node in one slab (key, seq and the
     payload, in parallel arrays). The heap holds node ids only,
@@ -71,8 +69,7 @@ val heap_length : 'a t -> int
 val capacity : 'a t -> int
 
 (** [next_time q] is the minimum key, or [infinity] when the queue is
-    empty — the unboxed replacement for {!peek_key} on the hot loop
-    (finite keys are enforced by the engine, so [infinity] is an
+    empty (finite keys are enforced by the engine, so [infinity] is an
     unambiguous sentinel). *)
 val next_time : 'a t -> float
 
@@ -80,9 +77,3 @@ val next_time : 'a t -> float
     boxing.
     @raise Invalid_argument when empty — guard with {!is_empty}. *)
 val pop_exn : 'a t -> 'a
-
-(** [pop q] removes and returns the minimum entry, or [None] if empty. *)
-val pop : 'a t -> (float * int * 'a) option
-
-(** [peek_key q] returns the minimum [(key, seq)] without removing it. *)
-val peek_key : 'a t -> (float * int) option

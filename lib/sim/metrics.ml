@@ -1,7 +1,5 @@
 type counter = { mutable c_value : int }
 
-type gauge = { mutable g_value : float }
-
 (* Per-bucket (non-cumulative) counts; [h_counts] has one more slot
    than [h_bounds] for the overflow (+inf) bucket, so the sum of bucket
    counts always equals the observation count — the property the QCheck
@@ -15,19 +13,14 @@ type histogram = {
 
 type instrument =
   | Counter of counter
-  | Gauge of gauge
   | Histogram of histogram
   | Probe of (unit -> float)
 
 type entry = { help : string; inst : instrument }
 
-type t = { mutable on : bool; mutable auto : bool; tbl : (string, entry) Hashtbl.t }
+type t = { mutable auto : bool; tbl : (string, entry) Hashtbl.t }
 
-let create () = { on = false; auto = true; tbl = Hashtbl.create 64 }
-
-let enabled t = t.on
-
-let set_enabled t on = t.on <- on
+let create () = { auto = false; tbl = Hashtbl.create 64 }
 
 let auto_probes t = t.auto
 
@@ -35,7 +28,6 @@ let set_auto_probes t auto = t.auto <- auto
 
 let kind_label = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
   | Probe _ -> "probe"
 
@@ -63,22 +55,6 @@ let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 
 let counter_value c = c.c_value
-
-let gauge ?(help = "") t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some { inst = Gauge g; _ } -> g
-  | Some { inst; _ } ->
-    invalid_arg
-      (Printf.sprintf "Metrics.gauge: %s already registered as a %s" name
-         (kind_label inst))
-  | None ->
-    let g = { g_value = 0. } in
-    register t name help (Gauge g);
-    g
-
-let set g v = g.g_value <- v
-
-let gauge_value g = g.g_value
 
 let default_buckets =
   (* lint: domain-ok — read-only default, always Array.copy'd before use *)
@@ -145,7 +121,6 @@ let rows t =
       | Some { help; inst } -> (
         match inst with
         | Counter c -> [ { name; kind = "counter"; value = float_of_int c.c_value; help } ]
-        | Gauge g -> [ { name; kind = "gauge"; value = g.g_value; help } ]
         | Probe f -> [ { name; kind = "probe"; value = f (); help } ]
         | Histogram h ->
           { name = name ^ ".count"; kind = "histogram";

@@ -1,12 +1,11 @@
-(** Name-keyed metrics registry: counters, gauges, histograms, probes.
+(** Name-keyed metrics registry: counters, histograms, probes.
 
     Every engine owns one registry (see {!Engine.metrics}). Components
     register {e probes} — pull closures over their own counters — at
-    construction time; probes cost nothing until {!rows} samples them
-    at export, so the hot path is never touched. Push-style instruments
-    ({!counter}/{!gauge}/{!histogram}) are for code that already runs
-    at a low rate (samplers, epoch handlers); callers gate optional
-    push-side work on {!enabled}.
+    construction time, while {!auto_probes} is on; probes cost nothing
+    until {!rows} samples them at export, so the hot path is never
+    touched. Push-style instruments ({!counter}/{!histogram}) are for
+    code that already runs at a low rate (samplers, epoch handlers).
 
     Registration is get-or-create: asking for an existing name of the
     same kind returns the existing instrument (tests build several
@@ -21,24 +20,15 @@ type t
 
 type counter
 
-type gauge
-
 type histogram
 
 val create : unit -> t
 
-(** Whether push-side consumers should bother: {!Workload.Runner} and
-    friends skip optional instrumentation work when [false] (the
-    default). Instruments themselves always accept updates. *)
-val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
-
-(** Whether {!probe} registrations are accepted (the default). Scale
-    runs with 10^5+ flows and links switch this off before building, so
-    components' per-flow/per-link construction-time probes — megabytes
-    of names and closures at that scale — are skipped wholesale; the
-    instruments' own counters are untouched. *)
+(** The registry's one switch: whether {!probe} registrations are
+    accepted. Off by default, so components build no per-flow or
+    per-link probe names and closures (megabytes at 10^5 flows); a run
+    that exports its registry switches it on before building anything.
+    Counters and histograms register either way. *)
 val auto_probes : t -> bool
 
 val set_auto_probes : t -> bool -> unit
@@ -51,13 +41,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val counter_value : counter -> int
-
-(** [gauge t name] registers (or finds) a last-value-wins float gauge. *)
-val gauge : ?help:string -> t -> string -> gauge
-
-val set : gauge -> float -> unit
-
-val gauge_value : gauge -> float
 
 (** [histogram t name] registers (or finds) a fixed-bucket histogram.
     [buckets] are strictly increasing upper bounds (default
@@ -76,9 +59,9 @@ val histogram_sum : histogram -> float
     is [infinity]. Counts are per-bucket, not cumulative. *)
 val bucket_counts : histogram -> (float * int) list
 
-(** [probe t name f] registers a pull gauge sampled only by {!rows}.
-    Re-registering a name replaces the closure (component rebuilt on a
-    reused engine). *)
+(** [probe t name f] registers a pull closure sampled only by {!rows},
+    and does nothing while {!auto_probes} is off. Re-registering a name
+    replaces the closure. *)
 val probe : ?help:string -> t -> string -> (unit -> float) -> unit
 
 type row = { name : string; kind : string; value : float; help : string }

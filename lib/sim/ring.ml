@@ -12,18 +12,11 @@ let[@corelite.hot] length t = t.len
 
 let[@corelite.hot] is_empty t = t.len = 0
 
-let clear t =
-  (* Drop the storage too: a cleared ring must not pin the payloads of
-     a previous run alive (pool workers reuse engines across runs). *)
-  t.data <- [||];
-  t.head <- 0;
-  t.len <- 0
-
 (* Doubling, rebasing the live window to index 0. The pushed element
    doubles as the [Array.make] fill so no dummy value is ever needed
    for an arbitrary ['a] (same idiom as [Event_queue]); stale slots
    between [len] and [capacity] can pin at most one generation of old
-   elements, which [clear] releases wholesale. *)
+   elements. *)
 let grown data ~head ~len x =
   let capacity = Array.length data in
   let capacity' = if capacity = 0 then initial_capacity else 2 * capacity in

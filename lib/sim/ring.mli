@@ -6,8 +6,8 @@
     state [push]/[pop_exn] here touch only the backing array: the ring
     allocates solely when it doubles its capacity. Popped slots are not
     overwritten, so up to one array's worth of stale elements can stay
-    reachable until they are overwritten by later pushes — call
-    {!clear} when payload lifetime matters. *)
+    reachable until later pushes overwrite them or the ring is
+    dropped. *)
 
 type 'a t
 
@@ -37,8 +37,3 @@ val peek_exn : 'a t -> 'a
     inline in another record ([Net.Link]'s wire), so the growth logic
     exists once. *)
 val grown : 'a array -> head:int -> len:int -> 'a -> 'a array
-
-(** [clear t] empties the ring and releases its storage (and with it
-    any stale popped payloads), returning it to the freshly-created
-    state. *)
-val clear : 'a t -> unit

@@ -50,5 +50,5 @@ module Timeseries = Timeseries
 (** Structured ring-buffer event tracing (one tracer per {!Engine}). *)
 module Trace = Trace
 
-(** Counter/gauge/histogram/probe registry (one per {!Engine}). *)
+(** Counter/histogram/probe registry (one per {!Engine}). *)
 module Metrics = Metrics

@@ -1,13 +1,10 @@
 type t = {
-  name : string;
   mutable times : float array;
   mutable values : float array;
   mutable size : int;
 }
 
-let create ?(name = "") () = { name; times = [||]; values = [||]; size = 0 }
-
-let name t = t.name
+let create () = { times = [||]; values = [||]; size = 0 }
 
 let grow t =
   let capacity = Array.length t.times in
@@ -62,7 +59,7 @@ let iter t f =
 
 let smooth t ~window =
   if window < 0. then invalid_arg "Timeseries.smooth: negative window";
-  let out = create ~name:t.name () in
+  let out = create () in
   let first = ref 0 in
   let sum = ref 0. in
   for i = 0 to t.size - 1 do

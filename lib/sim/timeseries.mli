@@ -2,9 +2,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-
-val name : t -> string
+val create : unit -> t
 
 val add : t -> float -> float -> unit
 

@@ -168,8 +168,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
       (fun f ->
         ( f.Arrivals.id,
           f.Arrivals.weight,
-          Sim.Timeseries.create ~name:(Printf.sprintf "churn-flow%d" f.Arrivals.id) ()
-        ))
+          Sim.Timeseries.create () ))
       honest
   in
   let arrivals_seen = ref 0 in
@@ -185,22 +184,21 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   List.iter
     (fun f ->
       let id = f.Arrivals.id in
-      ignore
-        (Sim.Engine.schedule_at engine ~time:f.Arrivals.arrival (fun () ->
-             let flow = Network.flow network id in
-             let h = driver.add_flow ~size:f.Arrivals.size flow in
-             Hashtbl.replace handles id h;
-             if f.Arrivals.size > 0 then Hashtbl.replace sizes id f.Arrivals.size;
-             incr arrivals_seen;
-             match f.Arrivals.kind with
-             | Arrivals.Elastic -> ()
-             | Arrivals.Onoff { on_mean; off_mean; shape } ->
-               let rng =
-                 Sim.Rng.scenario ~seed ~id:(Printf.sprintf "%s/onoff/%d" label id)
-               in
-               Hashtbl.replace onoffs id
-                 (Net.Onoff.start ~engine ~rng ~distribution:(Net.Onoff.Pareto shape)
-                    ~on_mean ~off_mean (Runner.set_backlogged h)))))
+      Sim.Engine.schedule_at engine ~time:f.Arrivals.arrival (fun () ->
+          let flow = Network.flow network id in
+          let h = driver.add_flow ~size:f.Arrivals.size flow in
+          Hashtbl.replace handles id h;
+          if f.Arrivals.size > 0 then Hashtbl.replace sizes id f.Arrivals.size;
+          incr arrivals_seen;
+          match f.Arrivals.kind with
+          | Arrivals.Elastic -> ()
+          | Arrivals.Onoff { on_mean; off_mean; shape } ->
+            let rng =
+              Sim.Rng.scenario ~seed ~id:(Printf.sprintf "%s/onoff/%d" label id)
+            in
+            Hashtbl.replace onoffs id
+              (Net.Onoff.start ~engine ~rng ~distribution:(Net.Onoff.Pareto shape)
+                 ~on_mean ~off_mean (Runner.set_backlogged h))))
     honest;
   (* Completion poll: a sized flow ends when it has sent its size. The
      sweep runs in flow-id order so lifecycle trace events are ordered
@@ -241,7 +239,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   (* Cumulative delivered samples feed the windowed fairness metrics.
      Handles outlive retirement, so an ended flow's series goes flat
      instead of vanishing. *)
-  let adversary_cumulative = Sim.Timeseries.create ~name:"churn-adversary" () in
+  let adversary_cumulative = Sim.Timeseries.create () in
   let adversary =
     if with_adversary then begin
       let total_weight =

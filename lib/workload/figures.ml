@@ -134,11 +134,12 @@ let fig10 () = fig910 ~id:"fig10" ~title:"Flow churn (CSFQ)" ~scheme:csfq ()
 let all () =
   [ fig3 (); fig4 (); fig5 (); fig6 (); fig7 (); fig8 (); fig9 (); fig10 () ]
 
-let run ?(seed = 42) ?trace ?metrics spec =
+let run ?(seed = 42) ?trace ?(metrics = false) spec =
   let engine = Sim.Engine.create () in
+  Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) metrics;
   let network = spec.make_network ~engine in
-  Runner.run ~scheme:spec.scheme ~network ~seed ?trace ?metrics
-    ~schedule:spec.schedule ~duration:spec.duration ()
+  Runner.run ~scheme:spec.scheme ~network ~seed ?trace ~schedule:spec.schedule
+    ~duration:spec.duration ()
 
 (* Figure scenarios keep their historical RNG derivation (the root seed
    itself), so published tables survive; the job closure is what the

@@ -52,8 +52,10 @@ val fig10 : unit -> spec
 val all : unit -> spec list
 
 (** Build the network, play the schedule, return the series. [trace]
-    and [metrics] arm the run's engine as in {!Runner.run}; export from
-    [result.network.engine] afterwards. *)
+    arms the run's engine as in {!Runner.run}; [metrics] (default
+    [false]) turns {!Sim.Metrics.auto_probes} on before the network is
+    built, so its links, cores and edges register their probes. Export
+    from [result.network.engine] afterwards. *)
 val run : ?seed:int -> ?trace:Sim.Trace.spec -> ?metrics:bool -> spec -> Runner.result
 
 (** [run_all ~domains specs] runs the specs through {!Pool.map} and

@@ -119,22 +119,19 @@ let deploy ~fault scheme ~rng ~network ~flows =
    per simulated second. *)
 let sample_period = 1.
 
-let run ~scheme ~network ?(seed = 42) ?rng ?fault ?trace ?(metrics = false)
-    ?(floors = []) ?(bursty = [])
+let run ~scheme ~network ?(seed = 42) ?rng ?fault ?trace ?(floors = []) ?(bursty = [])
     ?(burst_distribution = Net.Onoff.Exponential) ~schedule ~duration () =
   if not (Float.is_finite duration && duration > 0.) then
     invalid_arg "Runner.run: duration must be positive and finite";
   let engine = network.Network.engine in
-  (* Arm observability before the deployment is built so construction-
-     time events (initial rate updates at the first Start) are caught.
-     Recording is a pure observer: with [trace]/[metrics] omitted every
-     instrumentation site stays behind a false guard and the run is
-     byte-identical to an untraced one. *)
+  (* Arm tracing before the deployment is built so construction-time
+     events (initial rate updates at the first Start) are caught.
+     Recording is a pure observer: with [trace] omitted every recording
+     site stays behind a false guard and the run is byte-identical to
+     an untraced one. *)
   (match trace with
   | Some spec -> Sim.Trace.apply (Sim.Engine.trace engine) spec
   | None -> ());
-  let registry = Sim.Engine.metrics engine in
-  if metrics then Sim.Metrics.set_enabled registry true;
   let rng = match rng with Some r -> r | None -> Sim.Rng.create seed in
   (* The injector draws only from the plan's own (seed, label)-derived
      substreams, so wiring it here perturbs nothing: with [fault]
@@ -158,7 +155,7 @@ let run ~scheme ~network ?(seed = 42) ?rng ?fault ?trace ?(metrics = false)
         | Start id -> fun () -> driver.start_flow id
         | Stop id -> fun () -> driver.stop_flow id
       in
-      ignore (Sim.Engine.schedule_at engine ~time act))
+      Sim.Engine.schedule_at engine ~time act)
     schedule;
   let ids = List.map (fun f -> f.Net.Flow.id) network.Network.flows in
   let agents = List.map (fun id -> (id, driver.agent id)) ids in
@@ -169,29 +166,24 @@ let run ~scheme ~network ?(seed = 42) ?rng ?fault ?trace ?(metrics = false)
            ~distribution:burst_distribution ~on_mean ~off_mean
            (fun on -> set_backlogged (List.assoc id agents) on)))
     bursty;
-  let series name = List.map (fun id -> (id, Sim.Timeseries.create ~name:(Printf.sprintf "%s%d" name id) ())) ids in
-  let rates = series "rate-flow" in
-  let goodputs = series "goodput-flow" in
-  let cumulatives = series "cumulative-flow" in
+  let series () = List.map (fun id -> (id, Sim.Timeseries.create ())) ids in
+  let rates = series () in
+  let goodputs = series () in
+  let cumulatives = series () in
   let previous_delivered = Hashtbl.create 32 in
   List.iter (fun id -> Hashtbl.replace previous_delivered id 0) ids;
+  let registry = Sim.Engine.metrics engine in
   let m_samples =
-    if Sim.Metrics.enabled registry then
-      Some
-        (Sim.Metrics.counter registry "runner.samples"
-           ~help:"sampling ticks taken, one per sample_period")
-    else None
+    Sim.Metrics.counter registry "runner.samples"
+      ~help:"sampling ticks taken, one per sample_period"
   in
   let m_goodput =
-    if Sim.Metrics.enabled registry then
-      Some
-        (Sim.Metrics.histogram registry "runner.goodput"
-           ~help:"per-flow goodput samples, pkt/s, across all flows")
-    else None
+    Sim.Metrics.histogram registry "runner.goodput"
+      ~help:"per-flow goodput samples, pkt/s, across all flows"
   in
   let sample () =
     let now = Sim.Engine.now engine in
-    (match m_samples with Some c -> Sim.Metrics.incr c | None -> ());
+    Sim.Metrics.incr m_samples;
     List.iter
       (fun (id, agent) ->
         Sim.Timeseries.add (List.assoc id rates) now (rate agent);
@@ -199,9 +191,7 @@ let run ~scheme ~network ?(seed = 42) ?rng ?fault ?trace ?(metrics = false)
         let before = Hashtbl.find previous_delivered id in
         Hashtbl.replace previous_delivered id total;
         let goodput = float_of_int (total - before) /. sample_period in
-        (match m_goodput with
-        | Some h -> Sim.Metrics.observe h goodput
-        | None -> ());
+        Sim.Metrics.observe m_goodput goodput;
         Sim.Timeseries.add (List.assoc id goodputs) now goodput;
         Sim.Timeseries.add (List.assoc id cumulatives) now (float_of_int total))
       agents

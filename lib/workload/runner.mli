@@ -118,12 +118,13 @@ type result = {
     simulated past.
 
     [trace] arms the network engine's {!Sim.Trace} with the given spec
-    before the deployment is built; [metrics] enables the engine's
-    {!Sim.Metrics} registry (component probes register either way, but
-    the runner's own push instruments — [runner.samples],
-    [runner.goodput] — exist only when enabled). Both are pure
-    observers: omitting them leaves the run byte-identical. Export what
-    they captured from [result.network.engine] after the run. *)
+    before the deployment is built; it is a pure observer: omitting it
+    leaves the run byte-identical. The runner's own instruments —
+    [runner.samples], [runner.goodput] — register in the engine's
+    {!Sim.Metrics} registry on every run, beside the component probes
+    the network registered while {!Sim.Metrics.auto_probes} was on.
+    Export what they captured from [result.network.engine] after the
+    run. *)
 val run :
   scheme:scheme ->
   network:Network.t ->
@@ -131,7 +132,6 @@ val run :
   ?rng:Sim.Rng.t ->
   ?fault:Sim.Faultplan.t ->
   ?trace:Sim.Trace.spec ->
-  ?metrics:bool ->
   ?floors:(int * float) list ->
   ?bursty:(int * float * float) list ->
   ?burst_distribution:Net.Onoff.distribution ->

@@ -72,11 +72,6 @@ let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
     Topo.Flows.generate ~seed ~label:(label ^ "/flows") ~graph ~n:n_flows
       ~max_weight ()
   in
-  (* At 10^5 flows and 10^4 links, auto-registered per-flow and
-     per-link probes are pure overhead: no sampler reads them here. *)
-  let metrics = Sim.Engine.metrics engine in
-  let auto_was = Sim.Metrics.auto_probes metrics in
-  Sim.Metrics.set_auto_probes metrics false;
   (match trace with
   | Some spec -> Sim.Trace.apply (Sim.Engine.trace engine) spec
   | None -> ());
@@ -117,17 +112,15 @@ let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
   let events0 = Sim.Engine.executed engine in
   List.iter (fun flow -> ignore (driver.add_flow ~size:0 flow)) network.Network.flows;
   if n_ended > 0 then
-    ignore
-      (Sim.Engine.schedule_at engine ~time:(t0 +. end_at) (fun () ->
-           for id = 1 to n_ended do
-             capture id;
-             driver.end_flow id
-           done));
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(t0 +. measure_from) (fun () ->
-         for id = n_ended + 1 to n_flows do
-           base_delivered.(id) <- Runner.delivered (driver.agent id)
-         done));
+    Sim.Engine.schedule_at engine ~time:(t0 +. end_at) (fun () ->
+        for id = 1 to n_ended do
+          capture id;
+          driver.end_flow id
+        done);
+  Sim.Engine.schedule_at engine ~time:(t0 +. measure_from) (fun () ->
+      for id = n_ended + 1 to n_flows do
+        base_delivered.(id) <- Runner.delivered (driver.agent id)
+      done);
   Sim.Engine.run_until engine (t0 +. duration);
   let live_at_end = driver.live_flows () in
   let drops = driver.total_drops () in
@@ -135,7 +128,6 @@ let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
     capture id;
     driver.end_flow id
   done;
-  Sim.Metrics.set_auto_probes metrics auto_was;
   let events = Sim.Engine.executed engine - events0 in
   let window = duration -. measure_from in
   let measured = n_flows - n_ended in

@@ -6,9 +6,9 @@
     optional early retirement of a flow prefix, retirement of every
     survivor at the end — so the {!Sim.Invariant} flow ledger balances),
     and aggregates results {e streaming}: three flat int arrays of
-    per-flow counters, no per-flow timeseries and no per-flow metric
-    probes (auto probe registration is suspended for the build and
-    restored afterwards). Equal [(seed, label)] arguments reproduce the
+    per-flow counters and no per-flow timeseries; like any build, it
+    registers metric probes only if {!Sim.Metrics.auto_probes} is on
+    (off by default). Equal [(seed, label)] arguments reproduce the
     run byte-identically, serial or pooled. *)
 
 type scheme = Corelite | Csfq | Drr

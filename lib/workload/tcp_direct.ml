@@ -25,11 +25,10 @@ let build ?(csfq_params = Csfq.Params.default) ?(attach_csfq = false) ~network (
         let ack_delay = Net.Topology.path_delay topology flow.Net.Flow.path in
         let sender_cell = ref None in
         let send_ack ackno =
-          ignore
-            (Sim.Engine.schedule engine ~delay:ack_delay (fun () ->
-                 match !sender_cell with
-                 | Some sender -> Net.Tcp.Sender.ack sender ackno
-                 | None -> ()))
+          Sim.Engine.schedule engine ~delay:ack_delay (fun () ->
+              match !sender_cell with
+              | Some sender -> Net.Tcp.Sender.ack sender ackno
+              | None -> ())
         in
         let receiver = Net.Tcp.Receiver.create ~send_ack in
         Net.Topology.set_flow_sink topology ~flow:flow_id (fun pkt ->

@@ -38,11 +38,10 @@ let build ~network ~micro_flows () =
            receiver -> ack channel -> sender -> transmit -> aggregate. *)
         let sender_cell = ref None in
         let send_ack ackno =
-          ignore
-            (Sim.Engine.schedule engine ~delay:ack_delay (fun () ->
-                 match !sender_cell with
-                 | Some sender -> Net.Tcp.Sender.ack sender ackno
-                 | None -> ()))
+          Sim.Engine.schedule engine ~delay:ack_delay (fun () ->
+              match !sender_cell with
+              | Some sender -> Net.Tcp.Sender.ack sender ackno
+              | None -> ())
         in
         let receiver = Net.Tcp.Receiver.create ~send_ack in
         let transmit pkt =

@@ -89,7 +89,7 @@ let inject engine link ~rate ~label ~until =
         let pkt = labelled ~id:!seq ~created:(Sim.Engine.now engine) label in
         Net.Link.send link pkt)
   in
-  ignore (Sim.Engine.schedule_at engine ~time:until (fun () -> Sim.Engine.cancel h))
+  Sim.Engine.schedule_at engine ~time:until (fun () -> Sim.Engine.cancel h)
 
 let test_core_alpha_unset_initially () =
   let _, _, core, _ = core_fixture () in

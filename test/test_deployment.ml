@@ -359,6 +359,51 @@ let test_csv_empty_series () =
 (* Audit every runtime invariant (Sim.Invariant) in all suites. *)
 let () = Sim.Invariant.set_default true
 
+(* ------------------------------------------------------------------ *)
+(* Metrics probes *)
+
+let probe_rows ~prefix engine =
+  List.length
+    (List.filter
+       (fun r -> String.starts_with ~prefix r.Sim.Metrics.name)
+       (Sim.Metrics.rows (Sim.Engine.metrics engine)))
+
+(* Links and cores register their probes at construction, and only
+   while the registry's switch is on: a fresh engine builds none, and
+   turning the switch on before the build registers five rows per
+   link, five per Corelite core and two per CSFQ core. *)
+let test_link_and_core_probes_follow_switch () =
+  let build ~on scheme =
+    let engine = Sim.Engine.create () in
+    if on then Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) true;
+    let network = Workload.Network.single_bottleneck ~engine ~weights:(fun _ -> 1.) 2 in
+    ignore
+      (Workload.Runner.deploy ~fault:None scheme ~rng:(Sim.Rng.create 1) ~network ~flows:[]);
+    (engine, network)
+  in
+  let check engine ~links ~corelite_cores ~csfq_cores what =
+    Alcotest.(check (list int))
+      (what ^ ": link, corelite.core and csfq.core rows")
+      [ links; corelite_cores; csfq_cores ]
+      (List.map
+         (fun prefix -> probe_rows ~prefix engine)
+         [ "link."; "corelite.core."; "csfq.core." ])
+  in
+  let corelite = Workload.Runner.Corelite Corelite.Params.default
+  and csfq = Workload.Runner.Csfq Csfq.Params.default in
+  let engine, network = build ~on:false corelite in
+  check engine ~links:0 ~corelite_cores:0 ~csfq_cores:0 "corelite, fresh engine";
+  let engine, _ = build ~on:false csfq in
+  check engine ~links:0 ~corelite_cores:0 ~csfq_cores:0 "csfq, fresh engine";
+  let links = List.length (Net.Topology.links network.Workload.Network.topology) in
+  let cores = List.length network.Workload.Network.core_links in
+  let engine, _ = build ~on:true corelite in
+  check engine ~links:(5 * links) ~corelite_cores:(5 * cores) ~csfq_cores:0
+    "corelite, switch on";
+  let engine, _ = build ~on:true csfq in
+  check engine ~links:(5 * links) ~corelite_cores:0 ~csfq_cores:(2 * cores)
+    "csfq, switch on"
+
 let () =
   Alcotest.run "deployment"
     [
@@ -398,6 +443,11 @@ let () =
         ] );
       ( "figures_helpers",
         [ Alcotest.test_case "restart recovery" `Slow test_restart_recovery ] );
+      ( "probes",
+        [
+          Alcotest.test_case "link and core probes follow the switch" `Quick
+            test_link_and_core_probes_follow_switch;
+        ] );
       ( "csv",
         [
           Alcotest.test_case "uneven series" `Quick test_csv_uneven_series_truncated;

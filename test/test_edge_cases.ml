@@ -25,11 +25,10 @@ let test_engine_cancel_recurring_during_tick () =
 let test_engine_zero_delay_event () =
   let e = Sim.Engine.create () in
   let log = ref [] in
-  ignore
-    (Sim.Engine.schedule e ~delay:1. (fun () ->
-         log := "outer" :: !log;
-         ignore (Sim.Engine.schedule e ~delay:0. (fun () -> log := "inner" :: !log));
-         log := "outer-end" :: !log));
+  Sim.Engine.schedule e ~delay:1. (fun () ->
+      log := "outer" :: !log;
+      Sim.Engine.schedule e ~delay:0. (fun () -> log := "inner" :: !log);
+      log := "outer-end" :: !log);
   Sim.Engine.run e;
   (* The zero-delay event runs after the current event completes. *)
   Alcotest.(check (list string)) "order" [ "outer"; "outer-end"; "inner" ]
@@ -39,20 +38,27 @@ let test_engine_zero_delay_event () =
 let test_engine_run_until_exact_boundary () =
   let e = Sim.Engine.create () in
   let fired = ref 0 in
-  ignore (Sim.Engine.schedule_at e ~time:5. (fun () -> incr fired));
+  Sim.Engine.schedule_at e ~time:5. (fun () -> incr fired);
   Sim.Engine.run_until e 5.;
   Alcotest.(check int) "inclusive boundary" 1 !fired
 
+(* A hundred recurrences, one first firing each before their period
+   comes round; cancelling every other one before the run leaves half
+   to fire, and cancelling the rest lets the queue drain. *)
 let test_engine_many_cancellations () =
   let e = Sim.Engine.create () in
   let fired = ref 0 in
   let handles =
     List.init 100 (fun i ->
-        Sim.Engine.schedule e ~delay:(float_of_int i +. 1.) (fun () -> incr fired))
+        Sim.Engine.every e ~start:(float_of_int i +. 1.) ~period:1000. (fun () ->
+            incr fired))
   in
   List.iteri (fun i h -> if i mod 2 = 0 then Sim.Engine.cancel h) handles;
+  Sim.Engine.run_until e 500.;
+  Alcotest.(check int) "half fired" 50 !fired;
+  List.iter Sim.Engine.cancel handles;
   Sim.Engine.run e;
-  Alcotest.(check int) "half fired" 50 !fired
+  Alcotest.(check int) "no firing after cancel" 50 !fired
 
 (* ------------------------------------------------------------------ *)
 (* Source boundary behaviour *)

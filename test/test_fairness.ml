@@ -643,7 +643,7 @@ let test_utilization () =
 (* Windowed fairness (churn extension) *)
 
 let series_of samples =
-  let ts = Sim.Timeseries.create ~name:"w" () in
+  let ts = Sim.Timeseries.create () in
   List.iter (fun (t, v) -> Sim.Timeseries.add ts t v) samples;
   ts
 

@@ -12,11 +12,9 @@ let build_chained ?(backpressure = true) () =
 
 let steady_goodput engine chain ~flow ~from ~until =
   let before = ref 0 in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:from (fun () ->
-         before := Workload.Multi_cloud.delivered chain ~flow));
-  ignore
-    (Sim.Engine.schedule_at engine ~time:until (fun () -> ()));
+  Sim.Engine.schedule_at engine ~time:from (fun () ->
+      before := Workload.Multi_cloud.delivered chain ~flow);
+  Sim.Engine.schedule_at engine ~time:until (fun () -> ());
   fun () ->
     float_of_int (Workload.Multi_cloud.delivered chain ~flow - !before)
     /. (until -. from)

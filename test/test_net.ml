@@ -543,13 +543,11 @@ let test_link_down_purges_and_recovers () =
   for i = 1 to 5 do
     Net.Link.send link (mk_packet ~id:i ())
   done;
-  ignore
-    (Sim.Engine.schedule_at engine ~time:1.5 (fun () -> Net.Link.set_up link false));
-  ignore
-    (Sim.Engine.schedule_at engine ~time:3.0 (fun () ->
-         Net.Link.set_up link true;
-         Net.Link.send link (mk_packet ~id:6 ());
-         Net.Link.send link (mk_packet ~id:7 ())));
+  Sim.Engine.schedule_at engine ~time:1.5 (fun () -> Net.Link.set_up link false);
+  Sim.Engine.schedule_at engine ~time:3.0 (fun () ->
+      Net.Link.set_up link true;
+      Net.Link.send link (mk_packet ~id:6 ());
+      Net.Link.send link (mk_packet ~id:7 ()));
   Sim.Engine.run engine;
   Alcotest.(check (list int)) "survivors in order" [ 1; 6; 7 ] (List.rev !delivered);
   Alcotest.(check bool) "all losses are Down" true
@@ -576,12 +574,11 @@ let test_link_reset_purges_but_stays_up () =
   for i = 1 to 4 do
     Net.Link.send link (mk_packet ~id:i ())
   done;
-  ignore
-    (Sim.Engine.schedule_at engine ~time:1.5 (fun () ->
-         Net.Link.reset link;
-         Alcotest.(check bool) "up across reset" true (Net.Link.is_up link);
-         (* A reset link is a working link, immediately. *)
-         Net.Link.send link (mk_packet ~id:9 ())));
+  Sim.Engine.schedule_at engine ~time:1.5 (fun () ->
+      Net.Link.reset link;
+      Alcotest.(check bool) "up across reset" true (Net.Link.is_up link);
+      (* A reset link is a working link, immediately. *)
+      Net.Link.send link (mk_packet ~id:9 ()));
   Sim.Engine.run engine;
   Alcotest.(check (list int)) "first and post-reset packets" [ 1; 9 ]
     (List.rev !delivered);
@@ -920,11 +917,10 @@ let test_probe_tracks_throughput_and_queue () =
   let probe = Net.Probe.attach ~engine ~period:1. link in
   (* Send at t = 0.5 so departures (1.5, 2.5, 3.5, 4.5) fall strictly
      between the probe's whole-second samples. *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:0.5 (fun () ->
-         for i = 1 to 4 do
-           Net.Link.send link (mk_packet ~id:i ())
-         done));
+  Sim.Engine.schedule engine ~delay:0.5 (fun () ->
+      for i = 1 to 4 do
+        Net.Link.send link (mk_packet ~id:i ())
+      done);
   Sim.Engine.run_until engine 6.;
   let throughput = Sim.Timeseries.to_array (Net.Probe.throughput_series probe) in
   (* Samples at 2..5 s each saw one departure. *)
@@ -1056,7 +1052,7 @@ let test_source_decrease_on_feedback () =
       ~collect ()
   in
   Net.Source.start src;
-  ignore (Sim.Engine.schedule engine ~delay:0.4 (fun () -> pending := 5));
+  Sim.Engine.schedule engine ~delay:0.4 (fun () -> pending := 5);
   Sim.Engine.run_until engine 0.55;
   (* One epoch with m = 5: 40 - 5*beta = 35. *)
   check_float "beta decrease" 35. (Net.Source.rate src)
@@ -1081,7 +1077,7 @@ let test_source_floor_clamps_decrease () =
     Net.Source.create ~engine ~params ~emit:(fun ~now:_ -> ()) ~collect ()
   in
   Net.Source.start src;
-  ignore (Sim.Engine.schedule engine ~delay:0.4 (fun () -> pending := 100));
+  Sim.Engine.schedule engine ~delay:0.4 (fun () -> pending := 100);
   Sim.Engine.run_until engine 0.55;
   check_float "clamped to contract floor" 30. (Net.Source.rate src)
 
@@ -1257,7 +1253,7 @@ module Every_source = struct
 
   let schedule_pace t =
     t.pacing_pending <- t.pacing_pending + 1;
-    Sim.Engine.schedule_unit t.engine ~delay:(1. /. Float.max t.rate 1e-6) t.pace_ev
+    Sim.Engine.schedule t.engine ~delay:(1. /. Float.max t.rate 1e-6) t.pace_ev
 
   let emit_one t = if t.active then t.emitted <- t.emitted + 1
 
@@ -1373,14 +1369,13 @@ let drive_source ~start ~stop ~signal ~set_active ~emitted engine pending ops =
   Sim.Trace.enable ~capacity:4096 ~kinds:[ Sim.Trace.Rate_update ] (Sim.Engine.trace engine);
   List.iter
     (fun (k, op) ->
-      ignore
-        (Sim.Engine.schedule_at engine ~time:(tick *. float_of_int k) (fun () ->
-             match op with
-             | Start -> start ()
-             | Stop -> stop ()
-             | Signal -> signal ()
-             | Active b -> set_active b
-             | Feedback n -> pending := !pending + n)))
+      Sim.Engine.schedule_at engine ~time:(tick *. float_of_int k) (fun () ->
+          match op with
+          | Start -> start ()
+          | Stop -> stop ()
+          | Signal -> signal ()
+          | Active b -> set_active b
+          | Feedback n -> pending := !pending + n))
     ((0, Start) :: ops);
   Sim.Engine.run_until engine horizon;
   let records = ref [] in

@@ -155,13 +155,18 @@ let test_flow_id_reuse_after_expiry () =
     true
     (Corelite.Edge.sent (Corelite.Deployment.agent d 1) > 0)
 
-(* Scale.run suspends auto probe registration for the build and must
-   hand the engine back with it on. *)
-let test_auto_probes_restored () =
+(* The probe switch is off by default, so a scale run on a fresh engine
+   builds no per-flow or per-link probe and leaves the switch as it
+   found it. *)
+let test_default_run_registers_no_probes () =
   let engine = Sim.Engine.create () in
   ignore (quick_run ~engine ~label:"scale/probes" ~n_flows:50 ~duration:2. ());
-  Alcotest.(check bool) "auto probes restored after the run" true
-    (Sim.Metrics.auto_probes (Sim.Engine.metrics engine))
+  let m = Sim.Engine.metrics engine in
+  Alcotest.(check (list string)) "no probe rows" []
+    (List.filter_map
+       (fun r -> if r.Sim.Metrics.kind = "probe" then Some r.Sim.Metrics.name else None)
+       (Sim.Metrics.rows m));
+  Alcotest.(check bool) "switch still off" false (Sim.Metrics.auto_probes m)
 
 (* ---- per-flow memory budget ---- *)
 
@@ -176,7 +181,6 @@ let bytes_per_add_flow scheme =
   let pop =
     Topo.Flows.generate ~seed:42 ~label:"scale/memory" ~graph ~n:1_000 ~max_weight:4 ()
   in
-  Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) false;
   let network =
     Workload.Network.of_topo ~engine ~delay:0.002 ~queue_capacity:40 ~graph ~fib ~flows:pop
       ()
@@ -224,13 +228,12 @@ let test_add_flow_memory_budget () =
    the link with its queue, the forwarding rows and ports, the core
    with its selector and epoch timer. The graph, its FIB and the flow
    population are built before the first reading; auto-probes are off,
-   as [Scale.run] turns them off at scale. *)
+   as on any engine by default. *)
 let bytes_per_link () =
   let engine = Sim.Engine.create () in
   let graph = Topo.Fattree.build 8 in
   let fib = Topo.Fib.compute graph in
   let pop = Topo.Flows.generate ~seed:42 ~label:"scale/link-memory" ~graph ~n:1 () in
-  Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) false;
   let live () =
     Gc.full_major ();
     (Gc.quick_stat ()).Gc.live_words
@@ -286,7 +289,6 @@ let check_pool_ledger ~label ~scheme ~n_flows ~duration ~end_fraction =
   let graph = Topo.Fattree.build 4 in
   let fib = Topo.Fib.compute graph in
   let pop = Topo.Flows.generate ~seed:42 ~label ~graph ~n:n_flows ~max_weight:4 () in
-  Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) false;
   let network =
     Workload.Network.of_topo ~engine ~delay:0.002 ~queue_capacity:40 ~graph ~fib ~flows:pop
       ()
@@ -398,8 +400,8 @@ let () =
           Alcotest.test_case "flow id reuse after expire_idle" `Quick
             test_flow_id_reuse_after_expiry;
           Alcotest.test_case "rejects bad duration" `Quick test_rejects_bad_duration;
-          Alcotest.test_case "auto probes restored after the run" `Quick
-            test_auto_probes_restored;
+          Alcotest.test_case "default run registers no probes" `Quick
+            test_default_run_registers_no_probes;
         ] );
       ( "flowtable",
         [ Alcotest.test_case "growth past capacity" `Quick test_flowtable_growth ] );

@@ -25,11 +25,10 @@ let make_harness ?(params = Net.Tcp.default_params) ?(delay = 0.05) () =
   let drop_until = ref 0. in
   let sender_cell = ref None in
   let send_ack ackno =
-    ignore
-      (Sim.Engine.schedule engine ~delay (fun () ->
-           match !sender_cell with
-           | Some s -> Net.Tcp.Sender.ack s ackno
-           | None -> ()))
+    Sim.Engine.schedule engine ~delay (fun () ->
+        match !sender_cell with
+        | Some s -> Net.Tcp.Sender.ack s ackno
+        | None -> ())
   in
   let receiver = Net.Tcp.Receiver.create ~send_ack in
   let transmit pkt =
@@ -40,9 +39,8 @@ let make_harness ?(params = Net.Tcp.default_params) ?(delay = 0.05) () =
     drop_next := false;
     drop_seqs := List.filter (fun s -> s <> seq) !drop_seqs;
     if not dropped then
-      ignore
-        (Sim.Engine.schedule engine ~delay (fun () ->
-             Net.Tcp.Receiver.receive receiver pkt))
+      Sim.Engine.schedule engine ~delay (fun () ->
+          Net.Tcp.Receiver.receive receiver pkt)
   in
   let sender = Net.Tcp.Sender.create ~engine ~params ~flow:1 ~micro:1 ~transmit () in
   sender_cell := Some sender;
@@ -53,18 +51,16 @@ let test_tcp_in_order_transfer () =
   let sender_cell = ref None in
   let receiver =
     Net.Tcp.Receiver.create ~send_ack:(fun ackno ->
-        ignore
-          (Sim.Engine.schedule engine ~delay:0.05 (fun () ->
-               match !sender_cell with
-               | Some s -> Net.Tcp.Sender.ack s ackno
-               | None -> ())))
+        Sim.Engine.schedule engine ~delay:0.05 (fun () ->
+            match !sender_cell with
+            | Some s -> Net.Tcp.Sender.ack s ackno
+            | None -> ()))
   in
   let sender =
     Net.Tcp.Sender.create ~engine ~flow:1 ~micro:1
       ~transmit:(fun pkt ->
-        ignore
-          (Sim.Engine.schedule engine ~delay:0.05 (fun () ->
-               Net.Tcp.Receiver.receive receiver pkt)))
+        Sim.Engine.schedule engine ~delay:0.05 (fun () ->
+            Net.Tcp.Receiver.receive receiver pkt))
       ()
   in
   sender_cell := Some sender;
@@ -86,18 +82,16 @@ let test_tcp_slow_start_then_avoidance () =
   let sender_cell = ref None in
   let receiver =
     Net.Tcp.Receiver.create ~send_ack:(fun ackno ->
-        ignore
-          (Sim.Engine.schedule engine ~delay:0.05 (fun () ->
-               match !sender_cell with
-               | Some s -> Net.Tcp.Sender.ack s ackno
-               | None -> ())))
+        Sim.Engine.schedule engine ~delay:0.05 (fun () ->
+            match !sender_cell with
+            | Some s -> Net.Tcp.Sender.ack s ackno
+            | None -> ()))
   in
   let sender =
     Net.Tcp.Sender.create ~engine ~flow:1 ~micro:1
       ~transmit:(fun pkt ->
-        ignore
-          (Sim.Engine.schedule engine ~delay:0.05 (fun () ->
-               Net.Tcp.Receiver.receive receiver pkt)))
+        Sim.Engine.schedule engine ~delay:0.05 (fun () ->
+            Net.Tcp.Receiver.receive receiver pkt))
       ()
   in
   sender_cell := Some sender;

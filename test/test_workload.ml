@@ -718,6 +718,7 @@ let prop_csv_row_roundtrips =
 
 let test_csv_of_metrics_roundtrip () =
   let m = Sim.Metrics.create () in
+  Sim.Metrics.set_auto_probes m true;
   let c = Sim.Metrics.counter ~help:"arrivals, including dropped ones" m "arrivals" in
   Sim.Metrics.add c 41;
   Sim.Metrics.probe ~help:"queue depth \"now\"" m "queue" (fun () -> 3.5);
