@@ -45,8 +45,7 @@ let markers_seen t = t.markers_seen
 let[@corelite.hot] emit t marker =
   t.feedback_sent <- t.feedback_sent + 1;
   if Sim.Trace.want t.trace Sim.Trace.Feedback_emit then
-    Sim.Trace.record t.trace
-      ~time:(Sim.Engine.now t.link.Net.Link.engine)
+    Sim.Trace.record t.trace ~time:t.link.Net.Link.clock.Sim.Engine.time
       Sim.Trace.Feedback_emit ~a:t.link.Net.Link.id
       ~b:marker.Net.Packet.flow_id ~x:marker.Net.Packet.normalized_rate ~y:0.;
   t.send_feedback marker
@@ -54,8 +53,7 @@ let[@corelite.hot] emit t marker =
 let[@corelite.hot] note_marker t pkt =
   t.markers_seen <- t.markers_seen + 1;
   if Sim.Trace.want t.trace Sim.Trace.Marker_seen then
-    Sim.Trace.record t.trace
-      ~time:(Sim.Engine.now t.link.Net.Link.engine)
+    Sim.Trace.record t.trace ~time:t.link.Net.Link.clock.Sim.Engine.time
       Sim.Trace.Marker_seen ~a:t.link.Net.Link.id
       ~b:pkt.Net.Packet.marker_flow ~x:pkt.Net.Packet.floats.rate ~y:0.
 
@@ -79,6 +77,7 @@ let[@corelite.hot] on_stateless_marker t sel pkt =
           t.link.Net.Link.name copies
           (Stateless_selector.pw sel)
           (int_of_float (Stateless_selector.pw sel) + 1))
+      (* lint: alloc-ok -- the audit's bound, read only with the auditor on *)
       (copies >= 0 && copies <= int_of_float (Stateless_selector.pw sel) + 1);
   if copies > 0 then
     match Net.Packet.marker pkt with

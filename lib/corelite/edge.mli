@@ -24,7 +24,14 @@ type t
     {!Aggregate}): each pacing slot takes one packet from [supply];
     [None] leaves the slot unused. [deliver] is invoked for every
     packet arriving at the egress (e.g. to demultiplex micro-flows to
-    their receivers). *)
+    their receivers).
+
+    The agent holds its {!Net.Source.t}, built here before the agent
+    and connected to it once ({!Net.Source.set_hooks}). A packet reads
+    only the agent, its source's float block and an all-float block of
+    the flow's weight and floor; the ids it needs (the flow's, the
+    ingress node's) are cached ints, so no packet reads the
+    {!Net.Flow.t}. *)
 val create :
   params:Params.t ->
   topology:Net.Topology.t ->
@@ -35,8 +42,6 @@ val create :
   ?deliver:(Net.Packet.t -> unit) ->
   unit ->
   t
-
-val flow : t -> Net.Flow.t
 
 (** The scheme parameters this agent was built with. *)
 val params : t -> Params.t
@@ -80,7 +85,9 @@ val receive_feedback : t -> link_id:int -> Net.Packet.marker -> unit
     names a real link of a positive flow id. *)
 val handoff_link : t -> int
 
-(** Data packets delivered end-to-end to this flow's egress. *)
+(** Data packets delivered end-to-end to this flow's egress, the
+    consumed ones included: the delay statistics' count, so a delivery
+    updates the statistics alone. *)
 val delivered : t -> int
 
 (** Mean end-to-end delay of delivered packets, seconds ([0.] before
@@ -92,9 +99,11 @@ val mean_delay : t -> float
 (** Data packets sent, markers attached, feedback markers received. *)
 val sent : t -> int
 
-(** Simulation time of this agent's most recent packet emission
-    (creation time before any packet). Drives soft-state expiry: a
-    dynamic deployment ages out agents idle past a timeout. *)
+(** Simulation time at which this agent's last packet left, supplied
+    ones included ({!Net.Source.last_sent}; creation time before any
+    packet). A pacing slot whose [supply] is empty leaves it alone.
+    Drives soft-state expiry: a dynamic deployment ages out agents idle
+    past a timeout. *)
 val last_activity : t -> float
 
 val markers_attached : t -> int

@@ -19,6 +19,7 @@ type floats = {
 type t = {
   params : Params.t;
   link : Net.Link.t;
+  clock : Sim.Engine.clock;
   trace : Sim.Trace.t;
   rng : Sim.Rng.t;
   capacity : float;  (* pkt/s *)
@@ -47,11 +48,13 @@ let set_alpha t ~now v =
       ~a:t.link.Net.Link.id ~b:0 ~x:v ~y:0.
 
 (* Fair-share update, run on every arrival after the rate estimates
-   (SIGCOMM '98 estimate_alpha). *)
-let estimate_alpha t ~now pkt =
+   (SIGCOMM '98 estimate_alpha). It reads the time and both estimates
+   from flat records, so the arrival path passes it no float. *)
+let estimate_alpha t pkt =
+  let now = t.clock.Sim.Engine.time in
   let label = pkt.Net.Packet.floats.label in
-  let a = Rate_estimator.value t.arrival in
-  let f = Rate_estimator.value t.accepted in
+  let a = t.arrival.Rate_estimator.rate in
+  let f = t.accepted.Rate_estimator.rate in
   let c = t.cell in
   if a >= t.capacity then begin
     if not t.congested then begin
@@ -97,15 +100,21 @@ let estimate_alpha t ~now pkt =
    unboxed in the packet's float block, and passing it as a float
    argument would box it on every arrival. So the relabelling waits
    until [estimate_alpha] has read the arrival label, and applies the
-   fair share that was in force before it ran. *)
-let on_arrival t pkt =
-  let now = Sim.Engine.now t.link.Net.Link.engine in
+   fair share that was in force before it ran. The time comes from the
+   clock view, not a boxed [Engine.now]. *)
+let[@corelite.hot] on_arrival t pkt =
+  let now = t.clock.Sim.Engine.time in
   let label = pkt.Net.Packet.floats.label in
-  ignore (Rate_estimator.update t.arrival ~now ~amount:1.);
+  Rate_estimator.update t.arrival ~now ~amount:1.;
   let had_alpha = t.cell.has_alpha > 0. in
   let alpha_before = t.cell.alpha in
+  (* [Float.max 0.] spelled out, NaN included: the call would box. *)
   let drop_probability =
-    if had_alpha && label > 0. then Float.max 0. (1. -. (alpha_before /. label)) else 0.
+    if had_alpha && label > 0. then begin
+      let p = 1. -. (alpha_before /. label) in
+      if p > 0. || Float.is_nan p then p else 0.
+    end
+    else 0.
   in
   let verdict =
     if Sim.Rng.bernoulli t.rng drop_probability then begin
@@ -113,11 +122,11 @@ let on_arrival t pkt =
       Net.Link.Drop
     end
     else begin
-      ignore (Rate_estimator.update t.accepted ~now ~amount:1.);
+      Rate_estimator.update t.accepted ~now ~amount:1.;
       Net.Link.Pass
     end
   in
-  estimate_alpha t ~now pkt;
+  estimate_alpha t pkt;
   (match verdict with
   | Net.Link.Pass when had_alpha && label > alpha_before ->
     pkt.Net.Packet.floats.label <- alpha_before
@@ -126,8 +135,7 @@ let on_arrival t pkt =
 
 let note_overflow t =
   if t.cell.has_alpha > 0. then
-    set_alpha t
-      ~now:(Sim.Engine.now t.link.Net.Link.engine)
+    set_alpha t ~now:t.clock.Sim.Engine.time
       (t.cell.alpha *. t.params.Params.overflow_penalty)
 
 let attach ~params ~rng link =
@@ -137,6 +145,7 @@ let attach ~params ~rng link =
     {
       params;
       link;
+      clock = Sim.Engine.clock link.Net.Link.engine;
       trace = Sim.Engine.trace link.Net.Link.engine;
       rng;
       capacity = Net.Link.capacity_pps link;

@@ -8,7 +8,13 @@
     the source.
 
     Packets come from the topology's pool ({!Net.Topology.pool}); the
-    agent's sink releases each one it delivers. *)
+    agent's sink releases each one it delivers.
+
+    As [Corelite.Edge], the agent holds its {!Net.Source.t}, connected
+    once at creation ({!Net.Source.set_hooks}); a packet reads the
+    agent, its rate estimator and an all-float block of the flow's
+    weight and last label, with the flow id cached as an int, and no
+    {!Net.Flow.t}. *)
 
 type t
 
@@ -20,8 +26,6 @@ val create :
   ?epoch_offset:float ->
   unit ->
   t
-
-val flow : t -> Net.Flow.t
 
 val start : t -> unit
 
@@ -40,6 +44,8 @@ val rate : t -> float
 (** Report a lost packet of this flow (one congestion indication). *)
 val note_loss : t -> unit
 
+(** Data packets delivered to this flow's egress: the delay
+    statistics' count, so a delivery updates the statistics alone. *)
 val delivered : t -> int
 
 (** Mean end-to-end delay of delivered packets, seconds, kept as a
@@ -48,9 +54,10 @@ val mean_delay : t -> float
 
 val sent : t -> int
 
-(** Simulation time of this agent's most recent packet emission
-    (creation time before any packet). Drives soft-state expiry in
-    dynamic deployments, mirroring [Corelite.Edge.last_activity]. *)
+(** Simulation time at which this agent's last packet left
+    ({!Net.Source.last_sent}; creation time before any packet). Drives
+    soft-state expiry in dynamic deployments, mirroring
+    [Corelite.Edge.last_activity]. *)
 val last_activity : t -> float
 
 val losses : t -> int

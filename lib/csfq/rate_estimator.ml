@@ -14,7 +14,7 @@ let create ~k =
   if k <= 0. then invalid_arg "Rate_estimator.create: k must be positive";
   { k; rate = 0.; last = 0.; seen = 0. }
 
-let update t ~now ~amount =
+let[@corelite.hot] update t ~now ~amount =
   if t.seen > 0. then begin
     let gap = now -. t.last in
     if gap <= 1e-12 then t.rate <- t.rate +. (amount /. t.k)
@@ -25,8 +25,7 @@ let update t ~now ~amount =
   end
   else t.rate <- amount /. t.k;
   t.last <- now;
-  t.seen <- 1.;
-  t.rate
+  t.seen <- 1.
 
 let value t = t.rate
 

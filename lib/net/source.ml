@@ -30,21 +30,29 @@ let with_floor params floor =
 
 type phase = Slow_start | Linear
 
-(* All-float cell for the allowed rate (as Engine's clock): a
-   [mutable rate : float] field of the mixed record [t] would box a
-   fresh float at every rate change, and each box would be promoted
-   because the old record [t] points at it. *)
-type rate_cell = { mutable v : float }
+(* All-float cell for the allowed rate and the time the last packet
+   left (as Engine's clock): [mutable] float fields of the mixed record
+   [t] would box a fresh float at every write, and each box would be
+   promoted because the old record [t] points at it. Pacing reads the
+   rate, so stamping the send time here touches no other block. The
+   timer phase rides along, a field here instead of a box of its own. *)
+type floats = {
+  mutable rate : float;
+  mutable last_sent : float;
+  epoch_offset : float;
+}
 
 type t = {
   engine : Sim.Engine.t;
+  clock : Sim.Engine.clock;
   id : int;
   trace : Sim.Trace.t;
   params : params;
-  epoch_offset : float;
-  emit : now:float -> unit;
-  collect : unit -> int;
-  rate : rate_cell;
+  (* The agent's hooks, installed once by [set_hooks] right after the
+     agent is built around this source. *)
+  mutable emit : unit -> bool;
+  mutable collect : unit -> int;
+  floats : floats;
   mutable phase : phase;
   mutable silent : int;  (* consecutive feedback-free epochs (Linear) *)
   mutable running : bool;
@@ -78,20 +86,22 @@ type t = {
    the guard-and-record costs nothing measurable. *)
 let[@corelite.hot] note_rate t =
   if Sim.Trace.want t.trace Sim.Trace.Rate_update then
-    Sim.Trace.record t.trace ~time:(Sim.Engine.now t.engine)
-      Sim.Trace.Rate_update ~a:t.id ~b:0 ~x:t.rate.v
+    Sim.Trace.record t.trace ~time:t.clock.Sim.Engine.time
+      Sim.Trace.Rate_update ~a:t.id ~b:0 ~x:t.floats.rate
       ~y:(match t.phase with Slow_start -> 0. | Linear -> 1.)
 
+(* The send time is stamped only when a packet left: an aggregate
+   whose supply is empty leaves the slot unused and the stamp alone. *)
 let[@corelite.hot] emit_one t =
   if t.active then begin
     t.emitted <- t.emitted + 1;
-    t.emit ~now:(Sim.Engine.now t.engine)
+    if t.emit () then t.floats.last_sent <- t.clock.Sim.Engine.time
   end
 
-(* [Float.max t.rate.v 1e-6] spelled out: the call would box the
+(* [Float.max t.floats.rate 1e-6] spelled out: the call would box the
    unboxed rate once per packet. Same value, NaN included. *)
 let[@corelite.hot] schedule_pace t =
-  let rate = t.rate.v in
+  let rate = t.floats.rate in
   let interval = 1. /. (if rate < 1e-6 then 1e-6 else rate) in
   t.pacing_pending <- t.pacing_pending + 1;
   Sim.Engine.schedule t.engine ~delay:interval t.pace_ev
@@ -103,7 +113,11 @@ let[@corelite.hot] pace t =
     schedule_pace t
   end
 
-let rate t = t.rate.v
+let rate t = t.floats.rate
+
+let floats t = t.floats
+
+let last_sent t = t.floats.last_sent
 
 let phase t = t.phase
 
@@ -118,7 +132,7 @@ let exit_slow_start t =
     (* The halving is the response to any indication received so far;
        flush the pending count so it is not charged again at epoch end. *)
     ignore (t.collect ());
-    t.rate.v <- Float.max (rate_floor t) (t.rate.v /. 2.);
+    t.floats.rate <- Float.max (rate_floor t) (t.floats.rate /. 2.);
     t.phase <- Linear;
     note_rate t
   end
@@ -150,13 +164,14 @@ let on_epoch t =
            feedback arrives well before the threshold and resets the
            count. *)
         if t.params.silence_epochs > 0 && t.silent >= t.params.silence_epochs then
-          t.rate.v <- t.rate.v *. t.params.restore
-        else t.rate.v <- t.rate.v +. t.params.alpha;
+          t.floats.rate <- t.floats.rate *. t.params.restore
+        else t.floats.rate <- t.floats.rate +. t.params.alpha;
         note_rate t
       end
       else begin
         t.silent <- 0;
-        t.rate.v <- Float.max (rate_floor t) (t.rate.v -. (t.params.beta *. float_of_int m));
+        t.floats.rate <-
+          Float.max (rate_floor t) (t.floats.rate -. (t.params.beta *. float_of_int m));
         note_rate t
       end
 
@@ -175,16 +190,20 @@ let epoch_tick t =
 let ss_tick t =
   t.ss_pending <- t.ss_pending - 1;
   if t.running && t.ss_pending = 0 && t.phase = Slow_start then begin
-    t.rate.v <- t.rate.v *. 2.;
+    t.floats.rate <- t.floats.rate *. 2.;
     note_rate t;
-    if t.rate.v > t.params.ss_thresh then exit_slow_start t
+    if t.floats.rate > t.params.ss_thresh then exit_slow_start t
     else begin
       t.ss_pending <- 1;
       Sim.Engine.schedule t.engine ~delay:t.params.ss_period t.ss_ev
     end
   end
 
-let create ~engine ?(id = -1) ?(epoch_offset = 0.) ~params ~emit ~collect () =
+let no_emit () = false
+
+let no_collect () = 0
+
+let create ~engine ?(id = -1) ?(epoch_offset = 0.) ~params () =
   (* Every rate, period and start offset is validated up front: a nan or
      non-positive value would not fail here but silently produce a nan
      pacing schedule (nan compares false against every guard), and the
@@ -217,13 +236,13 @@ let create ~engine ?(id = -1) ?(epoch_offset = 0.) ~params ~emit ~collect () =
   let t =
     {
       engine;
+      clock = Sim.Engine.clock engine;
       id;
       trace = Sim.Engine.trace engine;
       params;
-      epoch_offset;
-      emit;
-      collect;
-      rate = { v = params.initial_rate };
+      emit = no_emit;
+      collect = no_collect;
+      floats = { rate = params.initial_rate; last_sent = Sim.Engine.now engine; epoch_offset };
       phase = Slow_start;
       silent = 0;
       running = false;
@@ -242,6 +261,10 @@ let create ~engine ?(id = -1) ?(epoch_offset = 0.) ~params ~emit ~collect () =
   t.ss_ev <- (fun () -> ss_tick t);
   t
 
+let set_hooks t ~emit ~collect =
+  t.emit <- emit;
+  t.collect <- collect
+
 let set_active t active = t.active <- active
 
 let stop t = t.running <- false
@@ -250,20 +273,20 @@ let start t =
   stop t;
   ignore (t.collect ());
   (* A contracted floor is reserved capacity: the flow starts there. *)
-  t.rate.v <- Float.max t.params.initial_rate t.params.floor;
-  t.phase <- (if t.rate.v >= t.params.ss_thresh then Linear else Slow_start);
+  t.floats.rate <- Float.max t.params.initial_rate t.params.floor;
+  t.phase <- (if t.floats.rate >= t.params.ss_thresh then Linear else Slow_start);
   t.silent <- 0;
   t.running <- true;
   note_rate t;
   let now = Sim.Engine.now t.engine in
   t.epoch_pending <- t.epoch_pending + 1;
   Sim.Engine.schedule_at t.engine
-    ~time:(now +. t.params.epoch +. t.epoch_offset)
+    ~time:(now +. t.params.epoch +. t.floats.epoch_offset)
     t.epoch_ev;
   if t.phase = Slow_start then begin
     t.ss_pending <- t.ss_pending + 1;
     Sim.Engine.schedule_at t.engine
-      ~time:(now +. t.params.ss_period +. t.epoch_offset)
+      ~time:(now +. t.params.ss_period +. t.floats.epoch_offset)
       t.ss_ev
   end;
   emit_one t;

@@ -60,11 +60,8 @@ type phase = Slow_start | Linear
 
 type t
 
-(** [create ~engine ~params ~emit ~collect] builds a stopped source.
-    [emit ~now] must inject exactly one packet (an agent that needs the
-    allowed rate reads {!rate}); [collect ()] must
-    return the number of congestion indications accumulated since the
-    previous call and reset its counter.
+(** [create ~engine ~params ()] builds a stopped source, whose agent
+    installs its hooks with {!set_hooks} before the first {!start}.
 
     [id] (default [-1]) labels this source's [Sim.Trace.Rate_update]
     events; schemes pass the flow id so traces can be joined against
@@ -91,14 +88,17 @@ type t
     otherwise pass every sign check and silently produce a nan pacing
     schedule. *)
 val create :
-  engine:Sim.Engine.t ->
-  ?id:int ->
-  ?epoch_offset:float ->
-  params:params ->
-  emit:(now:float -> unit) ->
-  collect:(unit -> int) ->
-  unit ->
-  t
+  engine:Sim.Engine.t -> ?id:int -> ?epoch_offset:float -> params:params -> unit -> t
+
+(** [set_hooks t ~emit ~collect] connects the source to its agent, once,
+    right after the agent is built around it (a source with no hooks
+    sends nothing and collects nothing). [emit ()] is called in every
+    pacing slot of an active source and must inject at most one packet,
+    at the engine's current time, returning whether one left (an agent
+    that needs the allowed rate reads {!floats}); [collect ()] must
+    return the number of congestion indications accumulated since the
+    previous call and reset its counter. *)
+val set_hooks : t -> emit:(unit -> bool) -> collect:(unit -> int) -> unit
 
 (** (Re)start the source now with fresh adaptation state. A contracted
     [floor] is treated as reserved capacity: the source starts at
@@ -125,8 +125,27 @@ val phase : t -> phase
     nothing. *)
 val signal_congestion : t -> unit
 
-(** Packets emitted since creation (across restarts). *)
+(** Pacing slots an active source offered its agent since creation
+    (across restarts), whether or not a packet left in them. *)
 val emitted : t -> int
+
+(** The source's floats, in one all-float block that a reader loads
+    unboxed: the allowed rate [bg], the time the last packet left and
+    the timer phase [epoch_offset]. A pacing event reads the rate and
+    stamps the time when [emit] reports a packet, so both sit in one
+    block it touches anyway. *)
+type floats = private {
+  mutable rate : float;
+  mutable last_sent : float;
+  epoch_offset : float;
+}
+
+val floats : t -> floats
+
+(** Simulation time at which the last packet left, stamped only when
+    [emit] reports one (the creation time before any): what soft-state
+    expiry ages an agent by. *)
+val last_sent : t -> float
 
 (** Application backlog control (bursty / on-off sources, an extension
     the paper lists as ongoing work). While inactive the source emits

@@ -8,8 +8,9 @@ type t = {
   mutable next_link_id : int;
   mutable next_host : int;  (* next host index [route_paths] hands out *)
   (* Flat flow-id-indexed delivery table: host nodes dispatch arrived
-     packets through here, so egress delivery is one array read. *)
-  mutable flow_sinks : (Packet.t -> unit) option array;
+     packets through here, so egress delivery is one array read and a
+     call of the closure it holds. Empty slots hold [no_sink]. *)
+  mutable flow_sinks : (Packet.t -> unit) array;
   pool : Packet.pool;  (* the packets the edge agents synthesize *)
 }
 
@@ -82,6 +83,11 @@ let path_links t path =
 let path_delay t path =
   List.fold_left (fun acc link -> acc +. link.Link.delay) 0. (path_links t path)
 
+(* The sink of every flow with none installed, inside the table or
+   past its end. *)
+let no_sink pkt =
+  failwith (Printf.sprintf "Topology: no sink installed for flow %d" pkt.Packet.flow)
+
 let set_flow_sink t ~flow sink =
   if flow < 0 then invalid_arg "Topology.set_flow_sink: negative flow id";
   let n = Array.length t.flow_sinks in
@@ -90,21 +96,17 @@ let set_flow_sink t ~flow sink =
     while flow >= !n' do
       n' := 2 * !n'
     done;
-    let grown = Array.make !n' None in
+    let grown = Array.make !n' no_sink in
     Array.blit t.flow_sinks 0 grown 0 n;
     t.flow_sinks <- grown
   end;
-  t.flow_sinks.(flow) <- Some sink
+  t.flow_sinks.(flow) <- sink
 
 let[@corelite.hot] deliver_to_sink t pkt =
   let flow = pkt.Packet.flow in
   let sinks = t.flow_sinks in
-  if flow >= 0 && flow < Array.length sinks then
-    match Array.unsafe_get sinks flow with
-    | Some consume -> consume pkt
-    | None ->
-      failwith (Printf.sprintf "Topology: no sink installed for flow %d" flow)
-  else failwith (Printf.sprintf "Topology: no sink installed for flow %d" flow)
+  if flow >= 0 && flow < Array.length sinks then (Array.unsafe_get sinks flow) pkt
+  else no_sink pkt
 
 let sink_dispatcher t = fun pkt -> deliver_to_sink t pkt
 

@@ -59,11 +59,15 @@ val path_delay : t -> Node.t list -> float
 val route_paths : t -> Node.t list list -> unit
 
 (** [set_flow_sink t ~flow sink] installs (or replaces) the delivery
-    callback for a flow. The table grows on demand.
+    callback for a flow. The table holds the closures themselves, so a
+    delivery reads one slot and calls it; it grows on demand, and its
+    empty slots hold a sink that fails.
     @raise Invalid_argument on a negative flow id. *)
 val set_flow_sink : t -> flow:int -> (Packet.t -> unit) -> unit
 
 (** One shared closure delivering a packet to its flow's registered
     sink — what builders install as every host node's [host_sink].
-    @raise Failure for a flow with no sink installed. *)
+    @raise Failure ["Topology: no sink installed for flow N"] for a
+    flow with no sink installed, whether its id falls inside the table
+    or past its end. *)
 val sink_dispatcher : t -> Packet.t -> unit

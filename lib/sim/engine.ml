@@ -3,11 +3,11 @@ type handle = { mutable cancelled : bool }
 (* The queue payload is the bare action thunk: [schedule]/[schedule_at]
    push the caller's closure as it is, and only [every] wraps its
    action in a closure that consults a handle. *)
-(* The clock lives in its own all-float record: OCaml stores such
-   records flat, so advancing the clock on every step is an unboxed
-   store, where a [mutable clock : float] field in the mixed record
-   below would allocate a fresh box per write. *)
-type clock = { mutable time : float }
+(* The clock is the queue's own all-float cell ({!Event_queue.clock}):
+   popping an event writes its time there, so a step moves no float
+   across the module boundary, and [run_until] advances it with one
+   unboxed store. *)
+type clock = Event_queue.clock = { mutable time : float }
 
 type t = {
   clock : clock;
@@ -20,11 +20,12 @@ type t = {
 }
 
 let create () =
+  let queue = Event_queue.create () in
   {
-    clock = { time = 0. };
+    clock = Event_queue.clock queue;
     seq = 0;
     executed = 0;
-    queue = Event_queue.create ();
+    queue;
     check = Invariant.default ();
     trace = Trace.create ();
     metrics = Metrics.create ();
@@ -51,12 +52,13 @@ let[@inline] [@corelite.hot] push t ~time action =
   t.seq <- t.seq + 1;
   Event_queue.add t.queue ~key:time ~seq:t.seq action
 
-(* An event [delay] after now joins the queue's FIFO lane of [delay]:
-   the clock never goes back, so the lane receives its events in
-   (time, seq) order and only its head occupies the heap. *)
+(* An event [delay] after now joins the queue's FIFO lane of [delay],
+   which keys it on the clock it shares with the engine: the clock
+   never goes back, so the lane receives its events in (time, seq)
+   order and only its head occupies the heap. *)
 let[@inline] [@corelite.hot] push_after t ~delay action =
   t.seq <- t.seq + 1;
-  Event_queue.add_delayed t.queue ~delay ~key:(t.clock.time +. delay) ~seq:t.seq action
+  Event_queue.add_delayed t.queue ~delay ~seq:t.seq action
 
 (* One unboxed comparison rejects a negative, NaN or infinite delay
    and a [now +. delay] that overflows to infinity alike; the message
@@ -97,16 +99,17 @@ let every t ?start ~period action =
 
 let cancel handle = handle.cancelled <- true
 
+(* [pop_exn] moves the clock to the event's time; [before] is an
+   unboxed local, so the audit costs one comparison. *)
 let[@corelite.hot] step t =
   if Event_queue.is_empty t.queue then false
   else begin
-    let time = Event_queue.next_time t.queue in
+    let before = t.clock.time in
     let action = Event_queue.pop_exn t.queue in
     if t.check then
       Invariant.require
         ~what:"Engine: event time behind the clock (time must be monotone)"
-        (time >= t.clock.time);
-    t.clock.time <- time;
+        (t.clock.time >= before);
     t.executed <- t.executed + 1;
     action ();
     true
@@ -114,13 +117,12 @@ let[@corelite.hot] step t =
 
 let[@corelite.hot] run t = while step t do () done
 
-(* [next_time] is [infinity] on an empty queue, so the comparison
-   doubles as the emptiness test; the [&& step t] keeps
-   [run_until t infinity] draining instead of spinning. Top-level so
+(* [due] is [false] on an empty queue, and [limit] arrives boxed, so
+   the test passes it on without boxing anything. Top-level so
    [run_until] allocates nothing — a nested [let rec loop] capturing
    [t] and [limit] would build a closure per call. *)
 let[@corelite.hot] rec drain_until t limit =
-  if Event_queue.next_time t.queue <= limit && step t then drain_until t limit
+  if Event_queue.due t.queue limit && step t then drain_until t limit
 
 let[@corelite.hot] run_until t limit =
   if Float.is_nan limit then invalid_arg "Engine.run_until: limit is NaN";

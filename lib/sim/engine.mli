@@ -33,12 +33,14 @@ val create : unit -> t
 (** Current virtual time in seconds. *)
 val now : t -> float
 
-(** A read-only view of the engine's clock. The clock is an all-float
-    record, so a component that keeps the view reads the time with one
-    unboxed load, while {!now} returns its float boxed whenever the call
-    is not inlined — always in dune's dev profile, which compiles with
-    [-opaque]. *)
-type clock = private { mutable time : float }
+(** A read-only view of the engine's clock: the event queue's own
+    {!Event_queue.clock}, which a step's pop moves to the event's time
+    and {!run_until} advances to its limit. Inside an event it holds
+    that event's time. The clock is an all-float record, so a component
+    that keeps the view reads the time with one unboxed load, while
+    {!now} returns its float boxed whenever the call is not inlined —
+    always in dune's dev profile, which compiles with [-opaque]. *)
+type clock = Event_queue.clock = private { mutable time : float }
 
 val clock : t -> clock
 
@@ -90,7 +92,11 @@ val every : t -> ?start:float -> period:float -> (unit -> unit) -> handle
     re-armed. Cancelling twice is a no-op. *)
 val cancel : handle -> unit
 
-(** Execute the next pending event; returns [false] if none remain. *)
+(** Execute the next pending event; returns [false] if none remain. A
+    step boxes nothing: the queue writes the event's time into the
+    clock, and no float crosses a module boundary.
+    @raise Invariant.Violation when the audit is on and the event's
+    time is behind the clock. *)
 val step : t -> bool
 
 (** Run until the event queue drains. *)

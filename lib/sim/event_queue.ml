@@ -11,8 +11,8 @@
    level.)
 
    Lanes. An entry added with {!add_delayed} joins the FIFO lane of its
-   delay, of which only the head sits in the heap. The engine adds such
-   an entry at key [now +. delay], and [now] never goes back, float
+   delay, of which only the head sits in the heap. Such an entry's key
+   is [clock.time +. delay], and the clock never goes back, float
    addition is monotone and seqs only grow, so a lane receives its
    entries in (key, seq) order already. The heap therefore holds the
    least entry of every lane, and popping a lane head puts its
@@ -49,13 +49,23 @@
    exist; a new delay past the cap is added to the heap directly, which
    changes the cost but not the pop order.
 
+   The clock. The queue keeps the time of its owner: [pop_exn] writes
+   the popped key into [clock], and [add_delayed] keys its entry
+   [clock.time +. delay]. So the engine reads and advances time with
+   unboxed loads and stores on one all-float record, and no float
+   crosses the module boundary on a step.
+
    Allocation contract (vanilla ocamlopt, no flambda): sifts and the
    table probe are top-level recursive functions over ints and a float
    that is already boxed on entry, never binding a closure; the delay
-   is hashed with int arithmetic. Steady-state adds and pops allocate
-   nothing. *)
+   is hashed with int arithmetic, and a lane add's key is computed
+   here, unboxed. Steady-state adds and pops allocate nothing. *)
+
+(* All-float, so OCaml stores it flat and a write is an unboxed store. *)
+type clock = { mutable time : float }
 
 type 'a t = {
+  clock : clock;
   (* node slab *)
   mutable keys : float array;
   mutable seqs : int array;
@@ -101,6 +111,7 @@ let initial_table = 16
 
 let create () =
   {
+    clock = { time = 0. };
     keys = [||];
     seqs = [||];
     vals = [||];
@@ -120,6 +131,8 @@ let create () =
     lanes = 0;
     table = [||];
   }
+
+let clock q = q.clock
 
 let length q = q.length
 
@@ -288,8 +301,10 @@ let[@inline] [@corelite.hot] heap_push q node =
   sift_up q i node
 
 (* Direct adds reuse the spare node of the direct block that gained one
-   last, so a node popped and added again is still in cache. *)
-let[@corelite.hot] add q ~key ~seq value =
+   last, so a node popped and added again is still in cache. Inlined
+   into both callers, so a lane add past the cap passes its unboxed
+   key on without boxing it. *)
+let[@inline] [@corelite.hot] add_direct q ~key ~seq value =
   if q.partial < 0 then open_direct q value;
   let b = q.partial in
   let node = q.spare.(b) in
@@ -298,6 +313,8 @@ let[@corelite.hot] add q ~key ~seq value =
   if rest < 0 then unlink_partial q b;
   fill q node ~key ~seq value;
   heap_push q node
+
+let[@corelite.hot] add q ~key ~seq value = add_direct q ~key ~seq value
 
 (* Delays are finite and nonnegative (the engine checks), so integer
    nanoseconds tell apart every pair of delays a simulation is likely
@@ -351,9 +368,10 @@ let[@corelite.hot] lane_of q delay =
   let found = if size = 0 then -1 else probe q delay (hash delay (size - 1)) in
   if found >= 0 then found else if q.lanes < max_lanes then new_lane q delay else -1
 
-let[@corelite.hot] add_delayed q ~delay ~key ~seq value =
+let[@corelite.hot] add_delayed q ~delay ~seq value =
+  let key = q.clock.time +. delay in
   let lane = lane_of q delay in
-  if lane < 0 then add q ~key ~seq value
+  if lane < 0 then add_direct q ~key ~seq value
   else begin
     let tail = q.lane_tail.(lane) in
     (* lint: float-eq-ok -- the (key, seq) order of [before] *)
@@ -382,9 +400,12 @@ let[@corelite.hot] add_delayed q ~delay ~key ~seq value =
 let[@inline] [@corelite.hot] next_time q =
   if q.size = 0 then infinity else q.keys.(q.heap.(0))
 
+let[@inline] [@corelite.hot] due q limit = q.size > 0 && q.keys.(q.heap.(0)) <= limit
+
 let[@corelite.hot] pop_exn q =
   if q.size = 0 then invalid_arg "Event_queue.pop_exn: empty";
   let node = q.heap.(0) in
+  q.clock.time <- q.keys.(node);
   let b = node lsr block_bits in
   let lane = q.owner.(b) in
   if lane >= 0 && node <> q.lane_tail.(lane) then

@@ -5,8 +5,14 @@
     by [seq] (insertion order), so simultaneous events fire in FIFO
     order.
 
-    Entries are read with {!next_time} and {!pop_exn}, which box
-    nothing and allocate nothing.
+    Entries are read with {!next_time}, {!due} and {!pop_exn}; {!due}
+    and {!pop_exn} box nothing and allocate nothing.
+
+    {b Clock.} The queue keeps its owner's time in {!clock}: {!pop_exn}
+    writes the popped key into it, and {!add_delayed} keys its entry
+    [clock.time +. delay]. An owner that adds direct keys no earlier
+    than the clock and moves the clock forward only up to {!next_time}
+    (the engine's [run_until]) never sees it go back.
 
     Every pending entry is a node in one slab (key, seq and the
     payload, in parallel arrays). The heap holds node ids only,
@@ -35,6 +41,13 @@ type 'a t
 
 val create : unit -> 'a t
 
+(** The time of the queue's owner: the key of the last entry popped, or
+    wherever the owner moved it since ([0.] at creation). All-float, so
+    a read or a write is an unboxed load or store. *)
+type clock = { mutable time : float }
+
+val clock : 'a t -> clock
+
 (** Number of pending entries, in the heap and in lanes. *)
 val length : 'a t -> int
 
@@ -47,16 +60,16 @@ val add : 'a t -> key:float -> seq:int -> 'a -> unit
 (** The most lanes one queue creates (512). *)
 val max_lanes : int
 
-(** [add_delayed q ~delay ~key ~seq v] inserts [v] with priority
-    [(key, seq)] at the tail of the lane of [delay] — in the engine,
-    [key = now +. delay]. The first use of a delay creates its lane;
-    once {!max_lanes} lanes exist, a delay without one is added as by
-    {!add}. Lanes are told apart by float equality on [delay], so a NaN
-    delay never finds its lane. Allocation-free except when the backing
-    arrays or the delay table double.
+(** [add_delayed q ~delay ~seq v] inserts [v] with priority
+    [(key, seq)], [key = (clock q).time +. delay], at the tail of the
+    lane of [delay]. The first use of a delay creates its lane; once
+    {!max_lanes} lanes exist, a delay without one goes to the heap as
+    by {!add}. Lanes are told apart by float equality on [delay], so a
+    NaN delay never finds its lane. Allocation-free except when the
+    backing arrays or the delay table double.
     @raise Invalid_argument if [(key, seq)] does not come strictly after
-    the lane's current tail. *)
-val add_delayed : 'a t -> delay:float -> key:float -> seq:int -> 'a -> unit
+    the lane's current tail (the clock went back). *)
+val add_delayed : 'a t -> delay:float -> seq:int -> 'a -> unit
 
 (** Lanes created since creation. *)
 val lanes : 'a t -> int
@@ -73,7 +86,11 @@ val capacity : 'a t -> int
     unambiguous sentinel). *)
 val next_time : 'a t -> float
 
+(** [due q limit] is [true] when the queue holds an entry with key
+    [<= limit]: {!next_time}'s test without its boxed result. *)
+val due : 'a t -> float -> bool
+
 (** [pop_exn q] removes and returns the minimum entry's payload without
-    boxing.
+    boxing, and writes its key into {!clock}.
     @raise Invalid_argument when empty — guard with {!is_empty}. *)
 val pop_exn : 'a t -> 'a

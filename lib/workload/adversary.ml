@@ -44,7 +44,8 @@ let attach ~network ~flow ~peak ~duty ~period ?(corelite_markers = false) () =
     let phase = Float.rem (now -. start_time) period in
     if phase < duty *. period then begin
       incr seq;
-      let estimate = Csfq.Rate_estimator.update estimator ~now ~amount:1. in
+      Csfq.Rate_estimator.update estimator ~now ~amount:1.;
+      let estimate = Csfq.Rate_estimator.value estimator in
       let marker =
         if corelite_markers then
           Some

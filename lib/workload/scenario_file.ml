@@ -44,6 +44,15 @@ let non_negative label v =
   if v < 0. then fail "%s must be non-negative, got %g" label v;
   v
 
+(* A packet's transmission time, 8,000 bits over the bandwidth, stays
+   8 ns or more: above 1 Tbit/s it would sink below the clock's
+   resolution over a long run, and a floor paced at such a link's
+   capacity would ask for billions of events per simulated second. *)
+let max_bandwidth = 1e12
+
+(* Packets per second a link of [bandwidth] bit/s carries. *)
+let capacity_pps bandwidth = bandwidth /. float_of_int (8 * Net.Packet.default_size)
+
 (* "key=value" option fields of the topology directive. *)
 let topology_options tokens =
   let cores = ref 4
@@ -61,6 +70,8 @@ let topology_options tokens =
     tokens;
   if !cores < 2 then fail "cores must be at least 2, got %d" !cores;
   if !bandwidth <= 0. then fail "bandwidth must be positive";
+  if !bandwidth > max_bandwidth then
+    fail "bandwidth must be at most %g bit/s, got %g" max_bandwidth !bandwidth;
   if !queue < 1 then fail "queue must be positive";
   (!cores, !bandwidth, !delay, !queue)
 
@@ -124,7 +135,7 @@ let parse text =
         try directive b tokens
         with Syntax message -> fail "line %d: %s" (index + 1) message)
       (String.split_on_char '\n' text);
-    let cores, _, _, _ =
+    let cores, bandwidth, _, _ =
       match b.topology with
       | Some t -> t
       | None -> fail "missing 'topology' directive"
@@ -136,6 +147,15 @@ let parse text =
         if entry < 1 || exit > cores || entry > exit then
           fail "flow %d: span %d..%d outside 1..%d" id entry exit cores)
       b.flows;
+    (* A floor is a rate the source paces at whatever the feedback: one
+       no link can carry is no contract, and a huge one would run
+       without end. *)
+    List.iter
+      (fun (id, floor) ->
+        if floor > capacity_pps bandwidth then
+          fail "flow %d: floor %g exceeds the link capacity of %g pkt/s" id floor
+            (capacity_pps bandwidth))
+      (List.rev b.floors);
     List.iter
       (fun (_, action) ->
         let id = match action with Runner.Start id | Runner.Stop id -> id in

@@ -26,7 +26,12 @@
     corelite, [seed] to 42. Every number must be finite: [nan] and
     [inf] are syntax errors. A value the run would reject — fewer than
     two cores, a non-positive bandwidth or queue, a negative delay,
-    floor, flow id or schedule time — is an error on its line. *)
+    floor, flow id or schedule time — is an error on its line, and so
+    is a bandwidth above 1 Tbit/s (1e12), where a packet's transmission
+    time would fall under the clock's resolution. A floor above the
+    link capacity (bandwidth over 8,000 bits per packet) is an error
+    for the file: no link could carry the contract, and the source
+    would pace at it regardless. *)
 
 type t = {
   scheme : Runner.scheme;
@@ -41,8 +46,12 @@ type t = {
   seed : int;
 }
 
-(** Parse scenario text. [Error message] carries the offending line
-    number and reason. *)
+(** Parse scenario text; it never raises. [Error message] carries the
+    offending line number and reason ("line N: ..."), or names what the
+    file as a whole lacks or gets wrong: a missing [topology] or
+    [duration], no flow, no start, a non-positive duration, a flow's
+    weight, span or floor ("flow N: ..."), or a schedule entry for an
+    undefined flow. *)
 val parse : string -> (t, string) result
 
 (** Read and parse a file. *)

@@ -47,9 +47,9 @@ let build ?(csfq_params = Csfq.Params.default) ?(attach_csfq = false) ~network (
         let estimator = Csfq.Rate_estimator.create ~k in
         let transmit pkt =
           let now = Sim.Engine.now engine in
-          let estimate = Csfq.Rate_estimator.update estimator ~now ~amount:1. in
+          Csfq.Rate_estimator.update estimator ~now ~amount:1.;
           pkt.Net.Packet.dst <- dst;
-          pkt.Net.Packet.floats.label <- estimate /. weight;
+          pkt.Net.Packet.floats.label <- Csfq.Rate_estimator.value estimator /. weight;
           Net.Link.send first_link pkt
         in
         let sender =

@@ -352,7 +352,7 @@ let test_stateless_reset_clears_state () =
 
 (* Two-hop network E -> C1 -> C2 -> D for one flow. *)
 let edge_fixture ?(weight = 2.) ?(params = Corelite.Params.default) ?(auto_probes = true)
-    () =
+    ?supply ?deliver () =
   let engine = Sim.Engine.create () in
   Sim.Metrics.set_auto_probes (Sim.Engine.metrics engine) auto_probes;
   let topology = Net.Topology.create engine in
@@ -368,7 +368,7 @@ let edge_fixture ?(weight = 2.) ?(params = Corelite.Params.default) ?(auto_probe
   let l3 = link ~src:c2 ~dst:d in
   let flow = Net.Flow.make ~id:1 ~weight ~path:[ e; c1; c2; d ] in
   Net.Topology.route_paths topology [ flow.Net.Flow.path ];
-  let agent = Corelite.Edge.create ~params ~topology ~flow () in
+  let agent = Corelite.Edge.create ~params ~topology ~flow ?supply ?deliver () in
   (engine, topology, agent, (l1, l2, l3))
 
 (* Per-flow probes: name, help and value of each corelite.flow.* row. *)
@@ -486,6 +486,71 @@ let test_edge_delivery_counting () =
   Alcotest.(check int) "all delivered" (Corelite.Edge.sent agent)
     (Corelite.Edge.delivered agent);
   Alcotest.(check bool) "sent something" true (Corelite.Edge.sent agent > 0)
+
+(* [delivered] is the delay statistics' count: it equals the packets
+   the last link handed to the egress, with the sink releasing them or
+   a [~deliver] consumer taking them over. *)
+let test_edge_delivered_is_sink_count () =
+  let run ?deliver () =
+    let engine, _, agent, (_, _, l3) = edge_fixture ?deliver () in
+    let at_egress = ref 0 in
+    let forward = l3.Net.Link.deliver in
+    l3.Net.Link.deliver <-
+      (fun pkt ->
+        incr at_egress;
+        forward pkt);
+    Corelite.Edge.start agent;
+    Sim.Engine.run_until engine 6.;
+    Alcotest.(check bool) "packets delivered" true (!at_egress > 0);
+    Alcotest.(check int) "delivered = packets into the sink" !at_egress
+      (Corelite.Edge.delivered agent);
+    Alcotest.(check bool) "mean delay over those packets" true
+      (Corelite.Edge.mean_delay agent > 0.)
+  in
+  run ();
+  let consumed = ref 0 in
+  run ~deliver:(fun _ -> incr consumed) ();
+  Alcotest.(check bool) "the consumer took them" true (!consumed > 0)
+
+(* [last_activity] is the time the last packet left: every arrival at
+   the flow's first link, pooled or supplied, and nothing in a pacing
+   slot whose supply was empty. *)
+let test_edge_last_activity_is_last_send () =
+  let sends ?supply () =
+    let engine, _, agent, (l1, _, _) = edge_fixture ?supply () in
+    let last = ref nan in
+    l1.Net.Link.on_arrival <-
+      (fun _ ->
+        last := Sim.Engine.now engine;
+        Net.Link.Pass);
+    check_float "creation time before any packet" 0. (Corelite.Edge.last_activity agent);
+    Corelite.Edge.start agent;
+    Sim.Engine.run_until engine 4.;
+    (engine, agent, last)
+  in
+  let engine, agent, last = sends () in
+  check_float "pooled: the last send" !last (Corelite.Edge.last_activity agent);
+  Corelite.Edge.stop agent;
+  Sim.Engine.run_until engine 9.;
+  check_float "a stopped agent keeps it" !last (Corelite.Edge.last_activity agent);
+  (* An aggregate that runs dry after three packets. *)
+  let engine = ref None in
+  let supplied = ref 0 in
+  let supply () =
+    if !supplied >= 3 then None
+    else begin
+      incr supplied;
+      let now = match !engine with Some e -> Sim.Engine.now e | None -> 0. in
+      Some (Net.Packet.make ~id:!supplied ~flow:1 ~created:now ())
+    end
+  in
+  let e, agent, last = sends ~supply () in
+  engine := Some e;
+  ignore e;
+  Alcotest.(check int) "three supplied" 3 !supplied;
+  Alcotest.(check int) "three sent" 3 (Corelite.Edge.sent agent);
+  check_float "supplied: the last send" !last (Corelite.Edge.last_activity agent);
+  Alcotest.(check bool) "empty slots came later" true (!last < 4.)
 
 let test_edge_restart_after_stop () =
   let engine, _, agent, _ = edge_fixture () in
@@ -960,6 +1025,10 @@ let () =
           Alcotest.test_case "feedback when stopped" `Quick
             test_edge_feedback_ignored_when_stopped;
           Alcotest.test_case "delivery counting" `Quick test_edge_delivery_counting;
+          Alcotest.test_case "delivered is the sink's count" `Quick
+            test_edge_delivered_is_sink_count;
+          Alcotest.test_case "last activity is the last send" `Quick
+            test_edge_last_activity_is_last_send;
           Alcotest.test_case "restart" `Quick test_edge_restart_after_stop;
           Alcotest.test_case "reset restarts adaptation" `Quick
             test_edge_reset_restarts_adaptation;

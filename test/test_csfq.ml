@@ -20,33 +20,35 @@ let test_estimator_converges_to_constant_rate () =
      within a percent of the true rate. *)
   let rate = ref 0. in
   for i = 1 to 200 do
-    rate := Csfq.Rate_estimator.update e ~now:(float_of_int i /. 100.) ~amount:1.
+    Csfq.Rate_estimator.update e ~now:(float_of_int i /. 100.) ~amount:1.;
+    rate := Csfq.Rate_estimator.value e
   done;
   check_float_eps 1. "converged to 100/s" 100. !rate
 
 let test_estimator_tracks_rate_change () =
   let e = Csfq.Rate_estimator.create ~k:0.1 in
   for i = 1 to 100 do
-    ignore (Csfq.Rate_estimator.update e ~now:(float_of_int i /. 100.) ~amount:1.)
+    Csfq.Rate_estimator.update e ~now:(float_of_int i /. 100.) ~amount:1.
   done;
   (* Slow down to 10/s; within 1 s (10 K) the estimate must follow. *)
   let rate = ref 0. in
   for i = 1 to 10 do
-    rate := Csfq.Rate_estimator.update e ~now:(1. +. (float_of_int i /. 10.)) ~amount:1.
+    Csfq.Rate_estimator.update e ~now:(1. +. (float_of_int i /. 10.)) ~amount:1.;
+    rate := Csfq.Rate_estimator.value e
   done;
   check_float_eps 2. "tracked down to 10/s" 10. !rate
 
 let test_estimator_simultaneous_arrivals () =
   let e = Csfq.Rate_estimator.create ~k:0.5 in
-  ignore (Csfq.Rate_estimator.update e ~now:1. ~amount:1.);
+  Csfq.Rate_estimator.update e ~now:1. ~amount:1.;
   let before = Csfq.Rate_estimator.value e in
-  ignore (Csfq.Rate_estimator.update e ~now:1. ~amount:1.);
+  Csfq.Rate_estimator.update e ~now:1. ~amount:1.;
   check_float "T -> 0 limit adds amount/K" (before +. 2.) (Csfq.Rate_estimator.value e)
 
 let test_estimator_read_decays () =
   let e = Csfq.Rate_estimator.create ~k:0.1 in
   for i = 1 to 100 do
-    ignore (Csfq.Rate_estimator.update e ~now:(float_of_int i /. 100.) ~amount:1.)
+    Csfq.Rate_estimator.update e ~now:(float_of_int i /. 100.) ~amount:1.
   done;
   let live = Csfq.Rate_estimator.value e in
   let after_silence = Csfq.Rate_estimator.read e ~now:2. in
@@ -337,7 +339,8 @@ let test_unresponsive_flow_policed () =
     (Sim.Engine.every engine ~period:(1. /. 450.) (fun () ->
          incr seq;
          let now = Sim.Engine.now engine in
-         let rate = Csfq.Rate_estimator.update estimator ~now ~amount:1. in
+         Csfq.Rate_estimator.update estimator ~now ~amount:1.;
+         let rate = Csfq.Rate_estimator.value estimator in
          let pkt = Net.Packet.make ~id:!seq ~flow:1 ~created:now () in
          pkt.Net.Packet.dst <- (Net.Flow.egress flow1).Net.Node.host;
          pkt.Net.Packet.floats.label <- rate /. flow1.Net.Flow.weight;

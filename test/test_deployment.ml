@@ -204,6 +204,30 @@ let expire_rejects_nan (module D : LIFECYCLE) ~prefix () =
   Alcotest.(check bool) "flow survives the rejected sweep" true (D.has_flow d 1);
   Alcotest.(check int) "a real timeout expires it" 1 (D.expire_idle d ~timeout:1.)
 
+(* Idle expiry ages a flow from the time its last packet left, which
+   the source stamps: observed here as the last arrival of the flow at
+   its access link, a sweep one microsecond short of that idle time
+   keeps the flow and one at it retires the flow. *)
+let expire_counts_from_last_send (module D : LIFECYCLE) () =
+  let engine, network = single_bottleneck ~n:2 () in
+  let d = D.build ~rng:(Sim.Rng.create 11) network in
+  let flow = Workload.Network.flow network 2 in
+  let access = Net.Flow.first_link flow network.Workload.Network.topology in
+  let last = ref nan in
+  access.Net.Link.on_arrival <-
+    (fun pkt ->
+      if pkt.Net.Packet.flow = 2 then last := Sim.Engine.now engine;
+      Net.Link.Pass);
+  ignore (D.add_flow d flow);
+  Sim.Engine.run_until engine 3.;
+  D.stop_flow d 2;
+  Sim.Engine.run_until engine 9.;
+  let idle = 9. -. !last in
+  Alcotest.(check bool) "sent before the stop" true (!last > 0. && !last <= 3.);
+  Alcotest.(check int) "just short of the idle time" 0
+    (D.expire_idle d ~timeout:(idle +. 1e-6));
+  Alcotest.(check int) "at the idle time" 1 (D.expire_idle d ~timeout:idle)
+
 let test_lifecycle_add_end_expire =
   lifecycle_add_end_expire (module Corelite_lifecycle) ~prefix:"Deployment"
 
@@ -430,6 +454,10 @@ let () =
             test_csfq_lifecycle_add_end_expire;
           Alcotest.test_case "nan timeout rejected" `Quick
             (expire_rejects_nan (module Corelite_lifecycle) ~prefix:"Deployment");
+          Alcotest.test_case "expiry counts from the last send" `Quick
+            (expire_counts_from_last_send (module Corelite_lifecycle));
+          Alcotest.test_case "csfq expiry counts from the last send" `Quick
+            (expire_counts_from_last_send (module Csfq_lifecycle));
           Alcotest.test_case "csfq nan timeout rejected" `Quick
             (expire_rejects_nan (module Csfq_lifecycle) ~prefix:"Csfq.Deployment");
         ] );

@@ -67,9 +67,7 @@ let test_source_floor_above_ss_thresh_starts_linear () =
   let engine = Sim.Engine.create () in
   let params = { Net.Source.default_params with Net.Source.floor = 100. } in
   let src =
-    Net.Source.create ~engine ~params ~emit:(fun ~now:_ -> ())
-      ~collect:(fun () -> 0)
-      ()
+    Net.Source.create ~engine ~params ()
   in
   Net.Source.start src;
   check_float "starts at the floor" 100. (Net.Source.rate src);
@@ -78,10 +76,7 @@ let test_source_floor_above_ss_thresh_starts_linear () =
 let test_source_double_start_is_reset () =
   let engine = Sim.Engine.create () in
   let src =
-    Net.Source.create ~engine ~params:Net.Source.default_params
-      ~emit:(fun ~now:_ -> ())
-      ~collect:(fun () -> 0)
-      ()
+    Net.Source.create ~engine ~params:Net.Source.default_params ()
   in
   Net.Source.start src;
   Sim.Engine.run_until engine 3.2;
@@ -96,10 +91,7 @@ let test_source_double_start_is_reset () =
 let test_source_stop_is_idempotent () =
   let engine = Sim.Engine.create () in
   let src =
-    Net.Source.create ~engine ~params:Net.Source.default_params
-      ~emit:(fun ~now:_ -> ())
-      ~collect:(fun () -> 0)
-      ()
+    Net.Source.create ~engine ~params:Net.Source.default_params ()
   in
   Net.Source.start src;
   Net.Source.stop src;
@@ -112,10 +104,7 @@ let test_source_inactive_freezes_adaptation () =
     { Net.Source.default_params with Net.Source.initial_rate = 50.; ss_thresh = 32. }
   in
   let src =
-    Net.Source.create ~engine ~params
-      ~emit:(fun ~now:_ -> ())
-      ~collect:(fun () -> 0)
-      ()
+    Net.Source.create ~engine ~params ()
   in
   Net.Source.start src;
   Net.Source.set_active src false;
@@ -227,7 +216,7 @@ let test_csfq_estimator_zero_gap_burst () =
   let e = Csfq.Rate_estimator.create ~k:0.1 in
   (* Five simultaneous arrivals: rate = 5/K by the T -> 0 limit. *)
   for _ = 1 to 5 do
-    ignore (Csfq.Rate_estimator.update e ~now:1. ~amount:1.)
+    Csfq.Rate_estimator.update e ~now:1. ~amount:1.
   done;
   check_float_eps 1e-9 "burst limit" 50. (Csfq.Rate_estimator.value e)
 

@@ -643,13 +643,24 @@ let test_node_routes_and_sinks () =
 
 (* A node holds entries only for the hosts that routed paths reach
    through it (the ingress A, which agents bypass, holds none), and a
-   host delivers only the flows that registered a sink. *)
+   host delivers only the flows that registered a sink: an empty table,
+   an empty slot inside a grown one and an id past its end fail alike. *)
 let test_node_unknown_host_fails () =
-  let _, _, a, b, _ = simple_net () in
+  let _, topology, a, b, _ = simple_net () in
   Alcotest.check_raises "unknown host" (Failure "Node A: no FIB entry for host 0")
     (fun () -> Net.Node.receive a (mk_packet ()));
   Alcotest.check_raises "unknown flow" (Failure "Topology: no sink installed for flow 9")
-    (fun () -> Net.Node.receive b (mk_packet ~flow:9 ()))
+    (fun () -> Net.Node.receive b (mk_packet ~flow:9 ()));
+  let got = ref 0 in
+  Net.Topology.set_flow_sink topology ~flow:1 (fun _ -> incr got);
+  Alcotest.check_raises "empty slot inside the table"
+    (Failure "Topology: no sink installed for flow 9") (fun () ->
+      Net.Node.receive b (mk_packet ~flow:9 ()));
+  Alcotest.check_raises "past the table's end"
+    (Failure "Topology: no sink installed for flow 100000") (fun () ->
+      Net.Node.receive b (mk_packet ~flow:100_000 ()));
+  Net.Node.receive b (mk_packet ~flow:1 ());
+  Alcotest.(check int) "an installed sink still delivers" 1 !got
 
 (* A packet reaching a node whose FIB lacks its host — the table is
    empty, too short, or the packet was never stamped ([dst = -1]) —
@@ -958,16 +969,24 @@ let test_probe_validation () =
 (* ------------------------------------------------------------------ *)
 (* Source *)
 
-let make_source ?(params = Net.Source.default_params) ?epoch_offset ~collect engine =
+(* A source whose agent logs the time of every packet it sends. *)
+let recording_source ~engine ?epoch_offset ~params ~collect () =
   let sent = ref [] in
-  let src =
-    Net.Source.create ~engine ?epoch_offset ~params
-      ~emit:(fun ~now -> sent := now :: !sent)
-      ~collect ()
-  in
+  let src = Net.Source.create ~engine ?epoch_offset ~params () in
+  Net.Source.set_hooks src
+    ~emit:(fun () ->
+      sent := Sim.Engine.now engine :: !sent;
+      true)
+    ~collect;
   (src, sent)
 
+let make_source ?(params = Net.Source.default_params) ?epoch_offset ~collect engine =
+  recording_source ~engine ?epoch_offset ~params ~collect ()
+
 let no_feedback () = 0
+
+(* An agent hook that sends nothing. *)
+let no_packet () = false
 
 let test_source_paces_at_rate () =
   let engine = Sim.Engine.create () in
@@ -1045,12 +1064,7 @@ let test_source_decrease_on_feedback () =
   let params =
     { Net.Source.default_params with Net.Source.initial_rate = 40.; ss_thresh = 32. }
   in
-  let sent = ref [] in
-  let src =
-    Net.Source.create ~engine ~params
-      ~emit:(fun ~now -> sent := now :: !sent)
-      ~collect ()
-  in
+  let src, _ = recording_source ~engine ~params ~collect () in
   Net.Source.start src;
   Sim.Engine.schedule engine ~delay:0.4 (fun () -> pending := 5);
   Sim.Engine.run_until engine 0.55;
@@ -1073,9 +1087,8 @@ let test_source_floor_clamps_decrease () =
       floor = 30.;
     }
   in
-  let src =
-    Net.Source.create ~engine ~params ~emit:(fun ~now:_ -> ()) ~collect ()
-  in
+  let src = Net.Source.create ~engine ~params () in
+  Net.Source.set_hooks src ~emit:no_packet ~collect;
   Net.Source.start src;
   Sim.Engine.schedule engine ~delay:0.4 (fun () -> pending := 100);
   Sim.Engine.run_until engine 0.55;
@@ -1145,10 +1158,7 @@ let test_source_silence_recovery () =
 let test_source_rejects_bad_recovery_params () =
   let engine = Sim.Engine.create () in
   let mk params () =
-    ignore
-      (Net.Source.create ~engine ~params
-         ~emit:(fun ~now:_ -> ())
-         ~collect:no_feedback ())
+    ignore (Net.Source.create ~engine ~params ())
   in
   Alcotest.check_raises "negative silence_epochs"
     (Invalid_argument "Source.create: silence_epochs must be non-negative")
@@ -1169,10 +1179,7 @@ let test_source_rejects_bad_params () =
   let rejects descr msg params =
     Alcotest.check_raises descr (Invalid_argument ("Source.create: " ^ msg))
       (fun () ->
-        ignore
-          (Net.Source.create ~engine ~params
-             ~emit:(fun ~now:_ -> ())
-             ~collect:no_feedback ()))
+        ignore (Net.Source.create ~engine ~params ()))
   in
   let d = Net.Source.default_params in
   rejects "zero initial_rate" "initial_rate must be positive"
@@ -1202,10 +1209,7 @@ let test_source_rejects_bad_offset () =
   Alcotest.check_raises "offset >= epoch"
     (Invalid_argument "Source.create: epoch_offset out of [0, epoch)") (fun () ->
       ignore
-        (Net.Source.create ~engine ~epoch_offset:1.
-           ~params:Net.Source.default_params
-           ~emit:(fun ~now:_ -> ())
-           ~collect:no_feedback ()))
+        (Net.Source.create ~engine ~epoch_offset:1. ~params:Net.Source.default_params ()))
 
 let test_source_epoch_offset_shifts_adaptation () =
   let engine = Sim.Engine.create () in
@@ -1441,11 +1445,8 @@ let prop_source_timers_match_every =
     (fun ((params, epoch_offset), ops) ->
       let engine = Sim.Engine.create () in
       let pending = ref 0 in
-      let src =
-        Net.Source.create ~engine ~id:7 ~epoch_offset ~params
-          ~emit:(fun ~now:_ -> ())
-          ~collect:(collect pending) ()
-      in
+      let src = Net.Source.create ~engine ~id:7 ~epoch_offset ~params () in
+      Net.Source.set_hooks src ~emit:no_packet ~collect:(collect pending);
       let got =
         drive_source engine pending ops
           ~start:(fun () -> Net.Source.start src)

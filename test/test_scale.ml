@@ -202,12 +202,14 @@ let bytes_per_add_flow scheme =
   8 * (after - before) / 1_000
 
 (* The figure repeats exactly from run to run, so the budget is a
-   ratchet like the hot path's 29 minor words per hop below: the value
+   ratchet like the hot path's minor words per hop below: the value
    measured with OCaml 5.1.1 on 64-bit Linux plus a 32 B margin for
    compiler drift. Lower a budget whenever the state shrinks; never
-   raise one. Measured: Corelite 1,072 B, CSFQ 1,028 B; the first
-   packet is a pooled one, a 10-word record and a 4-word float
-   block. *)
+   raise one. Measured: Corelite 844 B, CSFQ 800 B; the first packet
+   is a pooled one, a 10-word record and a 4-word float block. The
+   figure depends on the heap the earlier cases of this suite leave:
+   the same measurement alone in a fresh process read 1,096 -> 1,072 B
+   for Corelite when the agents shed three words each. *)
 let test_add_flow_memory_budget () =
   let source = Workload.Scale.default_source in
   List.iter
@@ -217,8 +219,8 @@ let test_add_flow_memory_budget () =
       if bytes > budget then
         Alcotest.failf "%s: %d B per add_flow exceeds the %d B budget" name bytes budget)
     [
-      ("corelite", Workload.Runner.Corelite { Corelite.Params.default with source }, 1_081);
-      ("csfq", Workload.Runner.Csfq { Csfq.Params.default with source }, 1_058);
+      ("corelite", Workload.Runner.Corelite { Corelite.Params.default with source }, 876);
+      ("csfq", Workload.Runner.Csfq { Csfq.Params.default with source }, 832);
     ]
 
 (* ---- per-link memory budget ---- *)
@@ -345,10 +347,12 @@ let test_pool_ledger_csfq_churn () =
    audits allocate (fig5 reads about 100 words per hop with them on).
    The budget is a ratchet like the per-flow memory budget: lower it
    when the hot path sheds an allocation, never raise it. Measured
-   with OCaml 5.1.1 in dune's dev profile: fig5 18.62, fig6 24.37,
-   fig7 19.25, fig8 24.24 (a release build reads lower). *)
+   with OCaml 5.1.1 in dune's dev profile: fig5 4.19, fig6 7.36, fig7
+   4.47, fig8 7.30 (a release build reads lower); the budget keeps the
+   3.6-word margin it had over fig6's 24.37 before the engine step and
+   the flow events stopped boxing. *)
 let test_hot_path_budget () =
-  let budget = 28. in
+  let budget = 11. in
   let per_hop (spec : Workload.Figures.spec) =
     let before = Gc.minor_words () in
     let result = Workload.Figures.run spec in

@@ -266,30 +266,31 @@ let prop_queue_slab_bounded ~name ~laned =
     (fun ops ->
       let q = Sim.Event_queue.create () in
       let seq = ref 0 and peak = ref 0 in
-      let lane_key = Array.make 6 0. in
       List.for_all
         (fun o ->
           incr seq;
           (match o with
           | Slab_direct k -> Sim.Event_queue.add q ~key:(float_of_int k) ~seq:!seq ()
           | Slab_laned d ->
-            (* Each lane's keys grow by its delay, as the engine's do. *)
-            lane_key.(d) <- lane_key.(d) +. float_of_int (d + 1);
-            Sim.Event_queue.add_delayed q ~delay:(float_of_int (d + 1)) ~key:lane_key.(d)
-              ~seq:!seq ()
+            (* Keyed [delay] after the clock, which only pops move, as
+               the engine's lane entries are. *)
+            Sim.Event_queue.add_delayed q ~delay:(float_of_int (d + 1)) ~seq:!seq ()
           | Slab_pop -> if not (Sim.Event_queue.is_empty q) then Sim.Event_queue.pop_exn q);
           peak := max !peak (Sim.Event_queue.length q);
           let slack = if laned then 2 * 8 * Sim.Event_queue.lanes q else 0 in
           Sim.Event_queue.capacity q <= max 64 (2 * (!peak + slack)))
         ops)
 
-(* Lanes. A lane add must come after its lane's tail, so the model
-   keeps each delay's tail key and pending count: while a lane holds
-   entries, a lane add's key is an offset from the tail; once it has
-   drained, any key goes. Payloads are (key, seq, delay index), so each
-   pop also tells the model which lane shrank; a clear pops every
-   entry, leaving the lanes empty but in place. With [delays] above
-   [max_lanes], late delays find no lane and fall back to the heap. *)
+(* Lanes, driven as the engine drives them: time moves only through
+   pops, which set the clock to the popped key, and through the clock
+   advance, which moves it forward but never past the next pending key
+   ([run_until] drains every event up to its limit first). A direct
+   add lands at or after the clock, a lane add [delay] after it, so
+   the model is a sorted set of (key, seq) entries and a clock
+   computed with the same float arithmetic. Payloads are (key, seq,
+   delay index); a clear pops every entry, leaving the lanes empty but
+   in place. With [delays] above [max_lanes], late delays find no lane
+   and fall back to the heap. *)
 type lane_op = Direct of int | Laned of int * int | Lane_pop | Lane_clear
 
 let prop_queue_lanes_match_model ~name ~delays ~max_ops ~clears =
@@ -307,27 +308,32 @@ let prop_queue_lanes_match_model ~name ~delays ~max_ops ~clears =
     (QCheck.make QCheck.Gen.(list_size (int_range 0 max_ops) op))
     (fun ops ->
       let q = Sim.Event_queue.create () in
+      let clock = Sim.Event_queue.clock q in
       let model = ref Entries.empty and payload = Hashtbl.create 64 in
-      let tail_key = Array.make delays 0 and count = Array.make delays 0 in
-      let seq = ref 0 in
+      let now = ref 0. and seq = ref 0 in
       let insert ~key ~lane =
         incr seq;
-        let entry = (float_of_int key, !seq) in
+        let entry = (key, !seq) in
         model := Entries.add entry !model;
         Hashtbl.replace payload entry lane;
-        (fst entry, !seq, lane)
+        (key, !seq, lane)
       in
       let step = function
         | Direct k ->
-          let key, seq, _ = insert ~key:k ~lane:(-1) in
+          let key, seq, _ = insert ~key:(!now +. float_of_int k) ~lane:(-1) in
           Sim.Event_queue.add q ~key ~seq (key, seq, -1);
           true
         | Laned (d, k) ->
-          let key = if count.(d) > 0 then tail_key.(d) + k else k in
-          tail_key.(d) <- key;
-          count.(d) <- count.(d) + 1;
-          let key, seq, lane = insert ~key ~lane:d in
-          Sim.Event_queue.add_delayed q ~delay:(float_of_int d /. 8.) ~key ~seq (key, seq, lane);
+          (* Advance by a quarter of [k], up to the next pending key. *)
+          let target = !now +. (float_of_int k /. 4.) in
+          (match Entries.min_elt_opt !model with
+          | Some (next, _) when next < target -> ()
+          | Some _ | None ->
+            now := target;
+            clock.Sim.Event_queue.time <- target);
+          let delay = float_of_int d /. 8. in
+          let key, seq, lane = insert ~key:(!now +. delay) ~lane:d in
+          Sim.Event_queue.add_delayed q ~delay ~seq (key, seq, lane);
           true
         | Lane_pop -> (
           match Entries.min_elt_opt !model with
@@ -335,14 +341,16 @@ let prop_queue_lanes_match_model ~name ~delays ~max_ops ~clears =
           | Some ((key, seq) as e) ->
             model := Entries.remove e !model;
             let lane = Hashtbl.find payload e in
-            if lane >= 0 then count.(lane) <- count.(lane) - 1;
+            now := key;
             (* lint: float-eq-ok -- the queue hands back the key it stored *)
             Sim.Event_queue.next_time q = key
-            && Sim.Event_queue.pop_exn q = (key, seq, lane))
+            && Sim.Event_queue.pop_exn q = (key, seq, lane)
+            (* lint: float-eq-ok -- the pop writes that key into the clock *)
+            && clock.Sim.Event_queue.time = key)
         | Lane_clear ->
           let drained = Entries.elements !model in
           model := Entries.empty;
-          Array.fill count 0 delays 0;
+          List.iter (fun (key, _) -> now := key) drained;
           List.for_all
             (fun ((key, seq) as e) ->
               Sim.Event_queue.pop_exn q = (key, seq, Hashtbl.find payload e))
@@ -362,36 +370,51 @@ let prop_queue_lanes_match_model ~name ~delays ~max_ops ~clears =
            (Entries.elements !model)
       && Sim.Event_queue.is_empty q)
 
+(* A lane add is keyed on the clock, so only a clock moved back can
+   put it before its lane's tail: the order check still rejects it. *)
 let test_queue_lane_rejects_out_of_order () =
   let q = Sim.Event_queue.create () in
-  Sim.Event_queue.add_delayed q ~delay:1. ~key:5. ~seq:2 "a";
+  let clock = Sim.Event_queue.clock q in
+  clock.Sim.Event_queue.time <- 4.;
+  Sim.Event_queue.add_delayed q ~delay:1. ~seq:2 "a";
   let rejected = Invalid_argument "Event_queue.add_delayed: key before the lane's tail" in
+  clock.Sim.Event_queue.time <- 3.;
   Alcotest.check_raises "key before the tail" rejected (fun () ->
-      Sim.Event_queue.add_delayed q ~delay:1. ~key:4. ~seq:3 "b");
+      Sim.Event_queue.add_delayed q ~delay:1. ~seq:3 "b");
+  clock.Sim.Event_queue.time <- 4.;
   Alcotest.check_raises "equal key, earlier seq" rejected (fun () ->
-      Sim.Event_queue.add_delayed q ~delay:1. ~key:5. ~seq:1 "b");
+      Sim.Event_queue.add_delayed q ~delay:1. ~seq:1 "b");
   Alcotest.(check int) "rejected adds leave the queue as it was" 1
     (Sim.Event_queue.length q);
   (* Another delay has a lane of its own, which takes any first key. *)
-  Sim.Event_queue.add_delayed q ~delay:2. ~key:4. ~seq:4 "c";
+  clock.Sim.Event_queue.time <- 2.;
+  Sim.Event_queue.add_delayed q ~delay:2. ~seq:4 "c";
   Alcotest.(check string) "other lane first" "c" (Sim.Event_queue.pop_exn q);
+  check_float "the pop moves the clock" 4. clock.Sim.Event_queue.time;
   Alcotest.(check string) "then the tail" "a" (Sim.Event_queue.pop_exn q);
+  check_float "to the tail's key" 5. clock.Sim.Event_queue.time;
   (* A drained lane has no tail left to order against. *)
-  Sim.Event_queue.add_delayed q ~delay:1. ~key:1. ~seq:5 "d";
+  clock.Sim.Event_queue.time <- 0.;
+  Sim.Event_queue.add_delayed q ~delay:1. ~seq:5 "d";
   check_float "drained lane restarts" 1. (Sim.Event_queue.next_time q);
   Alcotest.(check string) "with the new entry" "d" (Sim.Event_queue.pop_exn q)
 
 (* Two entries per delay, for more delays than the cap: the first
    [max_lanes] delays keep one lane head each in the heap, the rest
-   put both entries there, and the pops come out in order regardless. *)
+   put both entries there, and the pops come out in order regardless.
+   The clock moves to 0.5 between the two rounds, short of the first
+   pending key. *)
 let test_queue_lane_cap_falls_back_to_heap () =
   let q = Sim.Event_queue.create () in
   let extra = 88 in
   let n = Sim.Event_queue.max_lanes + extra in
   for i = 0 to n - 1 do
-    let d = float_of_int i in
-    Sim.Event_queue.add_delayed q ~delay:d ~key:d ~seq:(2 * i) (2 * i);
-    Sim.Event_queue.add_delayed q ~delay:d ~key:(d +. 0.5) ~seq:((2 * i) + 1) ((2 * i) + 1)
+    Sim.Event_queue.add_delayed q ~delay:(float_of_int (i + 1)) ~seq:(2 * i) (2 * i)
+  done;
+  (Sim.Event_queue.clock q).Sim.Event_queue.time <- 0.5;
+  for i = 0 to n - 1 do
+    Sim.Event_queue.add_delayed q ~delay:(float_of_int (i + 1)) ~seq:((2 * i) + 1)
+      ((2 * i) + 1)
   done;
   Alcotest.(check int) "lanes capped" Sim.Event_queue.max_lanes (Sim.Event_queue.lanes q);
   Alcotest.(check int) "every entry pending" (2 * n) (Sim.Event_queue.length q);
@@ -405,14 +428,20 @@ let test_queue_lane_cap_falls_back_to_heap () =
 
 (* Steady state with lanes, all keys equal so the order is FIFO by seq:
    four busy lanes, direct adds in the heap beside them, and a rare
-   delay whose lane drains and refills. A warm-up pass at the same mix
-   grows every array first; literal delays and keys are preallocated. *)
+   delay whose lane drains and refills. A lane add first sets the
+   clock [delay] before 1., an unboxed store, so its key is exactly 1.
+   like the direct adds'. A warm-up pass at the same mix grows every
+   array first; literal delays and keys are preallocated. *)
 let lane_delay_of i = match i land 3 with 0 -> 0.25 | 1 -> 0.5 | 2 -> 0.75 | _ -> 1.
 
+let add_laned q ~delay i f =
+  (Sim.Event_queue.clock q).Sim.Event_queue.time <- 1. -. delay;
+  Sim.Event_queue.add_delayed q ~delay ~seq:i f
+
 let add_mixed q i f =
-  if i land 1023 = 0 then Sim.Event_queue.add_delayed q ~delay:2. ~key:1. ~seq:i f
+  if i land 1023 = 0 then add_laned q ~delay:2. i f
   else if i land 7 = 7 then Sim.Event_queue.add q ~key:1. ~seq:i f
-  else Sim.Event_queue.add_delayed q ~delay:(lane_delay_of i) ~key:1. ~seq:i f
+  else add_laned q ~delay:(lane_delay_of i) i f
 
 let test_queue_lanes_steady_state_allocates_nothing () =
   let q = Sim.Event_queue.create () in
@@ -664,10 +693,9 @@ let test_engine_every_validates_start () =
 
 (* Relative and absolute one-shots interleave in (time, seq) order,
    and once the queue has grown, scheduling a persistent closure and
-   firing it allocates no handle and no guard closure. What remains is
-   at most the two floats dune's dev profile boxes across module
-   boundaries ([-opaque]): the key [schedule] hands the queue and the
-   time [step] reads back, 4 words per pair. *)
+   firing it allocates nothing, in dune's dev profile too ([-opaque]):
+   the queue keys a lane add on the clock it keeps and writes the
+   popped time into it, so no float crosses a module boundary. *)
 let test_engine_schedule_and_schedule_at () =
   let e = Sim.Engine.create () in
   let log = ref [] in
@@ -696,9 +724,40 @@ let test_engine_schedule_and_schedule_at () =
     Sim.Engine.schedule e ~delay:1. noop
   done;
   let per_pair = (Gc.minor_words () -. before) /. 10_000. in
-  Alcotest.(check bool)
-    (Printf.sprintf "minor words per schedule/step pair: %g <= 4" per_pair)
-    true (per_pair <= 4.)
+  check_float "minor words per schedule/step pair" 0. per_pair
+
+(* The clock the engine shares with its queue: inside an event it reads
+   the event's time, [run_until] past the last event advances it to
+   the limit, and an event found behind it (only a clock moved by hand
+   can do that) fails the audit this suite turns on. *)
+let test_engine_clock () =
+  let e = Sim.Engine.create () in
+  let clock = Sim.Engine.clock e in
+  let seen = ref [] in
+  let note () = seen := (Sim.Engine.now e, clock.Sim.Engine.time) :: !seen in
+  Sim.Engine.schedule e ~delay:1.25 note;
+  Sim.Engine.schedule_at e ~time:0.5 note;
+  ignore (Sim.Engine.every e ~start:2. ~period:1. note);
+  Sim.Engine.run_until e 3.75;
+  Alcotest.(check (list (pair (float 0.) (float 0.))))
+    "now inside an event is its time"
+    [ (0.5, 0.5); (1.25, 1.25); (2., 2.); (3., 3.) ]
+    (List.rev !seen);
+  check_float "run_until advances the clock past the last event" 3.75 clock.Sim.Engine.time;
+  let e = Sim.Engine.create () in
+  Sim.Engine.schedule e ~delay:1. ignore;
+  Sim.Engine.run_until e 10.;
+  check_float "an empty queue still advances" 10. (Sim.Engine.now e);
+  Sim.Engine.run_until e 4.;
+  check_float "an earlier limit leaves the clock" 10. (Sim.Engine.now e);
+  let e = Sim.Engine.create () in
+  Sim.Engine.schedule e ~delay:1. ignore;
+  (Sim.Engine.clock e :> Sim.Event_queue.clock).Sim.Event_queue.time <- 5.;
+  match Sim.Engine.step e with
+  | exception Sim.Invariant.Violation msg ->
+    Alcotest.(check string) "behind the clock"
+      "Engine: event time behind the clock (time must be monotone)" msg
+  | _ -> Alcotest.fail "an event behind the clock passed the audit"
 
 (* [now +. delay] overflows to infinity with both terms finite: the
    event is rejected, not queued at an infinite time. *)
@@ -1558,6 +1617,7 @@ let () =
             test_engine_every_validates_start;
           Alcotest.test_case "schedule and schedule_at" `Quick
             test_engine_schedule_and_schedule_at;
+          Alcotest.test_case "clock" `Quick test_engine_clock;
           Alcotest.test_case "schedule rejects an overflowing time" `Quick
             test_engine_schedule_rejects_overflow;
           Alcotest.test_case "pending" `Quick test_engine_pending;

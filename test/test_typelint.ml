@@ -117,6 +117,62 @@ let test_t1_waiver () =
   in
   check_rules "waived on same and previous line" [] vs
 
+(* A float returned by another compilation unit comes back boxed in
+   dune's dev profile, which compiles with [-opaque]. The callee unit
+   is compiled first; under bin/, so the interface-less fixtures do not
+   trip L4. *)
+let typelint_across_units content =
+  let root =
+    fixture
+      [
+        ( "bin/clockish.ml",
+          "type cell = { mutable time : float }\n\
+           let now (c : cell) = c.time\n\
+           let ready (c : cell) = c.time > 0.\n" );
+        ("bin/fix.ml", content);
+      ]
+  in
+  ignore (compile root "bin/clockish.ml");
+  Typelint.check_cmt (compile root "bin/fix.ml")
+
+let test_t1_flags_cross_unit_float_result () =
+  let vs =
+    typelint_across_units
+      "let[@corelite.hot] late (c : Clockish.cell) = Clockish.now c +. 1.\n\
+       let[@corelite.hot] top x y = Float.max x y\n"
+  in
+  check_rules "another unit's float result, Stdlib's included"
+    [ Typelint.T1_alloc; Typelint.T1_alloc ]
+    vs;
+  Alcotest.(check bool) "names the callee" true
+    (match vs with
+    | v :: _ -> contains v.Typelint.message "Clockish.now returns a boxed float"
+    | [] -> false)
+
+let test_t1_allows_flat_reads_and_primitives () =
+  (* A flat field load, this unit's own float function, a primitive, a
+     non-float result from another unit, and cold code are all fine. *)
+  let vs =
+    typelint_across_units
+      "let local (c : Clockish.cell) = c.Clockish.time\n\
+       let[@corelite.hot] flat (c : Clockish.cell) = c.Clockish.time +. 1.\n\
+       let[@corelite.hot] same_unit c = local c +. 1.\n\
+       let[@corelite.hot] prim x = sqrt x +. Float.abs x\n\
+       let[@corelite.hot] not_float c = Clockish.ready c\n\
+       let cold c = Clockish.now c\n"
+  in
+  check_rules "flat reads and primitives" [] vs
+
+let test_t1_cross_unit_waiver () =
+  let vs =
+    typelint_across_units
+      "let[@corelite.hot] above c =\n\
+      \  (* lint: alloc-ok -- previous-line waiver *)\n\
+      \  Clockish.now c\n\
+       let[@corelite.hot] trailing c = Clockish.now c (* lint: alloc-ok -- same line *)\n"
+  in
+  check_rules "waived on same and previous line" [] vs
+
 (* ------------------------------------------------------------------ *)
 (* T2: module-level mutable state under lib/ *)
 
@@ -316,6 +372,11 @@ let () =
           Alcotest.test_case "skips error paths + cold code" `Quick
             test_t1_skips_error_paths_and_unannotated;
           Alcotest.test_case "waiver" `Quick test_t1_waiver;
+          Alcotest.test_case "flags cross-unit float result" `Quick
+            test_t1_flags_cross_unit_float_result;
+          Alcotest.test_case "allows flat reads + primitives" `Quick
+            test_t1_allows_flat_reads_and_primitives;
+          Alcotest.test_case "cross-unit waiver" `Quick test_t1_cross_unit_waiver;
         ] );
       ( "t2_domain_safety",
         [

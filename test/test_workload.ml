@@ -556,7 +556,22 @@ start 1 at -1|};
     {|topology chain cores=2
 duration 1
 flow -3 weight 1 from 1 to 2
-start -3 at 0|}
+start -3 at 0|};
+  (* Found by the fuzzing property below: a floor paced at 1e308 pkt/s
+     parsed and then ran without end, and so would a large floor over
+     a link fast enough to carry it. *)
+  expect_parse_error "flow 2: floor 1e+308 exceeds the link capacity of 500 pkt/s"
+    {|topology chain cores=4 bandwidth=4000000 delay=0.04 queue=40
+duration 200
+flow 1 weight 2 from 1 to 2
+flow 2 weight 1 from 1 to 4 floor 1e308
+start 1 at 0
+start 2 at 0|};
+  expect_parse_error "line 1: bandwidth must be at most 1e+12 bit/s, got 1e+308"
+    {|topology chain cores=4 bandwidth=1e308 delay=0.04 queue=40
+duration 200
+flow 2 weight 1 from 1 to 4 floor 12345678901234567890
+start 2 at 0|}
 
 let scenario_gen =
   QCheck.Gen.(
@@ -606,6 +621,138 @@ let prop_scenario_roundtrip =
         (* lint: float-eq-ok -- integral durations round-trip exactly *)
         && parsed.Workload.Scenario_file.duration = t.Workload.Scenario_file.duration
         && parsed.Workload.Scenario_file.seed = t.Workload.Scenario_file.seed)
+
+(* Parser fuzzing: inputs are the example scenarios with one to three
+   line mutations each: a line dropped or duplicated, two tokens of a
+   line swapped, or one number (a bare token or a [key=value]'s value)
+   replaced by a value a number field must reject or survive. [parse]
+   must never raise; each error names its line or is one of the
+   whole-file errors; an accepted scenario, its duration capped at
+   2 s, must run without an exception. The examples sit beside the
+   test tree ([deps] in test/dune). *)
+let example_scenarios =
+  let dir = "../examples/scenarios" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".scn")
+  |> List.sort String.compare
+  |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+
+type line_mutation =
+  | Drop_line of int
+  | Duplicate_line of int
+  | Swap_tokens of int * int * int
+  | Replace_number of int * int * string
+
+let fuzz_values = [ "nan"; "inf"; "-0"; "1e308"; "-1"; "0"; ""; "12345678901234567890" ]
+
+let tokens_of line = String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
+
+(* A token's number: the whole token, or the value of [key=value]. *)
+let number_slot token =
+  let numeric v = v <> "" && Float.of_string_opt v <> None in
+  match String.index_opt token '=' with
+  | Some i when numeric (String.sub token (i + 1) (String.length token - i - 1)) ->
+    Some (String.sub token 0 (i + 1))
+  | Some _ -> None
+  | None -> if numeric token then Some "" else None
+
+let mutate_line line = function
+  | Swap_tokens (_, i, j) ->
+    let tokens = Array.of_list (tokens_of line) in
+    let n = Array.length tokens in
+    if n < 2 then line
+    else begin
+      let i = i mod n and j = j mod n in
+      let t = tokens.(i) in
+      tokens.(i) <- tokens.(j);
+      tokens.(j) <- t;
+      String.concat " " (Array.to_list tokens)
+    end
+  | Replace_number (_, k, value) ->
+    let tokens = tokens_of line in
+    let slots = List.filter (fun t -> number_slot t <> None) tokens in
+    if slots = [] then line
+    else begin
+      let target = List.nth slots (k mod List.length slots) in
+      let replaced = ref false in
+      tokens
+      |> List.map (fun t ->
+             if (not !replaced) && t == target then begin
+               replaced := true;
+               Option.get (number_slot t) ^ value
+             end
+             else t)
+      |> String.concat " "
+    end
+  | Drop_line _ | Duplicate_line _ -> line
+
+let apply_mutation lines m =
+  let n = List.length lines in
+  if n = 0 then lines
+  else
+    let at = (match m with Drop_line i | Duplicate_line i | Swap_tokens (i, _, _)
+                         | Replace_number (i, _, _) -> i) mod n in
+    List.concat
+      (List.mapi
+         (fun i line ->
+           if i <> at then [ line ]
+           else
+             match m with
+             | Drop_line _ -> []
+             | Duplicate_line _ -> [ line; line ]
+             | Swap_tokens _ | Replace_number _ -> [ mutate_line line m ])
+         lines)
+
+let mutation_gen =
+  QCheck.Gen.(
+    let line = 0 -- 40 in
+    frequency
+      [
+        (1, map (fun i -> Drop_line i) line);
+        (1, map (fun i -> Duplicate_line i) line);
+        (2, map3 (fun i a b -> Swap_tokens (i, a, b)) line (0 -- 8) (0 -- 8));
+        (4, map3 (fun i k v -> Replace_number (i, k, v)) line (0 -- 8) (oneofl fuzz_values));
+      ])
+
+let mutated_scenario_gen =
+  QCheck.Gen.(
+    let* text = oneofl example_scenarios in
+    let* mutations = list_size (1 -- 3) mutation_gen in
+    return
+      (String.concat "\n"
+         (List.fold_left apply_mutation (String.split_on_char '\n' text) mutations)))
+
+(* The errors [parse] reports for the file as a whole, not a line. *)
+let whole_file_error message =
+  List.mem message
+    [ "missing 'topology' directive"; "no flows defined"; "no start directive";
+      "missing 'duration'"; "duration must be positive" ]
+  || String.starts_with ~prefix:"schedule references undefined flow " message
+  || (String.starts_with ~prefix:"flow " message && contains ~needle:": " message)
+
+let located_error ~lines message =
+  match Scanf.sscanf_opt message "line %d: %_s" (fun n -> n) with
+  | Some n -> n >= 1 && n <= lines
+  | None -> whole_file_error message
+
+let prop_scenario_fuzz =
+  QCheck.Test.make ~name:"mutated example scenarios parse or fail located, and run"
+    ~count:300
+    (QCheck.make ~print:Fun.id mutated_scenario_gen)
+    (fun text ->
+      match Workload.Scenario_file.parse text with
+      | exception e ->
+        QCheck.Test.fail_reportf "parse raised %s" (Printexc.to_string e)
+      | Error message ->
+        located_error ~lines:(List.length (String.split_on_char '\n' text)) message
+        || QCheck.Test.fail_reportf "unlocated error %S" message
+      | Ok s -> (
+        let s =
+          { s with Workload.Scenario_file.duration = Float.min s.Workload.Scenario_file.duration 2. }
+        in
+        match Workload.Scenario_file.run s with
+        | (_ : Workload.Runner.result) -> true
+        | exception e -> QCheck.Test.fail_reportf "run raised %s" (Printexc.to_string e)))
 
 (* ------------------------------------------------------------------ *)
 (* Replication *)
@@ -946,6 +1093,7 @@ let () =
           Alcotest.test_case "runs" `Quick test_scenario_runs;
           Alcotest.test_case "parse errors" `Quick test_scenario_parse_errors;
           QCheck_alcotest.to_alcotest prop_scenario_roundtrip;
+          QCheck_alcotest.to_alcotest prop_scenario_fuzz;
         ] );
       ( "replication",
         [

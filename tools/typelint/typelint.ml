@@ -535,6 +535,29 @@ let check_float_escape ctx (vd : Types.value_description) args loc =
                  instantiates a type variable, so it must be heap-boxed)"))
       args
 
+(* A call into another compilation unit that returns a [float]: the
+   result comes back boxed unless the callee is inlined, and dune's dev
+   profile compiles with [-opaque], so nothing inlines across units
+   there ([Sim.Engine.now], [Float.max], ...). A path whose head is a
+   global ident names another unit; values of this unit and of its
+   local modules have a local head. Primitives are exempt, as above:
+   the compiler specializes them at the call site. *)
+let check_float_result ctx p (vd : Types.value_description) (e : Typedtree.expression) =
+  match vd.val_kind with
+  | Types.Val_prim _ -> ()
+  | _ -> (
+    match p with
+    | Path.Pdot _ when Ident.global (Path.head p) && is_float_ty e.exp_type ->
+      (* Name the callee as written: [Sim__Event_queue] reads
+         [Sim.Event_queue], and dune's [Lib__] alias module drops out. *)
+      let parts = List.filter (fun c -> not (String.ends_with ~suffix:"__" c)) (path_parts p) in
+      add ctx T1_alloc e.exp_loc
+        (String.concat "." parts
+       ^ " returns a boxed float across a compilation unit (-opaque forbids \
+          cross-module inlining): read a flat float field, spell the \
+          function out, or waive")
+    | _ -> ())
+
 let hot_iterator ctx =
   let open Tast_iterator in
   let expr it (e : Typedtree.expression) =
@@ -595,7 +618,8 @@ let hot_iterator ctx =
           (match banned_call (path_parts p) with
           | Some msg -> add ctx T1_alloc e.exp_loc msg
           | None -> ());
-          check_float_escape ctx vd args e.exp_loc
+          check_float_escape ctx vd args e.exp_loc;
+          check_float_result ctx p vd e
         | None -> ())
       | _ -> ());
       match e.exp_desc with
